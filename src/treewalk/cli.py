@@ -315,7 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[tuple[int, int, str, int, int]] = []
     if args.enumerated:
         n = args.n
-        for t in tree_classes(n, max(DEFAULT_CAP, n)):
+        for t in tree_classes(n):
             q = _sweep_quantity(t, args.quantity)
             d, _ = diameter_and_geodesic(t)
             rows.append((n, d, canonical_form(t).decode("ascii"), q.numerator, q.denominator))
@@ -406,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--n", default=None, help="integer or lo..hi range for formula audits")
     pd.add_argument("--d", default=None)
     pd.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    pd.add_argument("--threads", type=int, default=None, help="enumeration worker processes")
     pd.set_defaults(func=_cmd_audit)
 
     ps = sub.add_parser("sweep", help="tabulate a quantity over families or enumerated classes")
@@ -442,10 +441,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.command_echo = ["treewalk"] + argv
     try:
         if args.command == "audit":
-            if args.threads is not None:
-                import os
-
-                os.environ["TREEWALK_THREADS"] = str(args.threads)
             _audit_args(args)
         return args.func(args)
     except TreewalkError as e:

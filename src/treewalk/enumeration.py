@@ -1,144 +1,99 @@
 """Exhaustive tree enumeration up to isomorphism.
 
-Sweeps the full Prufer code space for order n and deduplicates with an
-exact isomorphism key; representatives are then re-encoded through the
-public centroid-rooted canonical form. The code space factors into
-disjoint first-digit blocks, so sweeps can run on several processes and
-merge deterministically; the representative kept for each class is the
-lexicographically smallest Prufer code, independent of partitioning.
+Free trees are generated directly, one per isomorphism class, as level
+sequences rooted at a center: the algorithm of Wright, Richmond, Odlyzko
+and McKay, "Constant time generation of free trees" (SIAM J. Comput.
+15(2), 1986), which walks Beyer and Hedetniemi's rooted-tree successor
+(1980) and jumps over the runs that do not root a free tree at its
+center. No two sequences name isomorphic trees, so nothing is
+deduplicated. Representatives are labeled in preorder and emitted in
+increasing canonical-code order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from itertools import product
 from typing import Iterator, Optional
 
 from .errors import CapExceeded
-from .trees import Tree, bfs_distances, canonical_form, prufer_decode
+from .trees import Tree, _tree_from_adjacency, canonical_form
 
 DEFAULT_CAP = 10
 
 
-def _sweep_block(n: int, first_digits: tuple[int, ...]) -> dict[bytes, tuple[int, ...]]:
-    """Dedup all codes whose first digit lies in `first_digits`.
+def _check_order(n: int, cap: int) -> None:
+    if n < 2 or n > cap:
+        raise CapExceeded(f"order {n} outside 2..{cap}")
 
-    Returns {canonical byte code: smallest Prufer code}. The inner dedup key
-    is a center-rooted AHU label computed by leaf peeling in one pass over
-    each decoded tree, with sorted child-label tuples interned to small ints.
-    Representatives are re-encoded with the public canonical_form at the end,
-    so the emitted codes are stable across processes and runs.
+
+def _free_level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
+    """Yield (level sequence, diameter) once per free tree of order n >= 2.
+
+    The root has level 0 and sits at a center. Its first subtree T1 is the
+    tallest; the rest R is the root with T1 removed. The sequence roots its
+    tree at a center iff height(R) >= height(T1) - 1, where T1's height is
+    counted from the root. When height(R) == height(T1) - 1 the tree has
+    two centers and the edge between them splits it into T1 and R; the
+    sequence is kept only when T1 is not larger than R, by size and then
+    by level sequence, so each bicentral tree appears once. The yielded
+    list is reused; copy it to keep it.
+
+    Each step does O(n) list work rather than the paper's constant
+    amortized bookkeeping; sorting the trees by canonical form costs more.
     """
-    intern: dict[tuple[int, ...], int] = {(): 0}
-    seen: dict[object, tuple[int, ...]] = {}
-
-    # reusable buffers; n is tiny, clearing beats reallocating
-    adj: list[list[int]] = [[] for _ in range(n)]
-    kids: list[list[int]] = [[] for _ in range(n)]
-    last = n - 1
-
-    def class_key(code: tuple[int, ...]) -> object:
-        for lst in adj:
-            lst.clear()
-        for lst in kids:
-            lst.clear()
-        deg = [1] * n
-        for c in code:
-            deg[c] += 1
-        tdeg = deg[:]  # final tree degrees: 1 + multiplicity in the code
-        ptr = 0
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        for c in code:
-            adj[leaf].append(c)
-            adj[c].append(leaf)
-            deg[c] -= 1
-            if deg[c] == 1 and c < ptr:
-                leaf = c
-            else:
-                ptr += 1
-                while deg[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        adj[leaf].append(last)
-        adj[last].append(leaf)
-        # peel leaves in rounds toward the center, labelling as we go;
-        # kids[v] collects interned labels of v's already-peeled neighbors
-        # (tdeg -1 marks a peeled vertex; a surviving hub may reach 0)
-        remaining = n
-        frontier = [v for v in range(n) if tdeg[v] == 1]
-        while remaining > 2:
-            remaining -= len(frontier)
-            nxt: list[int] = []
-            for u in frontier:
-                ku = kids[u]
-                if ku:
-                    ku.sort()
-                    key = tuple(ku)
-                    lab = intern.get(key)
-                    if lab is None:
-                        lab = len(intern)
-                        intern[key] = lab
-                else:
-                    lab = 0
-                tdeg[u] = -1
-                for w in adj[u]:
-                    if tdeg[w] >= 0:
-                        kids[w].append(lab)
-                        tdeg[w] -= 1
-                        if tdeg[w] == 1:
-                            nxt.append(w)
-                        break
-            frontier = nxt
-        centers = [v for v in range(n) if tdeg[v] >= 0]
-        codes = []
-        for c in centers:
-            kc = kids[c]
-            kc.sort()
-            key = tuple(kc)
-            lab = intern.get(key)
-            if lab is None:
-                lab = len(intern)
-                intern[key] = lab
-            codes.append(lab)
-        if len(codes) == 1:
-            return codes[0]
-        c0, c1 = codes
-        return (c0, c1) if c0 <= c1 else (c1, c0)
-
-    if n == 2:
-        seen[class_key(())] = ()
-    elif n == 3:
-        for first in first_digits:
-            code = (first,)
-            key = class_key(code)
-            if key not in seen:
-                seen[key] = code
-    else:
-        rng = range(n)
-        if len(first_digits) == n:
-            for code in product(rng, repeat=n - 2):
-                key = class_key(code)
-                if key not in seen:
-                    seen[key] = code
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        # m: start of R's subtrees (the root's second child, or n)
+        m = next((i for i in range(2, n) if seq[i] == 1), n)
+        h1 = max(seq[1:m])
+        h2 = max(seq[m:], default=0)
+        valid = h2 >= h1 - 1
+        if valid and h2 == h1 - 1:
+            left, rest = m - 1, n - m + 1
+            valid = left < rest or (
+                left == rest and [x - 1 for x in seq[1:m]] <= [0] + seq[m:]
+            )
+        if valid:
+            yield seq, h1 + h2
+            p = n - 1
+            while seq[p] == 1:
+                p -= 1
+            if p == 0:
+                return
         else:
-            for first in first_digits:
-                for rest in product(rng, repeat=n - 3):
-                    code = (first, *rest)
-                    key = class_key(code)
-                    if key not in seen:
-                        seen[key] = code
-    # translate process-local interned keys to stable canonical byte codes
-    out: dict[bytes, tuple[int, ...]] = {}
-    for code in seen.values():
-        cf = canonical_form(prufer_decode(code, n))
-        prev = out.get(cf)
-        if prev is None or code < prev:
-            out[cf] = code
-    return out
+            # every later sequence with this T1 fails as well: advance T1
+            # itself, from its last vertex
+            p = m - 1
+        jumped = not valid and seq[p] > 2
+        # Beyer-Hedetniemi step: from p on, repeat the pattern that starts
+        # at p's parent q
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            seq[i] = seq[i - p + q]
+        if jumped:
+            # the pattern moved every vertex after p into T1 and left R
+            # empty; skip the invalid sequences that follow by restarting R
+            # as a path as tall as T1, the largest R that can root T1 at a
+            # center (5-8x fewer steps at orders 16-18)
+            h = max(seq)
+            seq[n - h:] = range(1, h + 1)
+
+
+def _tree_from_levels(seq: list[int]) -> Tree:
+    """Preorder-labeled tree of a level sequence: each vertex hangs from the
+    latest vertex one level up."""
+    n = len(seq)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    last = [0] * n  # last[level] = most recent vertex at that level
+    for v in range(1, n):
+        level = seq[v]
+        u = last[level - 1]
+        adj[u].append(v)
+        adj[v].append(u)
+        last[level] = v
+    return _tree_from_adjacency(adj)
 
 
 def enumerate_trees(
@@ -146,51 +101,37 @@ def enumerate_trees(
     d_filter: Optional[int] = None,
     *,
     cap: int = DEFAULT_CAP,
-    threads: int = 1,
 ) -> Iterator[Tree]:
     """Yield one representative per isomorphism class of trees of order n.
 
     Representatives come out in increasing canonical-code order, optionally
     restricted to diameter d_filter. Raises CapExceeded above the cap.
     """
-    if n < 2 or n > cap:
-        raise CapExceeded(f"order {n} outside 2..{cap}")
-    merged: dict[bytes, tuple[int, ...]] = {}
-    digits = tuple(range(n))
-    if threads <= 1 or n <= 4:
-        merged = _sweep_block(n, digits)
-    else:
-        blocks = [digits[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_sweep_block, [n] * len(blocks), blocks):
-                for cf, code in part.items():
-                    prev = merged.get(cf)
-                    if prev is None or code < prev:
-                        merged[cf] = code
-    for cf in sorted(merged):
-        t = prufer_decode(merged[cf], n)
-        if d_filter is None or _diameter(t) == d_filter:
-            yield t
+    _check_order(n, cap)
+    trees = [
+        _tree_from_levels(seq)
+        for seq, d in _free_level_sequences(n)
+        if d_filter is None or d == d_filter
+    ]
+    yield from sorted(trees, key=canonical_form)
 
 
-def _diameter(t: Tree) -> int:
-    far = bfs_distances(t, 0)
-    return max(bfs_distances(t, far.index(max(far))))
+def tree_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[Tree, ...]:
+    """All isomorphism classes of order n, cached for reuse across audits.
 
-
-def configured_threads() -> int:
-    """Worker count from TREEWALK_THREADS; 1 when unset or invalid."""
-    raw = os.environ.get("TREEWALK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    The cache holds one entry per order, whatever cap is passed; the cap
+    is checked on every call. `tree_classes.cache_clear()` empties it.
+    """
+    _check_order(n, cap)
+    return _classes(n)
 
 
 @lru_cache(maxsize=None)
-def tree_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[Tree, ...]:
-    """All isomorphism classes of order n, cached for reuse across audits."""
-    return tuple(enumerate_trees(n, cap=cap, threads=configured_threads()))
+def _classes(n: int) -> tuple[Tree, ...]:
+    return tuple(enumerate_trees(n, cap=n))
+
+
+tree_classes.cache_clear = _classes.cache_clear
 
 
 def tree_classes_with_diameter(n: int, d: int, cap: int = DEFAULT_CAP) -> tuple[Tree, ...]:

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,12 @@ def test_audit_formula_with_d_range(capsys):
     assert code == 0
 
 
+def test_audit_leaves_environment_unchanged(capsys):
+    before = dict(os.environ)
+    assert main(["--no-timing", "audit", "thm-global", "--n", "6"]) == 0
+    assert dict(os.environ) == before
+
+
 def test_audit_usage_error(capsys):
     code = main(["audit", "thm-min", "--n", "7"])
     assert code == 1
@@ -157,6 +164,13 @@ def test_sweep_enumerated_classes(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 11
+
+
+def test_sweep_enumerated_respects_cap(capsys):
+    assert main(["sweep", "--enumerated", "--n", "11", "--quantity", "kemeny"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_sweep_json_matches_csv_values(capsys):
