@@ -15,25 +15,10 @@ from typing import Callable, Optional
 
 from .enumeration import DEFAULT_CAP, tree_classes, tree_classes_with_diameter
 from .errors import CapExceeded, OutOfStatedRange, ParityMismatch, TreewalkError, UnknownClaim
-from .families import (
-    balanced_double_broom,
-    balanced_lever,
-    bestmeet_dbroom_case,
-    broom_tree,
-    closed_form,
-    formula_needs_d,
-    path_tree,
-    star_tree,
-)
+from .families import FORMULAS, bestmeet_dbroom_case, closed_form
 from .oracles import joining_time_by_linear_solve
 from .trees import Tree, canonical_form
-from .walkstats import (
-    check_barycenter_equivalences,
-    joining_all,
-    joining_time,
-    t_bestmeet,
-    t_meet,
-)
+from .walkstats import check_barycenter_equivalences, joining_all, t_bestmeet
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -98,57 +83,67 @@ def _cross_checked_jmin(t: Tree) -> Fraction:
     return Fraction(best)
 
 
-def audit_theorem_min(n: int, d: int, cap: int = DEFAULT_CAP) -> AuditReport:
-    """Check that the balanced lever uniquely minimizes the best meeting
-    time over all trees of order n and diameter d, at the stated value."""
+def _audit_extremal(
+    claim: str, pick: Callable, fid: str, family: str, n: int, d: int, cap: int
+) -> AuditReport:
+    """Check that formula fid's witness uniquely attains the min or max
+    (pick) of the best meeting time over trees of order n and diameter d,
+    at the value fid states."""
     params = {"n": n, "d": d}
     if not 2 <= d <= n - 1:
         raise OutOfStatedRange(f"need 2 <= d <= n-1, got n={n}, d={d}")
     classes = tree_classes_with_diameter(n, d, cap)
     vals = [(t_bestmeet(t)[0], t) for t in classes]
-    best = min(v for v, _ in vals)
-    argmins = [t for v, t in vals if v == best]
-    expected = balanced_lever(n, d)
-    expected_val = closed_form("bestmeet_lever", n, d)
-    if len(argmins) > 1:
+    best = pick(v for v, _ in vals)
+    winners = [t for v, t in vals if v == best]
+    role = pick.__name__ + "imizer"
+    expected = FORMULAS[fid].witness(n, d)
+    expected_val = closed_form(fid, n, d)
+    if len(winners) > 1:
         return AuditReport(
-            claim="thm-min",
+            claim=claim,
             status=REFUTED,
             params=params,
-            witnesses=[Witness.of(t, best, "tied minimizer") for t in argmins],
-            notes=f"{len(argmins)} isomorphism classes tie for the minimum",
+            witnesses=[Witness.of(t, best, f"tied {role}") for t in winners],
+            notes=f"{len(winners)} isomorphism classes tie for the {pick.__name__}imum",
         )
-    winner = argmins[0]
+    winner = winners[0]
     if canonical_form(winner) != canonical_form(expected):
         return AuditReport(
-            claim="thm-min",
+            claim=claim,
             status=REFUTED,
             params=params,
             witnesses=[
-                Witness.of(winner, best, "actual minimizer"),
-                Witness.of(expected, t_bestmeet(expected)[0], "balanced lever"),
+                Witness.of(winner, best, f"actual {role}"),
+                Witness.of(expected, t_bestmeet(expected)[0], family),
             ],
-            notes="minimizer is not the balanced lever",
+            notes=f"{role} is not the {family}",
         )
     truth = _cross_checked_jmin(winner) / (2 * (n - 1))
     if truth != expected_val:
         return AuditReport(
-            claim="thm-min",
+            claim=claim,
             status=DISCREPANCY,
             params=params,
             witnesses=[
                 Witness.of(winner, truth, "ground truth"),
                 Witness.of(expected, expected_val, "stated closed form"),
             ],
-            notes="minimizer confirmed but the printed value differs",
+            notes=f"{role} confirmed but the printed value differs",
         )
     return AuditReport(
-        claim="thm-min",
+        claim=claim,
         status=VERIFIED,
         params=params,
-        witnesses=[Witness.of(winner, truth, "unique minimizer")],
+        witnesses=[Witness.of(winner, truth, f"unique {role}")],
         notes=f"checked {len(classes)} classes",
     )
+
+
+def audit_theorem_min(n: int, d: int, cap: int = DEFAULT_CAP) -> AuditReport:
+    """Check that the balanced lever uniquely minimizes the best meeting
+    time over all trees of order n and diameter d, at the stated value."""
+    return _audit_extremal("thm-min", min, "bestmeet_lever", "balanced lever", n, d, cap)
 
 
 def audit_theorem_max(n: int, d: int, cap: int = DEFAULT_CAP) -> AuditReport:
@@ -159,54 +154,8 @@ def audit_theorem_max(n: int, d: int, cap: int = DEFAULT_CAP) -> AuditReport:
     even-d denominator read as 6(n-1); the printed 2(n-1) variant is
     audited separately under formula bestmeet_dbroom_oe_printed.
     """
-    params = {"n": n, "d": d}
-    if not 2 <= d <= n - 1:
-        raise OutOfStatedRange(f"need 2 <= d <= n-1, got n={n}, d={d}")
-    classes = tree_classes_with_diameter(n, d, cap)
-    vals = [(t_bestmeet(t)[0], t) for t in classes]
-    best = max(v for v, _ in vals)
-    argmaxes = [t for v, t in vals if v == best]
-    expected = balanced_double_broom(n, d)
-    expected_val = closed_form(bestmeet_dbroom_case(n, d), n, d)
-    if len(argmaxes) > 1:
-        return AuditReport(
-            claim="thm-max",
-            status=REFUTED,
-            params=params,
-            witnesses=[Witness.of(t, best, "tied maximizer") for t in argmaxes],
-            notes=f"{len(argmaxes)} isomorphism classes tie for the maximum",
-        )
-    winner = argmaxes[0]
-    if canonical_form(winner) != canonical_form(expected):
-        return AuditReport(
-            claim="thm-max",
-            status=REFUTED,
-            params=params,
-            witnesses=[
-                Witness.of(winner, best, "actual maximizer"),
-                Witness.of(expected, t_bestmeet(expected)[0], "balanced double broom"),
-            ],
-            notes="maximizer is not the balanced double broom",
-        )
-    truth = _cross_checked_jmin(winner) / (2 * (n - 1))
-    if truth != expected_val:
-        return AuditReport(
-            claim="thm-max",
-            status=DISCREPANCY,
-            params=params,
-            witnesses=[
-                Witness.of(winner, truth, "ground truth"),
-                Witness.of(expected, expected_val, "stated closed form"),
-            ],
-            notes="maximizer confirmed but the printed value differs",
-        )
-    return AuditReport(
-        claim="thm-max",
-        status=VERIFIED,
-        params=params,
-        witnesses=[Witness.of(winner, truth, "unique maximizer")],
-        notes=f"checked {len(classes)} classes",
-    )
+    fid = bestmeet_dbroom_case(n, d)
+    return _audit_extremal("thm-max", max, fid, "balanced double broom", n, d, cap)
 
 
 def audit_theorem_global(n: int, cap: int = DEFAULT_CAP) -> AuditReport:
@@ -221,13 +170,11 @@ def audit_theorem_global(n: int, cap: int = DEFAULT_CAP) -> AuditReport:
     best = max(v for v, _ in vals)
     argmaxes = [t for v, t in vals if v == best]
     if n % 2 == 0 or n <= 7:
-        claimed_tree = path_tree(n)
-        claimed_val = closed_form("bestmeet_pn", n)
-        claimed_name = "path"
+        fid, claimed_name = "bestmeet_pn", "path"
     else:
-        claimed_tree = broom_tree(n, n - 2)
-        claimed_val = closed_form("bestmeet_bn_printed", n)
-        claimed_name = "broom of diameter n-2"
+        fid, claimed_name = "bestmeet_bn_printed", "broom of diameter n-2"
+    claimed_tree = FORMULAS[fid].witness(n, None)
+    claimed_val = closed_form(fid, n)
     claimed_truth = _cross_checked_jmin(claimed_tree) / (2 * (n - 1))
     witnesses = [Witness.of(t, _cross_checked_jmin(t) / (2 * (n - 1)), "actual maximizer") for t in argmaxes]
     witnesses.append(Witness.of(claimed_tree, claimed_truth, f"stated maximizer ({claimed_name})"))
@@ -258,149 +205,6 @@ def audit_theorem_global(n: int, cap: int = DEFAULT_CAP) -> AuditReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# Formula ground truths
-# ---------------------------------------------------------------------------
-
-
-def _star_like(n: int) -> Tree:
-    return path_tree(2) if n == 2 else star_tree(n)
-
-
-def _jmax_broom_truth(n: int, d: int) -> Fraction:
-    return Fraction(joining_time(broom_tree(n, d), d))
-
-
-def _truth_jmax_path(n: int, d: Optional[int]) -> Fraction:
-    return Fraction(max(joining_all(path_tree(n))))
-
-
-def _truth_tmeet_path(n: int, d: Optional[int]) -> Fraction:
-    return t_meet(path_tree(n))[0]
-
-
-def _truth_tmeet_star(n: int, d: Optional[int]) -> Fraction:
-    return t_meet(_star_like(n))[0]
-
-
-def _truth_jmax_star(n: int, d: Optional[int]) -> Fraction:
-    return Fraction(max(joining_all(_star_like(n))))
-
-
-def _truth_jmin_path(n: int, d: Optional[int]) -> Fraction:
-    return Fraction(min(joining_all(path_tree(n))))
-
-
-def _truth_jmin_lever(n: int, d: Optional[int]) -> Fraction:
-    assert d is not None
-    return Fraction(min(joining_all(balanced_lever(n, d))))
-
-
-def _truth_bestmeet_lever(n: int, d: Optional[int]) -> Fraction:
-    assert d is not None
-    return t_bestmeet(balanced_lever(n, d))[0]
-
-
-def _truth_jmax_broom(n: int, d: Optional[int]) -> Fraction:
-    assert d is not None
-    return _jmax_broom_truth(n, d)
-
-
-def _truth_jmin_dbroom(n: int, d: Optional[int]) -> Fraction:
-    assert d is not None
-    return Fraction(min(joining_all(balanced_double_broom(n, d))))
-
-
-def _truth_bestmeet_dbroom(n: int, d: Optional[int]) -> Fraction:
-    assert d is not None
-    return t_bestmeet(balanced_double_broom(n, d))[0]
-
-
-def _truth_jmin_dnd_max(n: int, d: Optional[int]) -> Fraction:
-    return Fraction(
-        max(min(joining_all(balanced_double_broom(n, dd))) for dd in range(2, n))
-    )
-
-
-def _truth_bestmeet_pn(n: int, d: Optional[int]) -> Fraction:
-    return t_bestmeet(path_tree(n))[0]
-
-
-def _truth_bestmeet_bn(n: int, d: Optional[int]) -> Fraction:
-    return t_bestmeet(broom_tree(n, n - 2))[0]
-
-
-def _truth_big_delta_plus(n: int, d: Optional[int]) -> Fraction:
-    assert d is not None
-    return _jmax_broom_truth(n + 1, d + 1) - _jmax_broom_truth(n, d)
-
-
-def _truth_delta_plus(n: int, d: Optional[int]) -> Fraction:
-    assert d is not None
-    return _jmax_broom_truth(n + 1, d) - _jmax_broom_truth(n, d)
-
-
-def _truth_delta_minus_broom(n: int, d: Optional[int]) -> Fraction:
-    assert d is not None
-    return _jmax_broom_truth(n - 1, d) - _jmax_broom_truth(n, d)
-
-
-def _truth_delta_minus_path(n: int, d: Optional[int]) -> Fraction:
-    return Fraction(max(joining_all(path_tree(n - 1))) - max(joining_all(path_tree(n))))
-
-
-_TRUTHS: dict[str, Callable[[int, Optional[int]], Fraction]] = {
-    "jmax_path": _truth_jmax_path,
-    "jmax_path_expanded_printed": _truth_jmax_path,
-    "tmeet_path": _truth_tmeet_path,
-    "tmeet_star": _truth_tmeet_star,
-    "jmax_star_printed": _truth_jmax_star,
-    "jmax_star_corrected": _truth_jmax_star,
-    "jmin_path_odd": _truth_jmin_path,
-    "jmin_path_even": _truth_jmin_path,
-    "jmin_lever_odd": _truth_jmin_lever,
-    "jmin_lever_even": _truth_jmin_lever,
-    "bestmeet_lever": _truth_bestmeet_lever,
-    "jmax_broom": _truth_jmax_broom,
-    "jmin_dbroom_oo": _truth_jmin_dbroom,
-    "jmin_dbroom_oe": _truth_jmin_dbroom,
-    "jmin_dbroom_eo": _truth_jmin_dbroom,
-    "jmin_dbroom_ee": _truth_jmin_dbroom,
-    "bestmeet_dbroom_oo": _truth_bestmeet_dbroom,
-    "bestmeet_dbroom_oe": _truth_bestmeet_dbroom,
-    "bestmeet_dbroom_oe_printed": _truth_bestmeet_dbroom,
-    "bestmeet_dbroom_eo": _truth_bestmeet_dbroom,
-    "bestmeet_dbroom_ee": _truth_bestmeet_dbroom,
-    "jmin_dnd_max": _truth_jmin_dnd_max,
-    "bestmeet_pn": _truth_bestmeet_pn,
-    "bestmeet_bn_printed": _truth_bestmeet_bn,
-    "bestmeet_bn_corrected": _truth_bestmeet_bn,
-    "big_delta_plus": _truth_big_delta_plus,
-    "delta_plus": _truth_delta_plus,
-    "delta_minus_broom": _truth_delta_minus_broom,
-    "delta_minus_path": _truth_delta_minus_path,
-}
-
-
-def _witness_tree(fid: str, n: int, d: Optional[int]) -> Optional[Tree]:
-    try:
-        if fid.startswith(("jmax_path", "jmin_path", "tmeet_path", "bestmeet_pn", "delta_minus_path")):
-            return path_tree(n)
-        if "star" in fid:
-            return _star_like(n)
-        if "lever" in fid:
-            return balanced_lever(n, d) if d is not None else None
-        if "dbroom" in fid or fid == "jmin_dnd_max":
-            return balanced_double_broom(n, d) if d is not None else None
-        if "bn_" in fid:
-            return broom_tree(n, n - 2)
-        if "broom" in fid or "delta" in fid:
-            return broom_tree(n, d) if d is not None else None
-    except Exception:
-        return None
-    return None
-
-
 def audit_formula(
     fid: str,
     n_lo: int,
@@ -410,10 +214,10 @@ def audit_formula(
 ) -> AuditReport:
     """Sweep one ledger formula over a parameter range and compare against
     generator-plus-oracle ground truth; reports the first failing instance."""
-    if fid not in _TRUTHS:
+    if fid not in FORMULAS:
         raise UnknownClaim(f"unknown formula id {fid!r}")
-    truth_fn = _TRUTHS[fid]
-    needs_d = formula_needs_d(fid)
+    row = FORMULAS[fid]
+    needs_d = row.needs_d
     params: dict = {"formula": fid, "n": f"{n_lo}..{n_hi}"}
     if needs_d:
         params["d"] = f"{d_lo or 'auto'}..{d_hi or 'auto'}"
@@ -430,10 +234,10 @@ def audit_formula(
                 stated = closed_form(fid, n, d)
             except (ParityMismatch, OutOfStatedRange):
                 continue
-            truth = truth_fn(n, d)
+            truth = row.truth(n, d)
             checked += 1
             if stated != truth:
-                t = _witness_tree(fid, n, d)
+                t = row.witness(n, d)
                 inst = {"n": n} | ({"d": d} if d is not None else {})
                 return AuditReport(
                     claim=f"formula:{fid}",

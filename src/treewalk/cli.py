@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from decimal import Decimal, getcontext
+from decimal import Context
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -25,15 +25,13 @@ from . import audit as audit_mod
 from .enumeration import DEFAULT_CAP, tree_classes
 from .errors import TreewalkError, UnknownClaim
 from .families import (
+    FORMULAS,
     FamilySpec,
     balanced_double_broom,
     balanced_lever,
-    bestmeet_dbroom_case,
     broom_tree,
     closed_form,
     generate,
-    jmin_dbroom_case,
-    jmin_lever_case,
 )
 from .simulate import simulate_hitting
 from .trees import Tree, canonical_form, diameter_and_geodesic, format_edge_list, parse_edge_list
@@ -46,9 +44,14 @@ from .walkstats import (
 )
 
 
+# Rendering divides in this private context, never in the thread's decimal
+# context; the flags it accumulates are never read. Cheaper per call than
+# localcontext(), which matters at one call per vertex in analyze.
+_DECIMAL12 = Context(prec=12)
+
+
 def _decimal_str(fr: Fraction) -> str:
-    getcontext().prec = 12
-    return str(Decimal(fr.numerator) / Decimal(fr.denominator))
+    return str(_DECIMAL12.divide(fr.numerator, fr.denominator))
 
 
 def _exact(fr: Fraction) -> dict:
@@ -74,6 +77,21 @@ def _emit(env: dict) -> None:
     print(json.dumps(env, sort_keys=True, indent=2))
 
 
+def _int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise TreewalkError(f"{flag} expects an integer, got {text!r}") from None
+
+
+def _parse_range(spec: str, flag: str) -> tuple[int, int]:
+    if ".." in spec:
+        lo, hi = spec.split("..", 1)
+        return _int(lo, flag), _int(hi, flag)
+    v = _int(spec, flag)
+    return v, v
+
+
 def _load_tree(path: str) -> Tree:
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
@@ -97,7 +115,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.targets == "all":
         targets = list(range(t.n))
     else:
-        targets = sorted({int(x) for x in args.targets.split(",")})
+        targets = sorted({_int(x, "--targets") for x in args.targets.split(",")})
         for v in targets:
             if not 0 <= v < t.n:
                 raise TreewalkError(f"target vertex {v} outside 0..{t.n - 1}")
@@ -174,35 +192,26 @@ def _gen_tree(args: argparse.Namespace) -> tuple[Tree, FamilySpec]:
 
 
 def _predictions(spec: FamilySpec) -> dict:
-    """Ledger values applicable to this instance, evaluated exactly."""
+    """Ledger values applicable to this instance, evaluated exactly: the
+    forms its family predicts, when the instance is the balanced one, that
+    hold at this (n, d) and parity."""
     n, d = spec.n, spec.d
-    out: dict[str, dict] = {}
-
-    def put(fid: str, needs_d: bool = True) -> None:
-        try:
-            out[fid] = _exact(closed_form(fid, n, d if needs_d else None))
-        except TreewalkError:
-            pass
-
-    if spec.family == "path":
-        put("jmax_path", needs_d=False)
-        put("jmin_path_odd" if n % 2 else "jmin_path_even", needs_d=False)
-        put("tmeet_path", needs_d=False)
-        put("bestmeet_pn", needs_d=False)
-    elif spec.family == "star":
-        put("tmeet_star", needs_d=False)
-        put("jmax_star_corrected", needs_d=False)
-        put("jmax_star_printed", needs_d=False)
-    elif spec.family == "lever" and spec.k == d // 2:
-        put(jmin_lever_case(d))
-        put("bestmeet_lever")
-    elif spec.family == "broom":
-        put("jmax_broom")
+    if spec.family == "lever":
+        balanced = spec.k == d // 2
     elif spec.family == "double_broom":
         extra = n - d - 1
-        if (spec.left_leaves, spec.right_leaves) == (extra // 2 + 1, (extra + 1) // 2 + 1):
-            put(jmin_dbroom_case(n, d))
-            put(bestmeet_dbroom_case(n, d))
+        balanced = (spec.left_leaves, spec.right_leaves) == (extra // 2 + 1, (extra + 1) // 2 + 1)
+    else:
+        balanced = True  # path, star and broom have no free parameter
+    if not balanced:
+        return {}
+    out: dict[str, dict] = {}
+    for fid, row in FORMULAS.items():
+        if row.predicts == spec.family:
+            try:
+                out[fid] = _exact(closed_form(fid, n, d))
+            except TreewalkError:
+                pass
     return out
 
 
@@ -235,14 +244,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(spec: str) -> tuple[int, int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return int(lo), int(hi)
-    v = int(spec)
-    return v, v
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     started = time.time()
     claim = args.claim
@@ -255,10 +256,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     elif claim == "prop-barycenter":
         report = audit_mod.audit_proposition_barycenter(args.n_single, cap=args.cap)
     elif claim == "formula":
-        n_lo, n_hi = _parse_range(args.n_range)
+        n_lo, n_hi = _parse_range(args.n_range, "--n")
         d_lo = d_hi = None
         if args.d_range:
-            d_lo, d_hi = _parse_range(args.d_range)
+            d_lo, d_hi = _parse_range(args.d_range, "--d")
         report = audit_mod.audit_formula(args.formula_id, n_lo, n_hi, d_lo, d_hi)
     else:
         raise UnknownClaim(f"unknown claim {claim!r}")
@@ -272,11 +273,11 @@ def _audit_args(args: argparse.Namespace) -> None:
     if claim in ("thm-min", "thm-max"):
         if args.n is None or args.d is None:
             raise TreewalkError(f"{claim} needs --n and --d")
-        args.n_single, args.d_single = int(args.n), int(args.d)
+        args.n_single, args.d_single = _int(args.n, "--n"), _int(args.d, "--d")
     elif claim in ("thm-global", "prop-barycenter"):
         if args.n is None:
             raise TreewalkError(f"{claim} needs --n")
-        args.n_single = int(args.n)
+        args.n_single = _int(args.n, "--n")
     elif claim == "formula":
         if args.formula_id is None or args.n is None:
             raise TreewalkError("formula audits need a formula id and --n range")
@@ -327,7 +328,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         build = _SWEEP_FAMILIES[args.family]
         n = args.n
-        d_lo, d_hi = _parse_range(args.d) if args.d else (2, n - 1)
+        d_lo, d_hi = _parse_range(args.d, "--d") if args.d else (2, n - 1)
         for d in range(d_lo, d_hi + 1):
             if args.family == "broom" and not 3 <= d < n:
                 continue

@@ -79,9 +79,5 @@ class DiameterOutOfRange(TreewalkError):
     """Pipeline precondition 3 <= d <= n-2 violated."""
 
 
-class EquivalenceViolated(TreewalkError):
-    """Barycenter predicate sets disagree; signals an implementation bug."""
-
-
 class UnknownClaim(TreewalkError):
     """Audit claim identifier not recognized."""

@@ -5,17 +5,20 @@ v0..vd take ids 0..d and every extra leaf takes the next free id, grouped
 by attachment point. The ledger evaluates each printed closed form
 verbatim; forms known to be misprinted keep a `_printed` variant alongside
 a corrected one so audits can separate what the source states from what
-the mathematics gives.
+the mathematics gives. `FORMULAS` is the one table of ledger entries: each
+row holds the form, the tree it describes, its ground truth and the `gen`
+family that reports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch
 from .trees import Tree, bfs_distances, build_tree
+from .walkstats import joining_all, joining_time, t_bestmeet, t_meet
 
 FAMILY_NAMES = ("path", "star", "lever", "broom", "double_broom")
 
@@ -405,61 +408,143 @@ def _delta_minus_path(n: int) -> Fraction:
     return Fraction(-((2 * n - 3) ** 2))
 
 
-_N_ONLY = {
-    "jmax_path": _jmax_path,
-    "jmax_path_expanded_printed": _jmax_path_expanded_printed,
-    "tmeet_path": _tmeet_path,
-    "tmeet_star": _tmeet_star,
-    "jmax_star_printed": _jmax_star_printed,
-    "jmax_star_corrected": _jmax_star_corrected,
-    "jmin_path_odd": _jmin_path_odd,
-    "jmin_path_even": _jmin_path_even,
-    "jmin_dnd_max": _jmin_dnd_max,
-    "bestmeet_pn": _bestmeet_pn,
-    "bestmeet_bn_printed": _bestmeet_bn_printed,
-    "bestmeet_bn_corrected": _bestmeet_bn_corrected,
-    "delta_minus_path": _delta_minus_path,
+# Ground truths are statistics of generated trees, never of the forms above.
+
+
+def _jmin(t: Tree) -> Fraction:
+    return Fraction(min(joining_all(t)))
+
+
+def _jmax(t: Tree) -> Fraction:
+    return Fraction(max(joining_all(t)))
+
+
+def _tmeet(t: Tree) -> Fraction:
+    return t_meet(t)[0]
+
+
+def _bestmeet(t: Tree) -> Fraction:
+    return t_bestmeet(t)[0]
+
+
+def _broom_j(n: int, d: int) -> Fraction:
+    """Joining time at the handle end of the broom, its maximum."""
+    return Fraction(joining_time(broom_tree(n, d), d))
+
+
+# Witnesses look their generator up at call time, so a rebound generator
+# (a tracer, a test) is seen by every row.
+
+
+def _path(n: int, d: Optional[int]) -> Tree:
+    return path_tree(n)
+
+
+def _star(n: int, d: Optional[int]) -> Tree:
+    return path_tree(2) if n == 2 else star_tree(n)
+
+
+def _lever(n: int, d: Optional[int]) -> Tree:
+    return balanced_lever(n, d)  # type: ignore[arg-type]
+
+
+def _dbroom(n: int, d: Optional[int]) -> Tree:
+    return balanced_double_broom(n, d)  # type: ignore[arg-type]
+
+
+def _broom(n: int, d: Optional[int]) -> Tree:
+    return broom_tree(n, d)  # type: ignore[arg-type]
+
+
+def _short_broom(n: int, d: Optional[int]) -> Tree:
+    return broom_tree(n, n - 2)
+
+
+@dataclass(frozen=True)
+class Formula:
+    """One ledger entry.
+
+    form: the printed closed form, called as form(n) or form(n, d).
+    witness(n, d): the tree the form describes, or None.
+    truth(n, d): the exact value the form is audited against.
+    predicts: the FamilySpec family whose balanced `gen` instances report it.
+    """
+
+    form: Callable[..., Fraction]
+    needs_d: bool
+    witness: Callable[[int, Optional[int]], Optional[Tree]]
+    truth: Callable[[int, Optional[int]], Fraction]
+    predicts: Optional[str] = None
+
+
+def _measured(
+    form: Callable[..., Fraction],
+    needs_d: bool,
+    witness: Callable[[int, Optional[int]], Tree],
+    stat: Callable[[Tree], Fraction],
+    predicts: Optional[str] = None,
+) -> Formula:
+    """Row whose ground truth is a statistic of its witness tree."""
+    return Formula(form, needs_d, witness, lambda n, d: stat(witness(n, d)), predicts)
+
+
+FORMULAS: dict[str, Formula] = {
+    "jmax_path": _measured(_jmax_path, False, _path, _jmax, "path"),
+    "jmax_path_expanded_printed": _measured(_jmax_path_expanded_printed, False, _path, _jmax),
+    "tmeet_path": _measured(_tmeet_path, False, _path, _tmeet, "path"),
+    "tmeet_star": _measured(_tmeet_star, False, _star, _tmeet, "star"),
+    "jmax_star_printed": _measured(_jmax_star_printed, False, _star, _jmax, "star"),
+    "jmax_star_corrected": _measured(_jmax_star_corrected, False, _star, _jmax, "star"),
+    "jmin_path_odd": _measured(_jmin_path_odd, False, _path, _jmin, "path"),
+    "jmin_path_even": _measured(_jmin_path_even, False, _path, _jmin, "path"),
+    "jmin_dnd_max": Formula(
+        _jmin_dnd_max,
+        False,
+        lambda n, d: None,
+        lambda n, d: max(_jmin(balanced_double_broom(n, dd)) for dd in range(2, n)),
+    ),
+    "bestmeet_pn": _measured(_bestmeet_pn, False, _path, _bestmeet, "path"),
+    "bestmeet_bn_printed": _measured(_bestmeet_bn_printed, False, _short_broom, _bestmeet),
+    "bestmeet_bn_corrected": _measured(_bestmeet_bn_corrected, False, _short_broom, _bestmeet),
+    "delta_minus_path": Formula(
+        _delta_minus_path, False, _path, lambda n, d: _jmax(path_tree(n - 1)) - _jmax(path_tree(n))
+    ),
+    "jmin_lever_odd": _measured(_jmin_lever_odd, True, _lever, _jmin, "lever"),
+    "jmin_lever_even": _measured(_jmin_lever_even, True, _lever, _jmin, "lever"),
+    "bestmeet_lever": _measured(_bestmeet_lever, True, _lever, _bestmeet, "lever"),
+    "jmax_broom": Formula(_jmax_broom, True, _broom, _broom_j, "broom"),  # type: ignore[arg-type]
+    "jmin_dbroom_oo": _measured(_jmin_dbroom_oo, True, _dbroom, _jmin, "double_broom"),
+    "jmin_dbroom_oe": _measured(_jmin_dbroom_oe, True, _dbroom, _jmin, "double_broom"),
+    "jmin_dbroom_eo": _measured(_jmin_dbroom_eo, True, _dbroom, _jmin, "double_broom"),
+    "jmin_dbroom_ee": _measured(_jmin_dbroom_ee, True, _dbroom, _jmin, "double_broom"),
+    "bestmeet_dbroom_oo": _measured(_bestmeet_dbroom_oo, True, _dbroom, _bestmeet, "double_broom"),
+    "bestmeet_dbroom_oe": _measured(_bestmeet_dbroom_oe, True, _dbroom, _bestmeet, "double_broom"),
+    "bestmeet_dbroom_oe_printed": _measured(_bestmeet_dbroom_oe_printed, True, _dbroom, _bestmeet),
+    "bestmeet_dbroom_eo": _measured(_bestmeet_dbroom_eo, True, _dbroom, _bestmeet, "double_broom"),
+    "bestmeet_dbroom_ee": _measured(_bestmeet_dbroom_ee, True, _dbroom, _bestmeet, "double_broom"),
+    "big_delta_plus": Formula(
+        _big_delta_plus, True, _broom, lambda n, d: _broom_j(n + 1, d + 1) - _broom_j(n, d)
+    ),
+    "delta_plus": Formula(_delta_plus, True, _broom, lambda n, d: _broom_j(n + 1, d) - _broom_j(n, d)),
+    "delta_minus_broom": Formula(
+        _delta_minus_broom, True, _broom, lambda n, d: _broom_j(n - 1, d) - _broom_j(n, d)
+    ),
 }
 
-_N_AND_D = {
-    "jmin_lever_odd": _jmin_lever_odd,
-    "jmin_lever_even": _jmin_lever_even,
-    "bestmeet_lever": _bestmeet_lever,
-    "jmax_broom": _jmax_broom,
-    "jmin_dbroom_oo": _jmin_dbroom_oo,
-    "jmin_dbroom_oe": _jmin_dbroom_oe,
-    "jmin_dbroom_eo": _jmin_dbroom_eo,
-    "jmin_dbroom_ee": _jmin_dbroom_ee,
-    "bestmeet_dbroom_oo": _bestmeet_dbroom_oo,
-    "bestmeet_dbroom_oe": _bestmeet_dbroom_oe,
-    "bestmeet_dbroom_oe_printed": _bestmeet_dbroom_oe_printed,
-    "bestmeet_dbroom_eo": _bestmeet_dbroom_eo,
-    "bestmeet_dbroom_ee": _bestmeet_dbroom_ee,
-    "big_delta_plus": _big_delta_plus,
-    "delta_plus": _delta_plus,
-    "delta_minus_broom": _delta_minus_broom,
-}
-
-FORMULA_IDS = tuple(sorted(_N_ONLY) + sorted(_N_AND_D))
-
-
-def formula_needs_d(fid: str) -> bool:
-    if fid in _N_AND_D:
-        return True
-    if fid in _N_ONLY:
-        return False
-    raise OutOfStatedRange(f"unknown formula id {fid!r}")
+# n-only forms first, each group sorted by id
+FORMULA_IDS = tuple(sorted(FORMULAS, key=lambda fid: (FORMULAS[fid].needs_d, fid)))
 
 
 def closed_form(fid: str, n: int, d: Optional[int] = None) -> Fraction:
     """Evaluate one ledger formula exactly at (n, d)."""
-    if fid in _N_ONLY:
-        return _N_ONLY[fid](n)
-    if fid in _N_AND_D:
-        if d is None:
-            raise OutOfStatedRange(f"formula {fid!r} needs a diameter argument")
-        return _N_AND_D[fid](n, d)
-    raise OutOfStatedRange(f"unknown formula id {fid!r}")
+    row = FORMULAS.get(fid)
+    if row is None:
+        raise OutOfStatedRange(f"unknown formula id {fid!r}")
+    if not row.needs_d:
+        return row.form(n)
+    if d is None:
+        raise OutOfStatedRange(f"formula {fid!r} needs a diameter argument")
+    return row.form(n, d)
 
 
 def jmin_dbroom_case(n: int, d: int) -> str:

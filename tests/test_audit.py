@@ -1,10 +1,14 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import treewalk.audit as audit_mod
+import treewalk.walkstats as walkstats_mod
 from treewalk.audit import (
     DISCREPANCY,
     OUT_OF_RANGE,
+    REFUTED,
     VERIFIED,
     audit_formula,
     audit_proposition_barycenter,
@@ -13,9 +17,11 @@ from treewalk.audit import (
     audit_theorem_min,
 )
 from treewalk.errors import CapExceeded, UnknownClaim
-from treewalk.families import path_tree
+from treewalk.cli import main
+from treewalk.families import FORMULA_IDS, FORMULAS, broom_tree, path_tree
 from treewalk.simulate import simulate_hitting
 from treewalk.trees import canonical_form
+from treewalk.walkstats import BarycenterResult
 
 
 def _values(report):
@@ -36,6 +42,44 @@ def test_theorem_max_verified_cases():
     assert rep.status == VERIFIED and _values(rep) == [(3, 2)]
     rep = audit_theorem_max(7, 2)
     assert rep.status == VERIFIED and _values(rep) == [(1, 2)]
+
+
+def _notes(report):
+    return report.status, report.notes, [w.note for w in report.witnesses]
+
+
+@pytest.mark.parametrize(
+    "audit, fid, kind, family",
+    [
+        (audit_theorem_min, "bestmeet_lever", "min", "balanced lever"),
+        (audit_theorem_max, "bestmeet_dbroom_oe", "max", "balanced double broom"),
+    ],
+)
+def test_theorem_extremal_failure_branches(monkeypatch, audit, fid, kind, family):
+    # no real input reaches these branches, so each is forced through the
+    # registry row (or, for a tie, through the statistic itself)
+    role = kind + "imizer"
+    row = FORMULAS[fid]
+    monkeypatch.setitem(FORMULAS, fid, dataclasses.replace(row, witness=lambda n, d: broom_tree(n, d)))
+    assert _notes(audit(7, 4)) == (
+        REFUTED, f"{role} is not the {family}", [f"actual {role}", family]
+    )
+    monkeypatch.setitem(FORMULAS, fid, dataclasses.replace(row, form=lambda n, d: row.form(n, d) + 1))
+    rep = audit(7, 4)
+    assert _notes(rep) == (
+        DISCREPANCY,
+        f"{role} confirmed but the printed value differs",
+        ["ground truth", "stated closed form"],
+    )
+    truth = Fraction(rep.witnesses[0].value_num, rep.witnesses[0].value_den)
+    assert _values(rep)[1] == ((truth + 1).numerator, (truth + 1).denominator)
+    monkeypatch.setitem(FORMULAS, fid, row)
+    monkeypatch.setattr(audit_mod, "t_bestmeet", lambda t: (Fraction(1), 0))
+    assert _notes(audit(6, 3)) == (
+        REFUTED, f"2 isomorphism classes tie for the {kind}imum", [f"tied {role}"] * 2
+    )
+    monkeypatch.undo()
+    assert _notes(audit(7, 4)) == (VERIFIED, "checked 5 classes", [f"unique {role}"])
 
 
 def test_theorem_global_small_orders():
@@ -95,6 +139,32 @@ def test_formula_verified_families():
     assert audit_formula("tmeet_star", 2, 40).status == VERIFIED
 
 
+# The five ledger entries whose printed form disagrees with ground truth on
+# n in 3..40: first failing instance, witness canonical form, and the
+# (printed, truth) values there. Every other entry verifies on that window.
+_MISPRINTS = {
+    "jmax_star_printed": ({"n": 3}, "110100", [(5, 1), (10, 1)]),
+    "jmax_path_expanded_printed": ({"n": 3}, "110100", [(34, 1), (10, 1)]),
+    "bestmeet_dbroom_oe_printed": ({"n": 7, "d": 6}, "11110001110000", [(17, 2), (35, 6)]),
+    "bestmeet_bn_printed": ({"n": 5}, "1101011000", [(2, 1), (3, 2)]),
+    "jmin_dnd_max": ({"n": 9}, "", [(169, 1), (168, 1)]),
+}
+
+
+@pytest.mark.parametrize("fid", FORMULA_IDS)
+def test_ledger_audit_outcome(fid):
+    rep = audit_formula(fid, 3, 40)
+    if fid not in _MISPRINTS:
+        assert rep.status == VERIFIED and rep.witnesses == []
+        return
+    failure, canonical, values = _MISPRINTS[fid]
+    assert rep.status == DISCREPANCY
+    assert rep.params["first_failure"] == failure
+    assert [w.canonical for w in rep.witnesses] == [canonical, canonical]
+    assert [w.note for w in rep.witnesses] == ["printed form", "ground truth"]
+    assert _values(rep) == values
+
+
 def test_formula_out_of_range_window():
     rep = audit_formula("bestmeet_bn_printed", 2, 4)
     assert rep.status == OUT_OF_RANGE
@@ -109,6 +179,18 @@ def test_proposition_barycenter():
     rep = audit_proposition_barycenter(7)
     assert rep.status == VERIFIED
     assert "23 trees" in rep.notes
+
+
+def test_proposition_barycenter_refuted(monkeypatch, capsys):
+    # a wrong component-bounded set must surface as REFUTED (exit 2), not raise
+    monkeypatch.setattr(
+        walkstats_mod, "barycenter", lambda t: BarycenterResult(tuple(range(t.n)), ())
+    )
+    rep = audit_proposition_barycenter(5)
+    assert rep.status == REFUTED and rep.notes == "predicate sets disagree"
+    assert [w.note for w in rep.witnesses] == ["offending tree"]
+    assert main(["--no-timing", "audit", "prop-barycenter", "--n", "5"]) == 2
+    assert '"status": "refuted"' in capsys.readouterr().out
 
 
 def test_cap_exceeded():

@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 from fractions import Fraction
@@ -79,6 +80,42 @@ def test_gen_double_broom_fig1(tmp_path, capsys):
     assert t.degree(1) == 4 and t.degree(4) == 5
 
 
+@pytest.mark.parametrize(
+    "flags, keys",
+    [
+        (["path", "--n", "9"], ["bestmeet_pn", "jmax_path", "jmin_path_odd", "tmeet_path"]),
+        (["path", "--n", "10"], ["bestmeet_pn", "jmax_path", "jmin_path_even", "tmeet_path"]),
+        (["star", "--n", "9"], ["jmax_star_corrected", "jmax_star_printed", "tmeet_star"]),
+        (["star", "--n", "10"], ["jmax_star_corrected", "jmax_star_printed", "tmeet_star"]),
+        (["lever", "--n", "9", "--d", "5", "--k", "2"], ["bestmeet_lever", "jmin_lever_odd"]),
+        (["lever", "--n", "10", "--d", "4", "--k", "2"], ["bestmeet_lever", "jmin_lever_even"]),
+        (["lever", "--n", "9", "--d", "5", "--k", "1"], []),
+        (["balanced-lever", "--n", "9", "--d", "5"], ["bestmeet_lever", "jmin_lever_odd"]),
+        (["balanced-lever", "--n", "10", "--d", "4"], ["bestmeet_lever", "jmin_lever_even"]),
+        (["broom", "--n", "9", "--d", "5"], ["jmax_broom"]),
+        (["broom", "--n", "10", "--d", "4"], ["jmax_broom"]),
+        (["double-broom", "--n", "9", "--d", "5", "--left", "2", "--right", "3"],
+         ["bestmeet_dbroom_oo", "jmin_dbroom_oo"]),
+        (["double-broom", "--n", "10", "--d", "4", "--left", "3", "--right", "4"],
+         ["bestmeet_dbroom_ee", "jmin_dbroom_ee"]),
+        # mirror image of the balanced split: same tree, but not the convention
+        (["double-broom", "--n", "9", "--d", "5", "--left", "3", "--right", "2"], []),
+        (["double-broom", "--n", "10", "--d", "4", "--left", "4", "--right", "3"], []),
+        (["balanced-double-broom", "--n", "9", "--d", "5"], ["bestmeet_dbroom_oo", "jmin_dbroom_oo"]),
+        (["balanced-double-broom", "--n", "10", "--d", "4"], ["bestmeet_dbroom_ee", "jmin_dbroom_ee"]),
+    ],
+)
+def test_gen_predicted_keys(tmp_path, capsys, flags, keys):
+    code, out = run(
+        capsys, "--no-timing", "gen", "--family", *flags, "--output", str(tmp_path / "t.txt")
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert sorted(results["predicted"]) == keys
+    for fid, value in results["predicted"].items():
+        assert Fraction(value["num"], value["den"]) == closed_form(fid, results["n"], results["d"])
+
+
 def test_gen_rejects_bad_params(capsys):
     code = main(["gen", "--family", "broom", "--n", "5", "--d", "5"])
     err = capsys.readouterr().err
@@ -127,6 +164,29 @@ def test_audit_leaves_environment_unchanged(capsys):
 def test_audit_usage_error(capsys):
     code = main(["audit", "thm-min", "--n", "7"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "formula", "jmax_path", "--n", "x"],
+        ["audit", "formula", "jmax_path", "--n", "3..5", "--d", "2..q"],
+        ["audit", "thm-min", "--n", "5", "--d", "y"],
+        ["sweep", "--family", "broom", "--n", "6", "--d", "x"],
+        ["analyze", "--input", "{p3}", "--targets", "0,x"],
+    ],
+)
+def test_bad_integer_arguments_are_usage_errors(capsys, p3_file, argv):
+    code = main([a.replace("{p3}", p3_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: --") and "expects an integer" in captured.err
+
+
+def test_decimal_context_unchanged(capsys):
+    before = decimal.getcontext().prec
+    assert main(["--no-timing", "gen", "--family", "path", "--n", "5"]) == 0
+    assert decimal.getcontext().prec == before
 
 
 def test_sweep_lever_rows_match_formulas(capsys):

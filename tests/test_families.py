@@ -4,7 +4,9 @@ import pytest
 
 from treewalk.errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch
 from treewalk.families import (
+    FAMILY_NAMES,
     FORMULA_IDS,
+    FORMULAS,
     FamilySpec,
     balanced_double_broom,
     balanced_lever,
@@ -119,6 +121,18 @@ def test_formula_id_registry_consistent():
     for fid in FORMULA_IDS:
         assert isinstance(fid, str)
     assert "jmax_broom" in FORMULA_IDS and "bestmeet_dbroom_oe_printed" in FORMULA_IDS
+    # n-only forms first, each group sorted; seeded consumers shuffle this tuple
+    assert FORMULA_IDS == (
+        "bestmeet_bn_corrected", "bestmeet_bn_printed", "bestmeet_pn", "delta_minus_path",
+        "jmax_path", "jmax_path_expanded_printed", "jmax_star_corrected", "jmax_star_printed",
+        "jmin_dnd_max", "jmin_path_even", "jmin_path_odd", "tmeet_path", "tmeet_star",
+        "bestmeet_dbroom_ee", "bestmeet_dbroom_eo", "bestmeet_dbroom_oe",
+        "bestmeet_dbroom_oe_printed", "bestmeet_dbroom_oo", "bestmeet_lever", "big_delta_plus",
+        "delta_minus_broom", "delta_plus", "jmax_broom", "jmin_dbroom_ee", "jmin_dbroom_eo",
+        "jmin_dbroom_oe", "jmin_dbroom_oo", "jmin_lever_even", "jmin_lever_odd",
+    )
+    assert set(FORMULA_IDS) == set(FORMULAS)
+    assert {row.predicts for row in FORMULAS.values()} <= set(FAMILY_NAMES) | {None}
 
 
 def test_delta_identities_against_ledger():
