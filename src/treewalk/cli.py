@@ -27,7 +27,9 @@ from .errors import TreewalkError, UnknownClaim
 from .families import (
     FORMULAS,
     FamilySpec,
+    balanced_clusters,
     balanced_double_broom,
+    balanced_fulcrum,
     balanced_lever,
     broom_tree,
     closed_form,
@@ -170,14 +172,11 @@ def _gen_tree(args: argparse.Namespace) -> tuple[Tree, FamilySpec]:
     if family not in ("path", "star") and args.d is None:
         raise TreewalkError(f"family {args.family!r} needs --d")
     if args.family == "balanced-lever":
-        t = balanced_lever(n, args.d)
-        spec = FamilySpec("lever", n, args.d, k=args.d // 2 if args.d < n - 1 else max(1, (n - 1) // 2))
-        return t, spec
+        return balanced_lever(n, args.d), FamilySpec("lever", n, args.d, k=balanced_fulcrum(args.d))
     if args.family == "balanced-double-broom":
-        t = balanced_double_broom(n, args.d)
-        extra = n - args.d - 1
-        spec = FamilySpec("double_broom", n, args.d, left_leaves=extra // 2 + 1, right_leaves=(extra + 1) // 2 + 1)
-        return t, spec
+        left, right = balanced_clusters(n, args.d)
+        spec = FamilySpec("double_broom", n, args.d, left_leaves=left, right_leaves=right)
+        return balanced_double_broom(n, args.d), spec
     if family == "path":
         spec = FamilySpec("path", n, n - 1)
     elif family == "star":
@@ -197,10 +196,9 @@ def _predictions(spec: FamilySpec) -> dict:
     hold at this (n, d) and parity."""
     n, d = spec.n, spec.d
     if spec.family == "lever":
-        balanced = spec.k == d // 2
+        balanced = spec.k == balanced_fulcrum(d)
     elif spec.family == "double_broom":
-        extra = n - d - 1
-        balanced = (spec.left_leaves, spec.right_leaves) == (extra // 2 + 1, (extra + 1) // 2 + 1)
+        balanced = (spec.left_leaves, spec.right_leaves) == balanced_clusters(n, d)
     else:
         balanced = True  # path, star and broom have no free parameter
     if not balanced:

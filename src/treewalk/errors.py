@@ -31,6 +31,10 @@ class VertexOutOfRange(TreeValidationError):
     pass
 
 
+class TooFewVertices(TreewalkError):
+    """A statistic needs more vertices than the tree has."""
+
+
 class SplitAtLeaf(TreewalkError):
     """v-split requested at a vertex of degree < 2."""
 
@@ -77,6 +81,11 @@ class SelfAttach(TreewalkError):
 
 class DiameterOutOfRange(TreewalkError):
     """Pipeline precondition 3 <= d <= n-2 violated."""
+
+
+class InvalidWalkParameters(TreewalkError, ValueError):
+    """Simulation vertex, walk count or seed outside its range. Also a
+    ValueError, the type a bad walk count raised before this class."""
 
 
 class UnknownClaim(TreewalkError):

@@ -91,11 +91,16 @@ def lever_tree(n: int, d: int, k: int) -> Tree:
     return build_tree(edges, n)
 
 
+def balanced_fulcrum(d: int) -> int:
+    """Fulcrum index of the balanced lever: the geodesic midpoint floor(d/2)."""
+    return d // 2
+
+
 def balanced_lever(n: int, d: int) -> Tree:
     """Lever with the fulcrum at the geodesic midpoint floor(d/2)."""
     if d == n - 1:
         return path_tree(n)
-    return lever_tree(n, d, d // 2)
+    return lever_tree(n, d, balanced_fulcrum(d))
 
 
 def broom_tree(n: int, d: int) -> Tree:
@@ -130,14 +135,20 @@ def double_broom_tree(n: int, d: int, left_leaves: int, right_leaves: int) -> Tr
     return build_tree(edges, n)
 
 
+def balanced_clusters(n: int, d: int) -> tuple[int, int]:
+    """(left, right) cluster sizes of the balanced double broom: the n-d-1
+    extra leaves split as evenly as possible, the odd one on the right."""
+    extra = n - d - 1
+    return extra // 2 + 1, (extra + 1) // 2 + 1
+
+
 def balanced_double_broom(n: int, d: int) -> Tree:
     """Double broom whose end clusters differ in size by at most one."""
     if not 2 <= d <= n - 1:
         raise InvalidFamilyParameters(
             f"double broom needs 2 <= d <= n-1, got n={n}, d={d}"
         )
-    extra = n - d - 1
-    return double_broom_tree(n, d, extra // 2 + 1, (extra + 1) // 2 + 1)
+    return double_broom_tree(n, d, *balanced_clusters(n, d))
 
 
 def generate(spec: FamilySpec) -> Tree:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InvalidWalkParameters
 from .trees import Tree
 from .walkstats import hitting_time
 
@@ -65,8 +66,13 @@ def _walk_length(adj: list[tuple[int, ...]], degs: list[int], u: int, w: int, bi
 
 def simulate_hitting(t: Tree, u: int, w: int, walks: int, seed: int) -> WalkSample:
     """Run `walks` independent seeded walks from u until absorption at w."""
+    for name, v in (("start", u), ("target", w)):
+        if not 0 <= v < t.n:
+            raise InvalidWalkParameters(f"{name} vertex {v} outside 0..{t.n - 1}")
     if walks < 1:
-        raise ValueError(f"walk count must be >= 1, got {walks}")
+        raise InvalidWalkParameters(f"walk count must be >= 1, got {walks}")
+    if not 0 <= seed < 2**64:
+        raise InvalidWalkParameters(f"seed {seed} outside 0..2**64-1")
     adj = list(t.adjacency)
     degs = [len(a) for a in adj]
     total = 0

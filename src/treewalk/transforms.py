@@ -29,6 +29,7 @@ from .trees import (
     canonical_form,
     diameter_and_geodesic,
     path_between,
+    v_split,
 )
 from .walkstats import barycenter, hitting_profile, joining_all, joining_time
 
@@ -122,9 +123,7 @@ def move_leaf(t: Tree, z: int, y: int, x: int, check: bool = False) -> Tree:
         raise SelfAttach(f"cannot attach leaf {z} to itself")
     if x == y:
         return t
-    edges = [(u, v) for u, v in t.edges() if (u, v) != (min(y, z), max(y, z))]
-    edges.append((min(x, z), max(x, z)))
-    out = build_tree(edges, t.n)
+    out = _swap_edge(t, z, y, x)
     if check:
         before = hitting_profile(t).matrix
         after = hitting_profile(out).matrix
@@ -296,45 +295,16 @@ def maximize_pipeline(
     c = min(barycenter(cur).centers)
 
     # phase one: broomify every branch at c, keeping vertex sets in place
-    comps: list[set[int]] = []
-    for w in cur.adjacency[c]:
-        comp = {w}
-        stack = [w]
-        while stack:
-            u = stack.pop()
-            for v in cur.adjacency[u]:
-                if v != c and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(comp)
-    for comp in comps:
-        sub_vertices = sorted(comp | {c})
-        index = {p: i for i, p in enumerate(sub_vertices)}
-        sub_edges = [
-            (index[u], index[v])
-            for u, v in cur.edges()
-            if u in index and v in index
-        ]
-        sub = build_tree(sub_edges, len(sub_vertices))
-        r = rooted_broom_depth(sub, index[c])
-        if r is not None:
+    for part in v_split(cur, c).parts:
+        broom = broomify(part.tree, part.center)
+        if broom is part.tree:
             continue
-        depth = max(
-            bfs_distances(cur, c)[v] for v in comp
-        )
-        others = sorted(comp)
-        handle = others[: depth - 1]
-        bristles = others[depth - 1 :]
-        chain = [c] + handle
-        keep = [
-            (u, v)
-            for u, v in cur.edges()
-            if u not in comp and v not in comp
-        ]
-        rebuilt = keep + list(zip(chain, chain[1:])) + [(chain[-1], b) for b in bristles]
-        cur = build_tree(rebuilt, n)
+        ids = part.to_parent
+        comp = set(ids) - {c}
+        keep = [(u, v) for u, v in cur.edges() if u not in comp and v not in comp]
+        cur = build_tree(keep + [(ids[a], ids[b]) for a, b in broom.edges()], n)
         trace.append(
-            f"reshape branch at {c} through {sorted(comp)[0]} into a broom",
+            f"reshape branch at {c} through {min(comp)} into a broom",
             cur,
             _jmin(cur),
         )

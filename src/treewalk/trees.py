@@ -1,14 +1,16 @@
 """Immutable trees over dense integer vertex ids.
 
-Construction with full validation, BFS distances, diameter with a witness
-geodesic, vertex splits, Prufer encoding/decoding, and centroid-rooted
-canonical forms (equal byte codes iff the trees are isomorphic).
+Construction with full validation, BFS distances, the cached rooted pass
+from vertex 0, diameter with a witness geodesic, vertex splits, Prufer
+encoding/decoding, and centroid-rooted canonical forms (equal byte codes
+iff the trees are isomorphic).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -146,31 +148,43 @@ def path_between(t: Tree, u: int, v: int) -> list[int]:
     return path
 
 
+def subtree_sizes(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
+    """BFS order, parent array and subtree sizes rooted at `root`."""
+    order, parent = bfs_order(t, root)
+    size = [1] * t.n
+    for u in reversed(order):
+        p = parent[u]
+        if p >= 0:
+            size[p] += size[u]
+    return order, parent, size
+
+
+@lru_cache(maxsize=1)
+def rooted_pass(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """subtree_sizes from vertex 0, frozen. Every statistic of one tree
+    reads this single pass; the cache holds the last tree asked about."""
+    order, parent, size = subtree_sizes(t, 0)
+    return tuple(order), tuple(parent), tuple(size)
+
+
 def diameter_and_geodesic(t: Tree) -> tuple[int, list[int]]:
     """Diameter and one witness path, found by double BFS.
 
     Ties break toward the smallest vertex id; the returned path runs from
     its smaller endpoint to its larger one.
     """
-    if t.n == 1:
-        return 0, [0]
-
-    def farthest(src: int) -> int:
-        dist = bfs_distances(t, src)
-        m = max(dist)
-        return dist.index(m)
-
-    a = farthest(0)
-    dist_a = bfs_distances(t, a)
-    d = max(dist_a)
-    b = dist_a.index(d)
-    if a > b:
-        a, b = b, a
-    return d, path_between(t, a, b)
-
-
-def eccentricity(t: Tree, v: int) -> int:
-    return max(bfs_distances(t, v))
+    dist = bfs_distances(t, 0)
+    a = dist.index(max(dist))
+    order, parent = bfs_order(t, a)
+    depth = [0] * t.n
+    for u in order[1:]:
+        depth[u] = depth[parent[u]] + 1
+    d = depth[order[-1]]
+    b = depth.index(d)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return d, path if b < a else path[::-1]
 
 
 @dataclass(frozen=True)
@@ -286,26 +300,26 @@ def prufer_encode(t: Tree) -> tuple[int, ...]:
     return tuple(code)
 
 
+def _parts(t: Tree, parent: Sequence[int], size: Sequence[int], v: int) -> list[int]:
+    """Sizes of the components of t - v: one per child, plus the part
+    through the parent unless v is the root."""
+    parts = [size[w] for w in t.adjacency[v] if w != parent[v]]
+    if parent[v] >= 0:
+        parts.append(t.n - size[v])
+    return parts
+
+
+def component_sizes(t: Tree, v: int) -> list[int]:
+    """Sizes of the components of t - v, read off the rooted pass."""
+    _, parent, size = rooted_pass(t)
+    return _parts(t, parent, size, v)
+
+
 def centroids(t: Tree) -> list[int]:
     """Centroid vertex (or two adjacent ones): every component of t - c
     has at most n/2 vertices."""
-    n = t.n
-    if n == 1:
-        return [0]
-    order, parent = bfs_order(t, 0)
-    size = [1] * n
-    for u in reversed(order):
-        if parent[u] >= 0:
-            size[parent[u]] += size[u]
-    out = []
-    for v in range(n):
-        heaviest = n - size[v] if v != 0 else 0
-        for w in t.adjacency[v]:
-            if w != parent[v]:
-                heaviest = max(heaviest, size[w])
-        if 2 * heaviest <= n:
-            out.append(v)
-    return out
+    _, parent, size = rooted_pass(t)
+    return [v for v in range(t.n) if 2 * max(_parts(t, parent, size, v), default=0) <= t.n]
 
 
 def rooted_canonical_form(t: Tree, root: int) -> bytes:

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
 
-from .trees import Tree, bfs_distances, bfs_order
+from .errors import TooFewVertices
+from .trees import Tree, bfs_distances, centroids, component_sizes, rooted_pass, subtree_sizes
 
 
 def path_overlap(t: Tree, u: int, v: int, w: int) -> int:
@@ -52,93 +55,69 @@ class HittingProfile:
         return self.matrix[uv[0]][uv[1]]
 
 
-def _subtree_sizes(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
-    """BFS order, parent array and subtree sizes rooted at `root`."""
-    order, parent = bfs_order(t, root)
-    size = [1] * t.n
-    for u in reversed(order):
-        p = parent[u]
-        if p >= 0:
-            size[p] += size[u]
-    return order, parent, size
+def _hits_into(t: Tree, w: int) -> list[int]:
+    """H(u, w) for every u, accumulated outward from the target w.
+
+    For u with parent p toward w, the step u->p costs 2*size(u)-1 where
+    size(u) counts u's side of the edge, and hitting times add along the
+    unique path.
+    """
+    order, parent, size = subtree_sizes(t, w)
+    h = [0] * t.n
+    for u in order[1:]:
+        h[u] = h[parent[u]] + 2 * size[u] - 1
+    return h
+
 
 def hitting_profile(t: Tree) -> HittingProfile:
-    """All-pairs hitting times in O(n^2) by accumulating edge contributions.
-
-    For u with parent p toward the target w, the step u->p costs
-    2*size(u)-1 where size(u) counts u's side of the edge, and hitting
-    times add along the unique path.
-    """
-    n = t.n
-    rows = []
-    for w in range(n):
-        order, parent, size = _subtree_sizes(t, w)
-        h = [0] * n
-        for u in order:
-            p = parent[u]
-            if p >= 0:
-                h[u] = h[p] + 2 * size[u] - 1
-        rows.append(tuple(h))
+    """All-pairs hitting times in O(n^2), one accumulation per target."""
+    rows = [_hits_into(t, w) for w in range(t.n)]
     # rows are target-major; transpose so matrix[u][v] = H(u, v)
-    matrix = tuple(tuple(rows[v][u] for v in range(n)) for u in range(n))
-    return HittingProfile(tree=t, matrix=matrix)
+    return HittingProfile(tree=t, matrix=tuple(zip(*rows)))
 
 
 def joining_time(t: Tree, w: int) -> int:
     """Scaled meeting time J(w) = sum_u deg(u) H(u,w); an integer."""
-    order, parent, size = _subtree_sizes(t, w)
-    h = [0] * t.n
-    total = 0
-    for u in order:
-        p = parent[u]
-        if p >= 0:
-            h[u] = h[p] + 2 * size[u] - 1
-            total += t.degree(u) * h[u]
-    return total
+    return sum(len(a) * h for a, h in zip(t.adjacency, _hits_into(t, w)))
+
+
+@lru_cache(maxsize=1)
+def _joining(t: Tree) -> tuple[int, ...]:
+    """J(w) for every w in O(n) total, by rerooting across each edge.
+
+    The step u->p across an edge costs 2*size(u)-1, which is also the
+    degree sum of u's side, so J(w) is the sum over edges of (2s-1)^2 with
+    s the size of the side away from w. Moving the target from p to its
+    child u swaps only that edge's term: J(u) = J(p) + (2(n-s)-1)^2 -
+    (2s-1)^2 = J(p) + 4(n-1)(n-2s) with s = size(u) from the rooted pass.
+    """
+    n = t.n
+    order, parent, size = rooted_pass(t)
+    j = [0] * n
+    j[0] = sum((2 * s - 1) ** 2 for s in size[1:])
+    for u in order[1:]:
+        j[u] = j[parent[u]] + 4 * (n - 1) * (n - 2 * size[u])
+    return tuple(j)
 
 
 def joining_all(t: Tree) -> list[int]:
-    """J(w) for every w in O(n) total, by rerooting across each edge.
+    """J(w) for every w, as a fresh list the caller may keep or change."""
+    return list(_joining(t))
 
-    Crossing edge (p,u) toward u changes the target side for the vertices
-    behind the edge only, so J(u) = J(p) + h(p->u)*D(p side) - h(u->p)*D(u
-    side), with h the per-edge hitting cost and D the side's degree sum.
-    """
-    n = t.n
-    if n == 1:
-        return [0]
-    order, parent, size = _subtree_sizes(t, 0)
-    degsum = [t.degree(v) for v in range(n)]
-    for u in reversed(order):
-        p = parent[u]
-        if p >= 0:
-            degsum[p] += degsum[u]
-    total_deg = 2 * (n - 1)
-    j = [0] * n
-    acc = 0
-    h = [0] * n
-    for u in order:
-        p = parent[u]
-        if p >= 0:
-            h[u] = h[p] + 2 * size[u] - 1
-            acc += t.degree(u) * h[u]
-    j[0] = acc
-    for u in order:
-        p = parent[u]
-        if p >= 0:
-            up_cost = 2 * size[u] - 1                  # crossing u -> p
-            down_cost = 2 * (n - size[u]) - 1          # crossing p -> u
-            d_here = degsum[u]
-            j[u] = j[p] + down_cost * (total_deg - d_here) - up_cost * d_here
-    return j
+
+def _two_edges(t: Tree) -> int:
+    """2|E|, the denominator of every meeting time."""
+    if t.n < 2:
+        raise TooFewVertices("meeting times need at least one edge; the tree has one vertex")
+    return 2 * (t.n - 1)
 
 
 def meeting_time(t: Tree, w: int) -> Fraction:
     """Expected hitting time to w from a stationary start: J(w)/2|E|."""
-    return Fraction(joining_time(t, w), 2 * (t.n - 1))
+    return Fraction(joining_time(t, w), _two_edges(t))
 
 
-def _extreme(js: list[int], want_max: bool) -> tuple[int, int, list[int]]:
+def _extreme(js: Sequence[int], want_max: bool) -> tuple[int, int, list[int]]:
     best = max(js) if want_max else min(js)
     tied = [v for v, val in enumerate(js) if val == best]
     return best, tied[0], tied
@@ -147,35 +126,29 @@ def _extreme(js: list[int], want_max: bool) -> tuple[int, int, list[int]]:
 def t_meet(t: Tree) -> tuple[Fraction, int]:
     """Maximum meeting time over targets, with the smallest argmax id."""
     best, witness, _ = _extreme(joining_all(t), want_max=True)
-    return Fraction(best, 2 * (t.n - 1)), witness
+    return Fraction(best, _two_edges(t)), witness
 
 
 def t_meet_set(t: Tree) -> tuple[Fraction, list[int]]:
     best, _, tied = _extreme(joining_all(t), want_max=True)
-    return Fraction(best, 2 * (t.n - 1)), tied
+    return Fraction(best, _two_edges(t)), tied
 
 
 def t_bestmeet(t: Tree) -> tuple[Fraction, int]:
     """Minimum meeting time over targets, with the smallest argmin id."""
     best, witness, _ = _extreme(joining_all(t), want_max=False)
-    return Fraction(best, 2 * (t.n - 1)), witness
+    return Fraction(best, _two_edges(t)), witness
 
 
 def t_bestmeet_set(t: Tree) -> tuple[Fraction, list[int]]:
     best, _, tied = _extreme(joining_all(t), want_max=False)
-    return Fraction(best, 2 * (t.n - 1)), tied
-
-
-def joining_extremes(t: Tree) -> tuple[int, int]:
-    js = joining_all(t)
-    return min(js), max(js)
+    return Fraction(best, _two_edges(t)), tied
 
 
 def kemeny(t: Tree) -> Fraction:
     """Kemeny's constant: the stationary average of the meeting times."""
-    js = joining_all(t)
-    total = sum(t.degree(v) * js[v] for v in range(t.n))
-    return Fraction(total, (2 * (t.n - 1)) ** 2)
+    total = sum(len(a) * j for a, j in zip(t.adjacency, joining_all(t)))
+    return Fraction(total, _two_edges(t) ** 2)
 
 
 @dataclass(frozen=True)
@@ -189,18 +162,10 @@ class BarycenterResult:
 
 
 def barycenter(t: Tree) -> BarycenterResult:
-    n = t.n
-    order, parent, size = _subtree_sizes(t, 0)
-    centers = []
-    witnesses = []
-    for v in range(n):
-        comps = [size[w] for w in t.adjacency[v] if w != parent[v]]
-        if v != 0:
-            comps.append(n - size[v])
-        if all(2 * c <= n for c in comps):
-            centers.append(v)
-            witnesses.append(tuple(sorted(comps, reverse=True)))
-    return BarycenterResult(centers=tuple(centers), component_bound_witness=tuple(witnesses))
+    """The centroids, each with its component sizes in descending order."""
+    centers = tuple(centroids(t))
+    witnesses = tuple(tuple(sorted(component_sizes(t, c), reverse=True)) for c in centers)
+    return BarycenterResult(centers=centers, component_bound_witness=witnesses)
 
 
 @dataclass(frozen=True)

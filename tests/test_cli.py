@@ -1,13 +1,19 @@
 import decimal
 import json
 import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import treewalk
+from treewalk import trees, walkstats
 from treewalk.cli import main
 from treewalk.families import closed_form
-from treewalk.trees import format_edge_list, parse_edge_list
+from treewalk.trees import format_edge_list, parse_edge_list, prufer_decode
 from treewalk.families import path_tree
 
 
@@ -41,6 +47,29 @@ def test_analyze_rejects_malformed(tmp_path, capsys):
     code = main(["analyze", "--input", str(f)])
     err = capsys.readouterr().err
     assert code == 1 and "line 4" in err
+
+
+def test_analyze_one_vertex_tree_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "k1.txt"
+    f.write_text("1\n", encoding="utf-8")
+    assert main(["--no-timing", "analyze", "--input", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: meeting times need at least one edge; the tree has one vertex\n"
+    assert walkstats.joining_all(parse_edge_list("1\n")) == [0]
+
+
+def test_analyze_runs_one_rooted_pass_and_one_rerooting(tmp_path, capsys):
+    rng = random.Random(4)
+    f = tmp_path / "t.txt"
+    f.write_text(format_edge_list(prufer_decode([rng.randrange(300) for _ in range(298)], 300)))
+    trees.rooted_pass.cache_clear()
+    walkstats._joining.cache_clear()
+    assert main(["--no-timing", "analyze", "--input", str(f)]) == 0
+    assert trees.rooted_pass.cache_info().misses == 1
+    assert walkstats._joining.cache_info().misses == 1
+    # joining_all, t_meet, t_bestmeet and kemeny all read the one J vector
+    assert walkstats._joining.cache_info().hits == 3
 
 
 def test_analyze_target_subset(capsys, p3_file):
@@ -92,6 +121,7 @@ def test_gen_double_broom_fig1(tmp_path, capsys):
         (["lever", "--n", "9", "--d", "5", "--k", "1"], []),
         (["balanced-lever", "--n", "9", "--d", "5"], ["bestmeet_lever", "jmin_lever_odd"]),
         (["balanced-lever", "--n", "10", "--d", "4"], ["bestmeet_lever", "jmin_lever_even"]),
+        (["balanced-lever", "--n", "2", "--d", "1"], []),
         (["broom", "--n", "9", "--d", "5"], ["jmax_broom"]),
         (["broom", "--n", "10", "--d", "4"], ["jmax_broom"]),
         (["double-broom", "--n", "9", "--d", "5", "--left", "2", "--right", "3"],
@@ -274,6 +304,31 @@ def test_simulate_byte_identical(capsys, p3_file):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--u", "0", "--w", "9", "--walks", "1", "--seed", "1"], "target vertex 9 outside 0..2"),
+        (["--u", "7", "--w", "2", "--walks", "1", "--seed", "1"], "start vertex 7 outside 0..2"),
+        (["--u", "-1", "--w", "2", "--walks", "1", "--seed", "1"], "start vertex -1 outside 0..2"),
+        (["--u", "0", "--w", "2", "--walks", "1", "--seed", "-1"], "seed -1 outside 0..2**64-1"),
+        (["--u", "0", "--w", "2", "--walks", "1", "--seed", str(2**64)],
+         f"seed {2**64} outside 0..2**64-1"),
+        (["--u", "0", "--w", "2", "--walks", "0", "--seed", "1"], "walk count must be >= 1, got 0"),
+    ],
+)
+def test_simulate_bad_input_is_usage_error(p3_file, flags, message):
+    # a subprocess, so a walk that never ends fails the test instead of hanging it
+    src = str(Path(treewalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treewalk.cli", "--no-timing", "simulate", "--input", p3_file, *flags],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_unknown_subcommand_usage(capsys):
