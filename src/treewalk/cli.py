@@ -94,8 +94,13 @@ def _parse_range(spec: str, flag: str) -> tuple[int, int]:
     return v, v
 
 
-def _load_tree(path: str) -> Tree:
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+def _load_tree(path: str) -> tuple[str, Tree]:
+    """The text of an edge-list file and the tree it describes."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise TreewalkError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return text, parse_edge_list(text)
 
 
 def _dot(t: Tree) -> str:
@@ -112,8 +117,7 @@ def _dot(t: Tree) -> str:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     started = time.time()
-    text = Path(args.input).read_text(encoding="utf-8")
-    t = parse_edge_list(text)
+    text, t = _load_tree(args.input)
     if args.targets == "all":
         targets = list(range(t.n))
     else:
@@ -359,8 +363,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     started = time.time()
-    text = Path(args.input).read_text(encoding="utf-8")
-    t = parse_edge_list(text)
+    text, t = _load_tree(args.input)
     sample = simulate_hitting(t, args.u, args.w, args.walks, args.seed)
     payload = sample.as_dict()
     payload["u"] = args.u

@@ -84,8 +84,9 @@ def simulate_hitting(t: Tree, u: int, w: int, walks: int, seed: int) -> WalkSamp
         total_sq += steps * steps
     mean = Fraction(total, walks)
     if walks > 1:
-        var = (total_sq - walks * float(mean) ** 2) / (walks - 1)
-        stderr = math.sqrt(max(var, 0.0) / walks)
+        # exact sample variance, rounded once to float for the square root
+        var = Fraction(walks * total_sq - total * total, walks * (walks - 1))
+        stderr = math.sqrt(var / walks)
     else:
         stderr = 0.0
     exact = Fraction(hitting_time(t, u, w))

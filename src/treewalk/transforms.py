@@ -21,7 +21,7 @@ from .errors import (
     TreewalkError,
     WrongNeighbor,
 )
-from .families import is_double_broom, rooted_broom_depth
+from .families import _delta_plus, is_double_broom, rooted_broom_depth
 from .trees import (
     Tree,
     bfs_distances,
@@ -33,8 +33,6 @@ from .trees import (
 )
 from .walkstats import barycenter, hitting_profile, joining_all, joining_time
 
-DEFAULT_SNAPSHOT_DEPTH = 8
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -42,7 +40,6 @@ class TraceStep:
     canonical: bytes
     value: int
     allow_equal: bool = False
-    snapshot: Optional[Tree] = None
 
 
 @dataclass
@@ -57,7 +54,6 @@ class TransformTrace:
     direction: str
     initial_value: int
     initial_canonical: bytes
-    snapshot_depth: int = DEFAULT_SNAPSHOT_DEPTH
     steps: list[TraceStep] = field(default_factory=list)
 
     @property
@@ -75,14 +71,12 @@ class TransformTrace:
                 f"trace not {self.direction} at step {len(self.steps)}: "
                 f"{prev} -> {value} ({description})"
             )
-        snap = tree if len(self.steps) < self.snapshot_depth else None
         self.steps.append(
             TraceStep(
                 description=description,
                 canonical=canonical_form(tree),
                 value=value,
                 allow_equal=allow_equal,
-                snapshot=snap,
             )
         )
 
@@ -106,6 +100,10 @@ class TransformTrace:
 
 def _jmin(t: Tree) -> int:
     return min(joining_all(t))
+
+
+def _start_trace(direction: str, t: Tree) -> TransformTrace:
+    return TransformTrace(direction, _jmin(t), canonical_form(t))
 
 
 def move_leaf(t: Tree, z: int, y: int, x: int, check: bool = False) -> Tree:
@@ -163,9 +161,15 @@ def _moveable_leaf(t: Tree, c: int, banned: tuple[int, int]) -> Optional[int]:
     return None
 
 
-def minimize_pipeline(
-    t: Tree, snapshot_depth: int = DEFAULT_SNAPSHOT_DEPTH
-) -> tuple[Tree, TransformTrace]:
+def _lever_on(geo: list[int], hub: int, n: int) -> Tree:
+    """The geodesic plus every other vertex pendant at hub."""
+    geo_set = set(geo)
+    edges = list(zip(geo, geo[1:]))
+    edges += [(hub, v) for v in range(n) if v not in geo_set]
+    return build_tree(edges, n)
+
+
+def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     """Three-phase rewrite to the balanced lever of the same order and
     diameter; the minimum joining time strictly drops at every step.
 
@@ -179,12 +183,7 @@ def minimize_pipeline(
     d, geo = diameter_and_geodesic(t)
     if not 3 <= d <= n - 2:
         raise DiameterOutOfRange(f"pipeline needs 3 <= d <= n-2, got n={n}, d={d}")
-    trace = TransformTrace(
-        direction="decreasing",
-        initial_value=_jmin(t),
-        initial_canonical=canonical_form(t),
-        snapshot_depth=snapshot_depth,
-    )
+    trace = _start_trace("decreasing", t)
     cur = t
     ends = (geo[0], geo[-1])
     geo_set = set(geo)
@@ -207,9 +206,7 @@ def minimize_pipeline(
     if c not in geo_set:
         # phase two: collapse the off-geodesic branch onto its attachment
         attach = next(v for v in path_between(cur, c, ends[0]) if v in geo_set)
-        edges = list(zip(geo, geo[1:]))
-        edges += [(attach, v) for v in range(n) if v not in geo_set]
-        cur = build_tree(edges, n)
+        cur = _lever_on(geo, attach, n)
         trace.append(
             f"collapse off-geodesic branch into leaves at vertex {attach}", cur, _jmin(cur)
         )
@@ -220,29 +217,15 @@ def minimize_pipeline(
     central = {d // 2} if d % 2 == 0 else {(d - 1) // 2, (d + 1) // 2}
     if n > d + 1 and k not in central:
         target = geo[d // 2]
-        edges = list(zip(geo, geo[1:]))
-        edges += [(target, v) for v in range(n) if v not in geo_set]
-        cur = build_tree(edges, n)
+        cur = _lever_on(geo, target, n)
         trace.append(f"recenter fulcrum from {c} to {target}", cur, _jmin(cur))
 
     return cur, trace
 
 
-@dataclass
-class _Part:
-    """One branch of the split at the barycenter, tracked as the vertex set
-    of its component (the split vertex itself excluded)."""
-
-    index: int
-    vertices: set[int]
-
-    def size_with_center(self) -> int:
-        return len(self.vertices) + 1
-
-
-def _part_geometry(t: Tree, c: int, part: set[int]) -> tuple[int, int, int, int]:
-    """(depth r, deepest leaf, holder of the deepest leaves, bristle count)
-    for a broom-shaped branch hanging off c."""
+def _part_geometry(t: Tree, c: int, part: set[int]) -> tuple[int, int, int]:
+    """(depth r, deepest leaf, holder of the deepest leaves) for a
+    broom-shaped branch hanging off c."""
     dist = {c: 0}
     frontier = [c]
     parent = {c: c}
@@ -256,20 +239,11 @@ def _part_geometry(t: Tree, c: int, part: set[int]) -> tuple[int, int, int, int]
                     nxt.append(w)
         frontier = nxt
     r = max(dist[v] for v in part)
-    deepest = sorted(v for v in part if dist[v] == r)
-    holder = parent[deepest[0]]
-    return r, deepest[0], holder, len(deepest)
+    deepest = min(v for v in part if dist[v] == r)
+    return r, deepest, parent[deepest]
 
 
-def _delta_plus_part(t: Tree, c: int, part: set[int]) -> int:
-    r, _, _, _ = _part_geometry(t, c, part)
-    m = len(part) + 1
-    return 4 * (r - 1) * (2 * m - r) + 1
-
-
-def maximize_pipeline(
-    t: Tree, snapshot_depth: int = DEFAULT_SNAPSHOT_DEPTH
-) -> tuple[Tree, TransformTrace]:
+def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     """Three-phase rewrite of a non-double-broom into a double broom whose
     minimum joining time is strictly larger; diameter never ends up above
     the input's.
@@ -283,24 +257,22 @@ def maximize_pipeline(
     """
     n = t.n
     d, _ = diameter_and_geodesic(t)
-    trace = TransformTrace(
-        direction="increasing",
-        initial_value=_jmin(t),
-        initial_canonical=canonical_form(t),
-        snapshot_depth=snapshot_depth,
-    )
+    trace = _start_trace("increasing", t)
     if is_double_broom(t):
         return t, trace
     cur = t
     c = min(barycenter(cur).centers)
 
-    # phase one: broomify every branch at c, keeping vertex sets in place
+    # phase one: broomify every branch at c, keeping vertex sets in place;
+    # each branch is tracked as the vertex set of its component (c excluded)
+    owner: dict[int, set[int]] = {}
     for part in v_split(cur, c).parts:
+        ids = part.to_parent
+        comp = set(ids) - {c}
+        owner.update((v, comp) for v in comp)
         broom = broomify(part.tree, part.center)
         if broom is part.tree:
             continue
-        ids = part.to_parent
-        comp = set(ids) - {c}
         keep = [(u, v) for u, v in cur.edges() if u not in comp and v not in comp]
         cur = build_tree(keep + [(ids[a], ids[b]) for a, b in broom.edges()], n)
         trace.append(
@@ -310,81 +282,55 @@ def maximize_pipeline(
         )
         _assert_barycenter(cur, c)
 
-    parts = [
-        _Part(index=i, vertices=_component(cur, c, w))
-        for i, w in enumerate(cur.adjacency[c])
-    ]
+    # broomify may change which vertex of a branch touches c, so the parts
+    # are numbered by c's neighbors after phase one
+    parts = [owner[w] for w in cur.adjacency[c]]
     if len(parts) <= 2:
         return _finish(cur, d, trace)
 
-    ranked = sorted(
-        parts, key=lambda p: (-_delta_plus_part(cur, c, p.vertices), p.index)
-    )
-    g1, g2 = ranked[0], ranked[1]
-    donors = sorted(ranked[2:], key=lambda p: p.index)
+    def rank(i: int) -> tuple:
+        r = _part_geometry(cur, c, parts[i])[0]
+        return -_delta_plus(len(parts[i]) + 1, r), i
 
-    def acceptor() -> _Part:
-        for cand in (g1, g2):
-            if 2 * (len(cand.vertices) + 1) <= n:
-                return cand
+    ranked = sorted(range(len(parts)), key=rank)
+    g1, g2 = ranked[0], ranked[1]
+    donors = sorted(ranked[2:])
+
+    def acceptor() -> int:
+        for i in (g1, g2):
+            if 2 * (len(parts[i]) + 1) <= n:
+                return i
         raise TreewalkError("no branch can accept a leaf without unseating the barycenter")
 
-    # phase two: extend handles until the two main branches span the diameter
+    # phase two extends handles until the two main branches span the
+    # diameter; phase three then drains the remaining branches into the
+    # bristle clusters. Phase three never shortens g1 or g2, so once the
+    # handles span the diameter they keep spanning it.
+    extending = True
     while donors:
-        r1 = _part_geometry(cur, c, g1.vertices)[0]
-        r2 = _part_geometry(cur, c, g2.vertices)[0]
-        if r1 + r2 >= d:
-            break
+        if extending:
+            r1 = _part_geometry(cur, c, parts[g1])[0]
+            r2 = _part_geometry(cur, c, parts[g2])[0]
+            extending = r1 + r2 < d
         target = acceptor()
         donor = donors[0]
-        _, w, holder, _ = _part_geometry(cur, c, donor.vertices)
-        _, deep, _, _ = _part_geometry(cur, c, target.vertices)
-        cur = _swap_edge(cur, w, holder, deep)
-        donor.vertices.discard(w)
-        target.vertices.add(w)
-        if not donor.vertices:
-            donors.pop(0)
-        trace.append(
-            f"extend handle of branch {target.index} with leaf {w}",
-            cur,
-            _jmin(cur),
-            allow_equal=True,
-        )
-        _assert_barycenter(cur, c)
-
-    # phase three: drain remaining branches into the bristle clusters
-    while donors:
-        target = acceptor()
-        donor = donors[0]
-        _, w, holder, _ = _part_geometry(cur, c, donor.vertices)
-        rt, _, t_holder, _ = _part_geometry(cur, c, target.vertices)
-        attach = t_holder if rt > 1 else c
+        _, w, holder = _part_geometry(cur, c, parts[donor])
+        rt, deep, t_holder = _part_geometry(cur, c, parts[target])
+        if extending:
+            attach = deep
+            description = f"extend handle of branch {target} with leaf {w}"
+        else:
+            attach = t_holder if rt > 1 else c
+            description = f"add leaf {w} to the cluster of branch {target}"
         cur = _swap_edge(cur, w, holder, attach)
-        donor.vertices.discard(w)
-        target.vertices.add(w)
-        if not donor.vertices:
+        parts[donor].discard(w)
+        parts[target].add(w)
+        if not parts[donor]:
             donors.pop(0)
-        trace.append(
-            f"add leaf {w} to the cluster of branch {target.index}",
-            cur,
-            _jmin(cur),
-            allow_equal=True,
-        )
+        trace.append(description, cur, _jmin(cur), allow_equal=True)
         _assert_barycenter(cur, c)
 
     return _finish(cur, d, trace)
-
-
-def _component(t: Tree, c: int, w: int) -> set[int]:
-    comp = {w}
-    stack = [w]
-    while stack:
-        u = stack.pop()
-        for v in t.adjacency[u]:
-            if v != c and v not in comp:
-                comp.add(v)
-                stack.append(v)
-    return comp
 
 
 def _swap_edge(t: Tree, w: int, old: int, new: int) -> Tree:

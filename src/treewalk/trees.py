@@ -348,6 +348,8 @@ def parse_edge_list(text: str) -> Tree:
         n = int(lines[idx].strip())
     except ValueError:
         raise ParseError(f"vertex count {lines[idx].strip()!r} is not an integer", 1) from None
+    if n < 1:
+        raise ParseError(f"vertex count must be >= 1, got {n}", 1)
     idx += 1
     edges: list[tuple[int, int]] = []
     for k in range(n - 1):

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 import treewalk.audit as audit_mod
+import treewalk.simulate as simulate_mod
 import treewalk.walkstats as walkstats_mod
 from treewalk.audit import (
     DISCREPANCY,
@@ -218,6 +221,17 @@ def test_simulation_walk_count_prefix_property():
     b = simulate_hitting(path_tree(3), 0, 2, 2000, 11)
     assert b.total_steps >= a.total_steps
     assert abs(float(b.mean) - float(a.mean)) <= 6 * max(a.stderr, 1e-9)
+
+
+def test_simulation_stderr_is_exact_for_large_walks(monkeypatch):
+    # walks of 2**40 and 2**40 + 2 steps: a float difference of the summed
+    # squares cancels to 0, the exact variance is 100/99
+    lengths = itertools.cycle([2**40, 2**40 + 2])
+    monkeypatch.setattr(simulate_mod, "_walk_length", lambda *args: next(lengths))
+    s = simulate_hitting(path_tree(3), 0, 2, 100, 1)
+    assert s.mean == 2**40 + 1
+    assert s.stderr == 0.10050378152592121
+    assert math.isfinite(s.z_score)
 
 
 def test_simulation_exact_field():

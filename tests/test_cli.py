@@ -41,12 +41,29 @@ def test_analyze_path3(capsys, p3_file):
     assert doc["results"]["t_meet"]["num"] == 5  # star formula at n=3
 
 
-def test_analyze_rejects_malformed(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("analyze", b"4\n0 1\n1 2\n", "line 4: expected 3 edges, file ends after 2"),
+        ("analyze", b"-5\n", "line 1: vertex count must be >= 1, got -5"),
+        ("analyze", b"-2\n", "line 1: vertex count must be >= 1, got -2"),
+        ("analyze", b"-1\n", "line 1: vertex count must be >= 1, got -1"),
+        ("analyze", b"0\n", "line 1: vertex count must be >= 1, got 0"),
+        ("analyze", b"\xff\xfe3\n0 1\n1 2\n", "{path}: not UTF-8 text (invalid start byte at byte 0)"),
+        ("simulate", b"\xff\xfe3\n0 1\n1 2\n", "{path}: not UTF-8 text (invalid start byte at byte 0)"),
+    ],
+    ids=["short", "count-neg5", "count-neg2", "count-neg1", "count-zero", "not-utf8", "simulate-not-utf8"],
+)
+def test_analyze_rejects_malformed(tmp_path, capsys, command, data, message):
     f = tmp_path / "bad.txt"
-    f.write_text("4\n0 1\n1 2\n", encoding="utf-8")
-    code = main(["analyze", "--input", str(f)])
-    err = capsys.readouterr().err
-    assert code == 1 and "line 4" in err
+    f.write_bytes(data)
+    argv = ["--no-timing", command, "--input", str(f)]
+    if command == "simulate":
+        argv += ["--u", "0", "--w", "2", "--walks", "1", "--seed", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(path=f) + "\n"
 
 
 def test_analyze_one_vertex_tree_is_usage_error(tmp_path, capsys):

@@ -3,17 +3,23 @@
 The whole-tree statistics read one cached rooted pass and one cached J
 vector; these checks hold them to the single-target joining_time, to the
 definitions of t_meet, t_bestmeet and Kemeny's constant, to the
-distance-sum oracle, and to the caches' keying.
+distance-sum oracle, and to the caches' keying. The rewrite pipelines and
+move_leaf are held to their stated postconditions on the same trees.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treewalk.errors import DiameterOutOfRange, TreewalkError
+from treewalk.families import balanced_lever, is_double_broom
 from treewalk.oracles import distance_argmin
+from treewalk.transforms import maximize_pipeline, minimize_pipeline, move_leaf
 from treewalk.trees import (
     Tree,
+    canonical_form,
     centroids,
     diameter_and_geodesic,
     distances,
@@ -119,3 +125,49 @@ def test_equal_but_distinct_trees_share_values(t):
     assert twin == t and twin is not t
     first = (joining_all(t), barycenter(t), t_meet(t), kemeny(t))
     assert (joining_all(twin), barycenter(twin), t_meet(twin), kemeny(twin)) == first
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees())
+def test_minimize_pipeline_reaches_the_balanced_lever(t):
+    d, _ = diameter_and_geodesic(t)
+    if not 3 <= d <= t.n - 2:
+        with pytest.raises(DiameterOutOfRange):
+            minimize_pipeline(t)
+        return
+    out, trace = minimize_pipeline(t)
+    assert canonical_form(out) == canonical_form(balanced_lever(t.n, d))
+    values = [trace.initial_value] + [s.value for s in trace.steps]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert trace.last_value == min(joining_all(out))
+    last = trace.steps[-1].canonical if trace.steps else trace.initial_canonical
+    assert last == canonical_form(out)
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(), st.data())
+def test_move_leaf_checks_hold_for_any_leaf_and_target(t, data):
+    leaves = [v for v in range(t.n) if t.degree(v) == 1]
+    z = data.draw(st.sampled_from(leaves))
+    x = data.draw(st.sampled_from([v for v in range(t.n) if v != z]))
+    out = move_leaf(t, z, t.adjacency[z][0], x, check=True)
+    assert out.n == t.n and out.degree(z) == 1 and out.adjacency[z][0] == x
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees())
+def test_maximize_pipeline_ends_on_a_larger_double_broom(t):
+    d, _ = diameter_and_geodesic(t)
+    try:
+        out, trace = maximize_pipeline(t)
+    except TreewalkError as e:
+        # the one known failure of the phase-two/three moves
+        assert str(e) == "pipeline did not end on a double broom"
+        return
+    if is_double_broom(t):
+        assert out is t and trace.steps == []
+        return
+    assert is_double_broom(out)
+    assert diameter_and_geodesic(out)[0] <= d
+    assert min(joining_all(out)) > min(joining_all(t))
+    assert trace.last_value == min(joining_all(out))

@@ -189,10 +189,3 @@ def test_trace_json_lines():
     assert len(lines) == len(trace.steps)
     first = json.loads(lines[0])
     assert set(first) == {"step", "description", "value", "canonical", "allow_equal"}
-
-
-def test_trace_snapshot_depth():
-    spider = build_tree([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)], 7)
-    _, trace = maximize_pipeline(spider, snapshot_depth=1)
-    assert trace.steps[0].snapshot is not None
-    assert all(s.snapshot is None for s in trace.steps[1:])
