@@ -266,6 +266,8 @@ def audit_formula(
 
 def audit_proposition_barycenter(n_cap: int, cap: int = DEFAULT_CAP) -> AuditReport:
     """Run the four-way barycenter equivalence on every tree up to n_cap."""
+    if n_cap < 3:
+        raise OutOfStatedRange(f"need n >= 3, got {n_cap}")
     if n_cap > cap:
         raise CapExceeded(f"n_cap {n_cap} above enumeration cap {cap}")
     count = 0

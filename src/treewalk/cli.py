@@ -18,8 +18,9 @@ import sys
 import time
 from decimal import Context
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import audit as audit_mod
 from .enumeration import DEFAULT_CAP, tree_classes
@@ -89,7 +90,10 @@ def _int(text: str, flag: str) -> int:
 def _parse_range(spec: str, flag: str) -> tuple[int, int]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return _int(lo, flag), _int(hi, flag)
+        lo_v, hi_v = _int(lo, flag), _int(hi, flag)
+        if lo_v > hi_v:
+            raise TreewalkError(f"{flag} range {spec} is empty: {lo_v} > {hi_v}")
+        return lo_v, hi_v
     v = _int(spec, flag)
     return v, v
 
@@ -115,6 +119,36 @@ def _dot(t: Tree) -> str:
 # ---------------------------------------------------------------------------
 
 
+# In the indent=2 rendering of an analyze envelope, the per_vertex key and a
+# null placeholder value; the block is spliced in there. It begins with a raw
+# newline, which the encoder writes only between tokens and escapes inside
+# every string, so no user text (the command echo, the --dot path) holds it.
+_PER_VERTEX_KEY = '\n    "per_vertex": '
+_PER_VERTEX_SLOT = _PER_VERTEX_KEY + "null"
+
+
+def _per_vertex_json(js: Sequence[int], targets: list[int], two_edges: int) -> str:
+    """The per_vertex value exactly as json.dumps(sort_keys=True, indent=2)
+    renders {str(v): {"joining_time": J(v), "meeting_time": _exact(J(v)/2|E|)}}
+    at its depth in the envelope, filled from one fixed template per vertex."""
+    entries = []
+    for v in sorted(targets, key=str):  # sort_keys order: "10" < "9"
+        j = js[v]
+        g = gcd(j, two_edges)
+        num, den = j // g, two_edges // g
+        entries.append(
+            f'      "{v}": {{\n'
+            f'        "joining_time": {j},\n'
+            f'        "meeting_time": {{\n'
+            f'          "decimal": "{_DECIMAL12.divide(num, den)}",\n'
+            f'          "den": {den},\n'
+            f'          "num": {num}\n'
+            f"        }}\n"
+            f"      }}"
+        )
+    return "{\n" + ",\n".join(entries) + "\n    }"
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     started = time.time()
     text, t = _load_tree(args.input)
@@ -135,13 +169,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "diameter": d,
         "geodesic": geo,
         "barycenter": list(bc.centers),
-        "per_vertex": {
-            str(v): {
-                "joining_time": js[v],
-                "meeting_time": _exact(Fraction(js[v], 2 * (t.n - 1))),
-            }
-            for v in targets
-        },
+        "per_vertex": None,  # spliced in at _PER_VERTEX_SLOT
         "t_meet": _exact(tm) | {"argmax": tm_at},
         "t_bestmeet": _exact(tb) | {"argmin": tb_at},
         "kemeny": _exact(kemeny(t)),
@@ -149,7 +177,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.dot:
         Path(args.dot).write_text(_dot(t), encoding="utf-8")
         payload["dot_file"] = args.dot
-    _emit(_envelope(args, payload, _digest(text), started))
+    env = _envelope(args, payload, _digest(text), started)
+    head, _, tail = json.dumps(env, sort_keys=True, indent=2).partition(_PER_VERTEX_SLOT)
+    print(head + _PER_VERTEX_KEY + _per_vertex_json(js, targets, 2 * (t.n - 1)) + tail)
     return 0
 
 
@@ -330,12 +360,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         build = _SWEEP_FAMILIES[args.family]
         n = args.n
-        d_lo, d_hi = _parse_range(args.d, "--d") if args.d else (2, n - 1)
-        for d in range(d_lo, d_hi + 1):
-            if args.family == "broom" and not 3 <= d < n:
-                continue
-            if not 2 <= d <= n - 1:
-                continue
+        d_min = 3 if args.family == "broom" else 2
+        if n <= d_min:
+            raise TreewalkError(
+                f"sweep family {args.family!r} has no instance of order {n}; it needs n >= {d_min + 1}"
+            )
+        d_lo, d_hi = _parse_range(args.d, "--d") if args.d else (d_min, n - 1)
+        dees = range(max(d_lo, d_min), min(d_hi, n - 1) + 1)
+        if not dees:
+            raise TreewalkError(
+                f"--d {args.d} selects no diameter of family {args.family!r} at order {n} ({d_min}..{n - 1})"
+            )
+        for d in dees:
             t = build(n, d)
             q = _sweep_quantity(t, args.quantity)
             rows.append((n, d, args.family, q.numerator, q.denominator))

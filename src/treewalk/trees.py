@@ -318,8 +318,16 @@ def component_sizes(t: Tree, v: int) -> list[int]:
 def centroids(t: Tree) -> list[int]:
     """Centroid vertex (or two adjacent ones): every component of t - c
     has at most n/2 vertices."""
-    _, parent, size = rooted_pass(t)
-    return [v for v in range(t.n) if 2 * max(_parts(t, parent, size, v), default=0) <= t.n]
+    order, parent, size = rooted_pass(t)
+    n = t.n
+    # heavy[v]: the largest component of t - v, the part through the parent
+    # (none at the root) or the largest child subtree
+    heavy = [n - s for s in size]
+    for u in order[1:]:
+        p = parent[u]
+        if size[u] > heavy[p]:
+            heavy[p] = size[u]
+    return [v for v in range(n) if 2 * heavy[v] <= n]
 
 
 def rooted_canonical_form(t: Tree, root: int) -> bytes:

@@ -230,6 +230,44 @@ def test_bad_integer_arguments_are_usage_errors(capsys, p3_file, argv):
     assert captured.err.startswith("error: --") and "expects an integer" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--family", "broom", "--n", "1"],
+         "sweep family 'broom' has no instance of order 1; it needs n >= 4"),
+        (["sweep", "--family", "broom", "--n", "3"],
+         "sweep family 'broom' has no instance of order 3; it needs n >= 4"),
+        (["sweep", "--family", "balanced-lever", "--n", "-2"],
+         "sweep family 'balanced-lever' has no instance of order -2; it needs n >= 3"),
+        (["sweep", "--family", "balanced-double-broom", "--n", "2"],
+         "sweep family 'balanced-double-broom' has no instance of order 2; it needs n >= 3"),
+        (["sweep", "--family", "broom", "--n", "6", "--d", "9"],
+         "--d 9 selects no diameter of family 'broom' at order 6 (3..5)"),
+        (["sweep", "--family", "broom", "--n", "6", "--d", "5..3"], "--d range 5..3 is empty: 5 > 3"),
+        (["audit", "prop-barycenter", "--n", "1"], "need n >= 3, got 1"),
+        (["audit", "prop-barycenter", "--n", "2"], "need n >= 3, got 2"),
+        (["audit", "formula", "jmax_path", "--n", "5..3"], "--n range 5..3 is empty: 5 > 3"),
+        (["audit", "formula", "jmax_broom", "--n", "4..9", "--d", "5..3"], "--d range 5..3 is empty: 5 > 3"),
+    ],
+    ids=[
+        "sweep-broom-n1", "sweep-broom-n3", "sweep-lever-neg2", "sweep-dbroom-n2", "sweep-d-outside",
+        "sweep-d-inverted", "prop-barycenter-n1", "prop-barycenter-n2", "formula-n-inverted",
+        "formula-d-inverted",
+    ],
+)
+def test_empty_ranges_are_usage_errors(capsys, argv, message):
+    assert main(["--no-timing", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sweep_keeps_the_part_of_a_d_range_inside_the_family(capsys):
+    code, out = run(capsys, "sweep", "--family", "broom", "--n", "6", "--d", "2..4")
+    assert code == 0
+    assert [ln.split(",")[1] for ln in out.strip().splitlines()[1:]] == ["3", "4"]
+
+
 def test_decimal_context_unchanged(capsys):
     before = decimal.getcontext().prec
     assert main(["--no-timing", "gen", "--family", "path", "--n", "5"]) == 0

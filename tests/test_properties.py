@@ -5,14 +5,24 @@ vector; these checks hold them to the single-target joining_time, to the
 definitions of t_meet, t_bestmeet and Kemeny's constant, to the
 distance-sum oracle, and to the caches' keying. The rewrite pipelines and
 move_leaf are held to their stated postconditions on the same trees.
+`analyze`'s templated per_vertex block is held, on trees with n <= 300, to
+the json.dumps rendering of the per-vertex dict it replaced.
 """
 
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treewalk import cli
 from treewalk.errors import DiameterOutOfRange, TreewalkError
 from treewalk.families import balanced_lever, is_double_broom
 from treewalk.oracles import distance_argmin
@@ -23,6 +33,7 @@ from treewalk.trees import (
     centroids,
     diameter_and_geodesic,
     distances,
+    format_edge_list,
     path_between,
     prufer_decode,
 )
@@ -171,3 +182,73 @@ def test_maximize_pipeline_ends_on_a_larger_double_broom(t):
     assert diameter_and_geodesic(out)[0] <= d
     assert min(joining_all(out)) > min(joining_all(t))
     assert trace.last_value == min(joining_all(out))
+
+
+def _dict_rendering(argv: list[str], text: str, t: Tree, targets: list[int], dot=None) -> str:
+    """analyze's stdout as it was written before the template: the
+    per-vertex dict of Fractions through cli._exact, then the whole envelope
+    through json.dumps(sort_keys=True, indent=2). A test oracle only."""
+    js = joining_all(t)
+    d, geo = diameter_and_geodesic(t)
+    tm, tm_at = t_meet(t)
+    tb, tb_at = t_bestmeet(t)
+    payload = {
+        "n": t.n,
+        "diameter": d,
+        "geodesic": geo,
+        "barycenter": list(barycenter(t).centers),
+        "per_vertex": {
+            str(v): {
+                "joining_time": js[v],
+                "meeting_time": cli._exact(Fraction(js[v], 2 * (t.n - 1))),
+            }
+            for v in targets
+        },
+        "t_meet": cli._exact(tm) | {"argmax": tm_at},
+        "t_bestmeet": cli._exact(tb) | {"argmin": tb_at},
+        "kemeny": cli._exact(kemeny(t)),
+    }
+    if dot is not None:
+        payload["dot_file"] = dot
+    env = {
+        "command": ["treewalk", *argv],
+        "input_digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "results": payload,
+    }
+    return json.dumps(env, sort_keys=True, indent=2) + "\n"
+
+
+def _analyze_matches_dict_rendering(t: Tree, name: str, flags: list[str], targets, dot=None):
+    text = format_edge_list(t)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        argv = ["--no-timing", "analyze", "--input", path, *flags]
+        if dot is not None:
+            dot = os.path.join(tmp, dot)
+            argv += ["--dot", dot]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+    assert out.getvalue() == _dict_rendering(argv, text, t, targets, dot)
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(max_n=300), st.data())
+def test_analyze_per_vertex_template_matches_dict_rendering(t, data):
+    if data.draw(st.booleans(), label="all targets"):
+        flags, targets = [], list(range(t.n))
+    else:
+        chosen = data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=t.n), label="targets")
+        flags, targets = ["--targets", ",".join(map(str, chosen))], sorted(set(chosen))
+    _analyze_matches_dict_rendering(t, "tree.txt", flags, targets)
+
+
+@pytest.mark.parametrize("slot_text", [cli._PER_VERTEX_SLOT, cli._PER_VERTEX_SLOT.strip()])
+def test_analyze_splice_ignores_its_slot_text_in_the_argv(slot_text):
+    # n >= 11, so the string key order ("10" < "9") differs from the numeric
+    rng = random.Random(11)
+    t = prufer_decode([rng.randrange(120) for _ in range(118)], 120)
+    _analyze_matches_dict_rendering(t, slot_text, [], list(range(t.n)), dot=slot_text + ".dot")
+    _analyze_matches_dict_rendering(t, slot_text, ["--targets", "0,9,10,119"], [0, 9, 10, 119])
