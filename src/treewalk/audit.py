@@ -9,7 +9,7 @@ before a report is allowed to contradict a printed statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -52,21 +52,7 @@ class AuditReport:
     notes: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "status": self.status,
-            "params": self.params,
-            "witnesses": [
-                {
-                    "canonical": w.canonical,
-                    "value_num": w.value_num,
-                    "value_den": w.value_den,
-                    "note": w.note,
-                }
-                for w in self.witnesses
-            ],
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _cross_checked_jmin(t: Tree) -> Fraction:
@@ -220,7 +206,7 @@ def audit_formula(
     needs_d = row.needs_d
     params: dict = {"formula": fid, "n": f"{n_lo}..{n_hi}"}
     if needs_d:
-        params["d"] = f"{d_lo or 'auto'}..{d_hi or 'auto'}"
+        params["d"] = "..".join("auto" if b is None else str(b) for b in (d_lo, d_hi))
     checked = 0
     for n in range(n_lo, n_hi + 1):
         if needs_d:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch
-from .trees import Tree, bfs_distances, build_tree
+from .trees import Tree, _spine_tree, bfs_distances
 from .walkstats import joining_all, joining_time, t_bestmeet, t_meet
 
 FAMILY_NAMES = ("path", "star", "lever", "broom", "double_broom")
@@ -69,15 +69,14 @@ class FamilySpec:
 def path_tree(n: int) -> Tree:
     if n < 1:
         raise InvalidFamilyParameters(f"path needs n >= 1, got {n}")
-    return build_tree([(i, i + 1) for i in range(n - 1)], n)
+    return _spine_tree(n, range(n), [])
 
 
 def star_tree(n: int) -> Tree:
     """Star on n >= 3 vertices, hub at id 1 (geodesic 0-1-2)."""
     if n < 3:
         raise InvalidFamilyParameters(f"star needs n >= 3, got {n}")
-    edges = [(0, 1), (1, 2)] + [(1, x) for x in range(3, n)]
-    return build_tree(edges, n)
+    return _spine_tree(n, [0, 1, 2], [1] * (n - 3))
 
 
 def lever_tree(n: int, d: int, k: int) -> Tree:
@@ -86,9 +85,7 @@ def lever_tree(n: int, d: int, k: int) -> Tree:
         raise InvalidFamilyParameters(f"lever needs 2 <= d <= n-1, got n={n}, d={d}")
     if not 1 <= k <= d - 1:
         raise InvalidFamilyParameters(f"lever fulcrum k={k} outside 1..{d - 1}")
-    edges = [(i, i + 1) for i in range(d)]
-    edges += [(k, x) for x in range(d + 1, n)]
-    return build_tree(edges, n)
+    return _spine_tree(n, range(d + 1), [k] * (n - d - 1))
 
 
 def balanced_fulcrum(d: int) -> int:
@@ -111,9 +108,7 @@ def broom_tree(n: int, d: int) -> Tree:
     """
     if not 1 <= d <= n - 1:
         raise InvalidFamilyParameters(f"broom needs 1 <= d <= n-1, got n={n}, d={d}")
-    edges = [(i, i + 1) for i in range(d)]
-    edges += [(1, x) for x in range(d + 1, n)]
-    return build_tree(edges, n)
+    return _spine_tree(n, range(d + 1), [1] * (n - d - 1))
 
 
 def double_broom_tree(n: int, d: int, left_leaves: int, right_leaves: int) -> Tree:
@@ -124,15 +119,7 @@ def double_broom_tree(n: int, d: int, left_leaves: int, right_leaves: int) -> Tr
     """
     spec = FamilySpec("double_broom", n, d, left_leaves=left_leaves, right_leaves=right_leaves)
     spec.validate()
-    edges = [(i, i + 1) for i in range(d)]
-    nxt = d + 1
-    for _ in range(left_leaves - 1):
-        edges.append((1, nxt))
-        nxt += 1
-    for _ in range(right_leaves - 1):
-        edges.append((d - 1, nxt))
-        nxt += 1
-    return build_tree(edges, n)
+    return _spine_tree(n, range(d + 1), [1] * (left_leaves - 1) + [d - 1] * (right_leaves - 1))
 
 
 def balanced_clusters(n: int, d: int) -> tuple[int, int]:

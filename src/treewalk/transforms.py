@@ -24,6 +24,7 @@ from .errors import (
 from .families import _delta_plus, is_double_broom, rooted_broom_depth
 from .trees import (
     Tree,
+    _spine_tree,
     bfs_distances,
     build_tree,
     canonical_form,
@@ -145,13 +146,8 @@ def broomify(t: Tree, z: int) -> Tree:
     r = max(bfs_distances(t, z))
     if rooted_broom_depth(t, z) == r:
         return t
-    others = sorted(v for v in range(t.n) if v != z)
-    handle = others[: r - 1]
-    bristles = others[r - 1 :]
-    chain = [z] + handle
-    edges = list(zip(chain, chain[1:]))
-    edges += [(chain[-1], b) for b in bristles]
-    return build_tree(edges, t.n)
+    handle = [z] + [v for v in range(t.n) if v != z][: r - 1]
+    return _spine_tree(t.n, handle, [handle[-1]] * (t.n - r))
 
 
 def _moveable_leaf(t: Tree, c: int, banned: tuple[int, int]) -> Optional[int]:
@@ -159,14 +155,6 @@ def _moveable_leaf(t: Tree, c: int, banned: tuple[int, int]) -> Optional[int]:
         if t.degree(v) == 1 and v not in banned and v != c and t.adjacency[v][0] != c:
             return v
     return None
-
-
-def _lever_on(geo: list[int], hub: int, n: int) -> Tree:
-    """The geodesic plus every other vertex pendant at hub."""
-    geo_set = set(geo)
-    edges = list(zip(geo, geo[1:]))
-    edges += [(hub, v) for v in range(n) if v not in geo_set]
-    return build_tree(edges, n)
 
 
 def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
@@ -206,7 +194,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     if c not in geo_set:
         # phase two: collapse the off-geodesic branch onto its attachment
         attach = next(v for v in path_between(cur, c, ends[0]) if v in geo_set)
-        cur = _lever_on(geo, attach, n)
+        cur = _spine_tree(n, geo, [attach] * (n - d - 1))
         trace.append(
             f"collapse off-geodesic branch into leaves at vertex {attach}", cur, _jmin(cur)
         )
@@ -217,7 +205,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     central = {d // 2} if d % 2 == 0 else {(d - 1) // 2, (d + 1) // 2}
     if n > d + 1 and k not in central:
         target = geo[d // 2]
-        cur = _lever_on(geo, target, n)
+        cur = _spine_tree(n, geo, [target] * (n - d - 1))
         trace.append(f"recenter fulcrum from {c} to {target}", cur, _jmin(cur))
 
     return cur, trace
@@ -334,9 +322,12 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
 
 
 def _swap_edge(t: Tree, w: int, old: int, new: int) -> Tree:
-    edges = [(u, v) for u, v in t.edges() if (u, v) != (min(w, old), max(w, old))]
-    edges.append((min(w, new), max(w, new)))
-    return build_tree(edges, t.n)
+    """Move leaf w from its neighbor old to new: three adjacency tuples change."""
+    adj = list(t.adjacency)
+    adj[w] = (new,)
+    adj[old] = tuple(x for x in adj[old] if x != w)
+    adj[new] = tuple(sorted(adj[new] + (w,)))
+    return Tree(t.n, tuple(adj))
 
 
 def _assert_barycenter(t: Tree, c: int) -> None:

@@ -1,9 +1,9 @@
 """Immutable trees over dense integer vertex ids.
 
-Construction with full validation, BFS distances, the cached rooted pass
-from vertex 0, diameter with a witness geodesic, vertex splits, Prufer
-encoding/decoding, and centroid-rooted canonical forms (equal byte codes
-iff the trees are isomorphic).
+Validated construction from outside edge lists and trusted spine-and-leaves
+shapes, BFS distances, the cached rooted pass from vertex 0, diameter with
+a witness geodesic, vertex splits, Prufer encoding/decoding, and centroid-
+rooted canonical forms (equal byte codes iff the trees are isomorphic).
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ def build_tree(edges: Sequence[tuple[int, int]], n: int) -> Tree:
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
-    seen: set[tuple[int, int]] = set()
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -86,19 +85,34 @@ def build_tree(edges: Sequence[tuple[int, int]], n: int) -> Tree:
             raise VertexOutOfRange(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
         if u == v:
             raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) repeats an earlier edge")
-        seen.add(key)
         ru, rv = find(u), find(v)
         if ru == rv:
+            # u and v are already joined: directly by a kept edge, or by a path
+            if v in adj[u]:
+                raise DuplicateEdge(f"edge ({u}, {v}) repeats an earlier edge")
             raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
         parent[ru] = rv
         adj[u].append(v)
         adj[v].append(u)
-    if len(seen) != n - 1:
+    kept = sum(map(len, adj)) // 2
+    if kept != n - 1:
         missing = next(v for v in range(n) if find(v) != find(0))
-        raise Disconnected(f"{len(seen)} edges on {n} vertices; vertex {missing} unreachable from 0")
+        raise Disconnected(f"{kept} edges on {n} vertices; vertex {missing} unreachable from 0")
+    return _tree_from_adjacency(adj)
+
+
+def _spine_tree(n: int, spine: Sequence[int], hubs: Sequence[int]) -> Tree:
+    """The path through `spine` with every other vertex of 0..n-1, in id
+    order, pendant at the matching entry of `hubs`. A tree by construction,
+    so nothing is validated; internal use."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(spine, spine[1:]):
+        adj[u].append(v)
+        adj[v].append(u)
+    on_spine = set(spine)
+    for x, hub in zip((x for x in range(n) if x not in on_spine), hubs, strict=True):
+        adj[hub].append(x)
+        adj[x].append(hub)
     return _tree_from_adjacency(adj)
 
 

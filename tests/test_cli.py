@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import json
 import os
 import random
@@ -266,6 +267,27 @@ def test_sweep_keeps_the_part_of_a_d_range_inside_the_family(capsys):
     code, out = run(capsys, "sweep", "--family", "broom", "--n", "6", "--d", "2..4")
     assert code == 0
     assert [ln.split(",")[1] for ln in out.strip().splitlines()[1:]] == ["3", "4"]
+
+
+def test_formula_d_bound_of_zero_is_not_auto(capsys):
+    def audit(*d_flags):
+        code, out = run(
+            capsys, "--no-timing", "audit", "formula", "jmax_broom", "--n", "3..5", *d_flags
+        )
+        doc = json.loads(out)
+        params = doc["results"]["params"]
+        assert doc["input_digest"] == hashlib.sha256(
+            json.dumps(params, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        return code, params["d"], doc["input_digest"]
+
+    code, d, auto_digest = audit()
+    assert (code, d) == (0, "auto..auto")
+    code, d, zero_digest = audit("--d", "0..0")
+    assert (code, d) == (2, "0..0")
+    code, d, low_zero_digest = audit("--d", "0..3")
+    assert (code, d) == (0, "0..3")
+    assert len({auto_digest, zero_digest, low_zero_digest}) == 3
 
 
 def test_decimal_context_unchanged(capsys):

@@ -6,7 +6,10 @@ definitions of t_meet, t_bestmeet and Kemeny's constant, to the
 distance-sum oracle, and to the caches' keying. The rewrite pipelines and
 move_leaf are held to their stated postconditions on the same trees.
 `analyze`'s templated per_vertex block is held, on trees with n <= 300, to
-the json.dumps rendering of the per-vertex dict it replaced.
+the json.dumps rendering of the per-vertex dict it replaced. The trusted
+builders (family generators, broomify, leaf swaps) are held to the
+validating build_tree, and build_tree's error classification to the
+seen-set loop it replaced.
 """
 
 import contextlib
@@ -23,12 +26,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treewalk import cli
-from treewalk.errors import DiameterOutOfRange, TreewalkError
-from treewalk.families import balanced_lever, is_double_broom
+from treewalk.errors import (
+    CycleDetected,
+    DiameterOutOfRange,
+    Disconnected,
+    DuplicateEdge,
+    SelfLoop,
+    TreewalkError,
+    VertexOutOfRange,
+)
+from treewalk.families import (
+    balanced_lever,
+    broom_tree,
+    double_broom_tree,
+    is_double_broom,
+    lever_tree,
+    path_tree,
+    rooted_broom_depth,
+    star_tree,
+)
 from treewalk.oracles import distance_argmin
-from treewalk.transforms import maximize_pipeline, minimize_pipeline, move_leaf
+from treewalk.transforms import (
+    _swap_edge,
+    broomify,
+    maximize_pipeline,
+    minimize_pipeline,
+    move_leaf,
+)
 from treewalk.trees import (
     Tree,
+    bfs_distances,
+    build_tree,
     canonical_form,
     centroids,
     diameter_and_geodesic,
@@ -182,6 +210,153 @@ def test_maximize_pipeline_ends_on_a_larger_double_broom(t):
     assert diameter_and_geodesic(out)[0] <= d
     assert min(joining_all(out)) > min(joining_all(t))
     assert trace.last_value == min(joining_all(out))
+
+
+def _caterpillar_edges(n: int, d: int, hubs: list[int]) -> list[tuple[int, int]]:
+    """The path 0..d plus vertices d+1.. pendant at hubs, as the generators
+    used to list it for build_tree."""
+    return [(i, i + 1) for i in range(d)] + [(h, x) for x, h in zip(range(d + 1, n), hubs)]
+
+
+def _family_instances(max_n: int):
+    """(built tree, edge list it should span) for every valid parameter set
+    of every family generator with n <= max_n."""
+    for n in range(1, max_n + 1):
+        yield path_tree(n), _caterpillar_edges(n, n - 1, [])
+        if n >= 3:
+            yield star_tree(n), _caterpillar_edges(n, 2, [1] * (n - 3))
+        for d in range(1, n):
+            yield broom_tree(n, d), _caterpillar_edges(n, d, [1] * (n - d - 1))
+        for d in range(2, n):
+            for k in range(1, d):
+                yield lever_tree(n, d, k), _caterpillar_edges(n, d, [k] * (n - d - 1))
+            for left in range(1, n - d + 1):
+                right = n - d + 1 - left
+                hubs = [1] * (left - 1) + [d - 1] * (right - 1)
+                yield double_broom_tree(n, d, left, right), _caterpillar_edges(n, d, hubs)
+
+
+def test_family_generators_match_build_tree():
+    count = 0
+    for t, edges in _family_instances(30):
+        assert t == build_tree(edges, t.n) == build_tree(list(t.edges()), t.n)
+        count += 1
+    assert count == 8613
+
+
+def _broomify_reference(t: Tree, z: int) -> Tree:
+    """broomify as it read when it built an edge list for build_tree."""
+    r = max(bfs_distances(t, z))
+    if rooted_broom_depth(t, z) == r:
+        return t
+    others = sorted(v for v in range(t.n) if v != z)
+    chain = [z] + others[: r - 1]
+    edges = list(zip(chain, chain[1:])) + [(chain[-1], b) for b in others[r - 1 :]]
+    return build_tree(edges, t.n)
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees())
+def test_broomify_matches_build_tree_at_every_root(t):
+    for z in range(t.n):
+        out = broomify(t, z)
+        assert out == _broomify_reference(t, z) == build_tree(list(out.edges()), t.n)
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(), st.data())
+def test_swap_edge_matches_build_tree_of_the_swapped_edges(t, data):
+    w = data.draw(st.sampled_from([v for v in range(t.n) if t.degree(v) == 1]))
+    old = t.adjacency[w][0]
+    # new == old is the no-op move maximize_pipeline makes at the barycenter
+    new = data.draw(st.sampled_from([v for v in range(t.n) if v != w]))
+    edges = [e for e in t.edges() if set(e) != {w, old}] + [(w, new)]
+    assert _swap_edge(t, w, old, new) == build_tree(edges, t.n)
+
+
+def _seen_set_build_tree(edges, n: int) -> Tree:
+    """build_tree as it read with a seen set of normalised edges, kept
+    verbatim as the reference for error classification."""
+    if n < 1:
+        raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
+    seen: set[tuple[int, int]] = set()
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise VertexOutOfRange(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoop(f"edge ({u}, {v}) is a self-loop")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdge(f"edge ({u}, {v}) repeats an earlier edge")
+        seen.add(key)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
+        parent[ru] = rv
+        adj[u].append(v)
+        adj[v].append(u)
+    if len(seen) != n - 1:
+        missing = next(v for v in range(n) if find(v) != find(0))
+        raise Disconnected(f"{len(seen)} edges on {n} vertices; vertex {missing} unreachable from 0")
+    return Tree(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
+
+
+def _outcome(build, edges, n: int):
+    try:
+        return build(edges, n)
+    except TreewalkError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def short_edge_lists(draw) -> tuple[list[tuple[int, int]], int]:
+    """Edge lists on n <= 8 with entries in -1..n: either arbitrary pairs
+    (self-loops, repeats, cycles, bad ids) or a tree's edges, each flipped
+    at will, thinned, salted with repeats and in-range pairs, shuffled."""
+    n = draw(st.integers(0, 8))
+    vertex = st.integers(-1, n)
+    if n < 2 or draw(st.booleans()):
+        return draw(st.lists(st.tuples(vertex, vertex), max_size=n + 2)), n
+    inside = st.integers(0, n - 1)
+    t = prufer_decode(draw(st.lists(inside, min_size=n - 2, max_size=n - 2)), n)
+    edges = [e for e in t.edges() if draw(st.integers(0, 5))]
+    for _ in range(draw(st.integers(0, 2))):
+        if edges:
+            edges.append(draw(st.sampled_from(edges)))
+    edges += draw(st.lists(st.tuples(inside, inside), max_size=2))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    return draw(st.permutations(edges)), n
+
+
+@settings(max_examples=600, deadline=None)
+@given(short_edge_lists())
+def test_build_tree_classifies_errors_like_the_seen_set_loop(case):
+    edges, n = case
+    assert _outcome(build_tree, edges, n) == _outcome(_seen_set_build_tree, edges, n)
+
+
+@pytest.mark.parametrize(
+    "edges, n, error, message",
+    [
+        ([(0, 1), (0, 1)], 3, DuplicateEdge, "edge (0, 1) repeats an earlier edge"),
+        ([(0, 1), (1, 0)], 3, DuplicateEdge, "edge (1, 0) repeats an earlier edge"),
+        ([(0, 1), (1, 2), (2, 0)], 4, CycleDetected, "edge (2, 0) closes a cycle"),
+        ([(0, 1), (2, 3)], 4, Disconnected, "2 edges on 4 vertices; vertex 2 unreachable from 0"),
+    ],
+    ids=["repeat", "reversed-repeat", "cycle", "disconnected"],
+)
+def test_build_tree_classification_cases(edges, n, error, message):
+    assert _outcome(build_tree, edges, n) == (error, message)
+    assert _outcome(_seen_set_build_tree, edges, n) == (error, message)
 
 
 def _dict_rendering(argv: list[str], text: str, t: Tree, targets: list[int], dot=None) -> str:
