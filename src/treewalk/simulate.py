@@ -45,6 +45,61 @@ class WalkSample:
         }
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11): round multipliers and Weyl key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit limbs."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo = x & _LO32
+    x_hi = x >> 32
+    lo_lo = m_lo * x_lo
+    mid = m_hi * x_lo
+    mid += lo_lo >> 32
+    cross = m_lo * x_hi
+    cross += mid & _LO32
+    mid >>= 32
+    cross >>= 32
+    hi = m_hi * x_hi
+    hi += mid
+    hi += cross
+    return hi, np.uint64(m) * x
+
+
+def _philox_raw(seed: int, walk_ids: np.ndarray, first_block: int, blocks: int) -> np.ndarray:
+    """Raw draws 4*first_block .. 4*(first_block+blocks)-1 of each walk's stream.
+
+    Walk i's stream is np.random.Philox(key=[seed, i]).random_raw(): its
+    block b is Philox4x64-10 of counter (b+1, 0, 0, 0) under key (seed, i).
+    Row k of the (4*blocks, len(walk_ids)) result is draw 4*first_block + k
+    of every walk. Products and key increments wrap mod 2**64 on purpose.
+    """
+    x0 = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)[:, None]
+    x0 = x0.repeat(walk_ids.size, axis=1)
+    x1 = x2 = x3 = np.uint64(0)
+    k0, k1 = seed, walk_ids.astype(np.uint64)[None, :]
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+                k1 = k1 + np.uint64(_PHILOX_W[1])
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+            hi1 = hi1 ^ x1
+            hi1 ^= np.uint64(k0)
+            hi0 = x3 ^ hi0  # x1, x2 start as scalars; this operand order keeps the full shape
+            hi0 ^= k1
+            x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+    out = np.empty((blocks, 4, walk_ids.size), dtype=np.uint64)
+    for j, x in enumerate((x0, x1, x2, x3)):
+        out[:, j] = x
+    return out.reshape(4 * blocks, walk_ids.size)
+
+
 def _walk_length(adj: list[tuple[int, ...]], degs: list[int], u: int, w: int, bitgen) -> int:
     """Steps until a single walk from u first reaches w."""
     steps = 0
