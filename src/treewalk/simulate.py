@@ -5,10 +5,20 @@ index), so runs are reproducible for any walk count and could be sharded
 across workers without changing the numbers. Neighbor choices map 64-bit
 raw draws through a modulus; the bias is below 2^-60 per step, far under
 anything a z-test at these sample sizes can see.
+
+The walks run in numpy lockstep. A bulk Philox4x64-10 computes a batch of
+draws for every live walk at once, bit for bit the stream
+np.random.Philox(key=[seed, i]).random_raw() would give walk i. Step k of
+every live walk then reads draw k of its own stream. The target is made
+absorbing (its only neighbor is itself), so a walk that has arrived stays
+put, and its length is the number of steps it took from outside the
+target. Walks that arrived are dropped after each batch, and walk indices
+are run in fixed slabs, so memory does not grow with the walk count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +61,13 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 
+# Walks run in slabs of _SLAB_WALKS indices. Each batch draws up to
+# _BATCH_BLOCKS Philox blocks (4 draws each) across the live walks, at most
+# _MAX_BLOCKS per walk, so a few long walks still get long batches.
+_SLAB_WALKS = 1 << 14
+_BATCH_BLOCKS = 1 << 14
+_MAX_BLOCKS = 64
+
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products m * x, from 32-bit limbs."""
@@ -78,10 +95,10 @@ def _philox_raw(seed: int, walk_ids: np.ndarray, first_block: int, blocks: int) 
     Row k of the (4*blocks, len(walk_ids)) result is draw 4*first_block + k
     of every walk. Products and key increments wrap mod 2**64 on purpose.
     """
-    x0 = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)[:, None]
-    x0 = x0.repeat(walk_ids.size, axis=1)
+    counters = np.arange(first_block + 1, first_block + blocks + 1, dtype=np.uint64)
+    x0 = counters[:, None].repeat(walk_ids.size, axis=1)
     x1 = x2 = x3 = np.uint64(0)
-    k0, k1 = seed, walk_ids.astype(np.uint64)[None, :]
+    k0, k1 = seed, walk_ids[None, :]
     with np.errstate(over="ignore"):
         for r in range(10):
             if r:
@@ -94,29 +111,44 @@ def _philox_raw(seed: int, walk_ids: np.ndarray, first_block: int, blocks: int) 
             hi0 = x3 ^ hi0  # x1, x2 start as scalars; this operand order keeps the full shape
             hi0 ^= k1
             x0, x1, x2, x3 = hi1, lo1, hi0, lo0
-    out = np.empty((blocks, 4, walk_ids.size), dtype=np.uint64)
-    for j, x in enumerate((x0, x1, x2, x3)):
-        out[:, j] = x
-    return out.reshape(4 * blocks, walk_ids.size)
+    return np.stack((x0, x1, x2, x3), axis=1).reshape(4 * blocks, walk_ids.size)
 
 
-def _walk_length(adj: list[tuple[int, ...]], degs: list[int], u: int, w: int, bitgen) -> int:
-    """Steps until a single walk from u first reaches w."""
-    steps = 0
-    cur = u
-    chunk = bitgen.random_raw(64)
-    pos = 0
-    limit = 64
-    while cur != w:
-        if pos == limit:
-            chunk = bitgen.random_raw(256)
-            limit = 256
-            pos = 0
-        r = int(chunk[pos])
-        pos += 1
-        cur = adj[cur][r % degs[cur]]
-        steps += 1
-    return steps
+# per-vertex start offset into the flat neighbor array, degree, flat neighbors
+_WalkTable = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _walk_table(t: Tree, w: int) -> _WalkTable:
+    """Neighbor lists as one array with per-vertex start and degree; w absorbs."""
+    lists = [(w,) if v == w else nbrs for v, nbrs in enumerate(t.adjacency)]
+    degs = [len(nbrs) for nbrs in lists]
+    start = np.array(list(itertools.accumulate(degs, initial=0))[:-1], dtype=np.intp)
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=sum(degs))
+    return start, np.array(degs, dtype=np.uint64), flat
+
+
+def _walk_lengths(table: _WalkTable, u: int, w: int, seed: int, walk_ids: range) -> list[int]:
+    """Steps until each walk in walk_ids, started at u, first reaches w."""
+    start, deg, flat = table
+    keys = np.arange(walk_ids.start, walk_ids.stop, dtype=np.uint64)
+    lengths = np.zeros(len(walk_ids), dtype=np.int64)
+    live = np.arange(len(walk_ids) if u != w else 0)
+    cur = np.full(live.size, u, dtype=np.intp)
+    block = 0
+    while live.size:
+        blocks = max(1, min(_MAX_BLOCKS, _BATCH_BLOCKS // live.size))
+        steps = np.zeros(live.size, dtype=np.int64)
+        for draws in _philox_raw(seed, keys[live], block, blocks):
+            steps += cur != w
+            # the modulus is taken in uint64; its result is below the degree,
+            # so the int64 view is exact, and intp + int64 stays an integer
+            # index where intp + uint64 would be float64
+            cur = flat[start[cur] + (draws % deg[cur]).view(np.int64)]
+        block += blocks
+        lengths[live] += steps
+        moving = cur != w
+        live, cur = live[moving], cur[moving]
+    return lengths.tolist()
 
 
 def simulate_hitting(t: Tree, u: int, w: int, walks: int, seed: int) -> WalkSample:
@@ -128,15 +160,13 @@ def simulate_hitting(t: Tree, u: int, w: int, walks: int, seed: int) -> WalkSamp
         raise InvalidWalkParameters(f"walk count must be >= 1, got {walks}")
     if not 0 <= seed < 2**64:
         raise InvalidWalkParameters(f"seed {seed} outside 0..2**64-1")
-    adj = list(t.adjacency)
-    degs = [len(a) for a in adj]
+    table = _walk_table(t, w)
     total = 0
     total_sq = 0
-    for i in range(walks):
-        bg = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-        steps = _walk_length(adj, degs, u, w, bg)
-        total += steps
-        total_sq += steps * steps
+    for first in range(0, walks, _SLAB_WALKS):
+        lengths = _walk_lengths(table, u, w, seed, range(first, min(first + _SLAB_WALKS, walks)))
+        total += sum(lengths)
+        total_sq += sum(steps * steps for steps in lengths)
     mean = Fraction(total, walks)
     if walks > 1:
         # exact sample variance, rounded once to float for the square root

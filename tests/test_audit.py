@@ -214,20 +214,44 @@ def test_simulation_deterministic_given_seed():
     assert c.total_steps != a.total_steps
 
 
-def test_simulation_walk_count_prefix_property():
+def _per_walk_lengths(monkeypatch, t, u, w, walks, seed):
+    """simulate_hitting's per-walk lengths, in walk-index order."""
+    seen = []
+    real = simulate_mod._walk_lengths
+
+    def record(*args):
+        out = real(*args)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(simulate_mod, "_walk_lengths", record)
+    sample = simulate_hitting(t, u, w, walks, seed)
+    monkeypatch.undo()
+    assert sample.total_steps == sum(seen)
+    return sample, seen
+
+
+def test_simulation_walk_count_prefix_property(monkeypatch):
     # per-walk streams keyed by walk index: a longer run re-produces the
-    # shorter run's walks exactly
-    a = simulate_hitting(path_tree(3), 0, 2, 1000, 11)
-    b = simulate_hitting(path_tree(3), 0, 2, 2000, 11)
+    # shorter run's walks exactly, and any slice [a, b) of walk indices run
+    # on its own gives that slice of the full run (the sharding property)
+    a, a_lengths = _per_walk_lengths(monkeypatch, path_tree(3), 0, 2, 1000, 11)
+    b, b_lengths = _per_walk_lengths(monkeypatch, path_tree(3), 0, 2, 2000, 11)
     assert b.total_steps >= a.total_steps
     assert abs(float(b.mean) - float(a.mean)) <= 6 * max(a.stderr, 1e-9)
+    assert b_lengths[:1000] == a_lengths
+    table = simulate_mod._walk_table(path_tree(3), 2)
+    for lo, hi in ((0, 1), (999, 1001), (17, 1500), (1234, 2000), (1999, 2000)):
+        assert simulate_mod._walk_lengths(table, 0, 2, 11, range(lo, hi)) == b_lengths[lo:hi]
 
 
 def test_simulation_stderr_is_exact_for_large_walks(monkeypatch):
     # walks of 2**40 and 2**40 + 2 steps: a float difference of the summed
     # squares cancels to 0, the exact variance is 100/99
     lengths = itertools.cycle([2**40, 2**40 + 2])
-    monkeypatch.setattr(simulate_mod, "_walk_length", lambda *args: next(lengths))
+    monkeypatch.setattr(
+        simulate_mod, "_walk_lengths", lambda table, u, w, seed, walk_ids: [next(lengths) for _ in walk_ids]
+    )
     s = simulate_hitting(path_tree(3), 0, 2, 100, 1)
     assert s.mean == 2**40 + 1
     assert s.stderr == 0.10050378152592121

@@ -9,7 +9,9 @@ move_leaf are held to their stated postconditions on the same trees.
 the json.dumps rendering of the per-vertex dict it replaced. The trusted
 builders (family generators, broomify, leaf swaps) are held to the
 validating build_tree, and build_tree's error classification to the
-seen-set loop it replaced.
+seen-set loop it replaced. On trees with n <= 200, T_bestmeet lies between
+the balanced lever's and the balanced double broom's closed forms, with
+equality only on those two shapes.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from treewalk import cli
@@ -36,8 +38,11 @@ from treewalk.errors import (
     VertexOutOfRange,
 )
 from treewalk.families import (
+    balanced_double_broom,
     balanced_lever,
+    bestmeet_dbroom_case,
     broom_tree,
+    closed_form,
     double_broom_tree,
     is_double_broom,
     lever_tree,
@@ -427,3 +432,27 @@ def test_analyze_splice_ignores_its_slot_text_in_the_argv(slot_text):
     t = prufer_decode([rng.randrange(120) for _ in range(118)], 120)
     _analyze_matches_dict_rendering(t, slot_text, [], list(range(t.n)), dot=slot_text + ".dot")
     _analyze_matches_dict_rendering(t, slot_text, ["--targets", "0,9,10,119"], [0, 9, 10, 119])
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(max_n=200))
+@example(balanced_lever(12, 5))
+@example(balanced_double_broom(12, 5))
+@example(balanced_lever(13, 4))
+@example(balanced_double_broom(13, 4))
+@example(balanced_double_broom(40, 9))
+def test_bestmeet_lies_between_the_balanced_lever_and_double_broom(t):
+    # the paper's extremal theorem at orders no enumeration reaches:
+    # T_bestmeet is smallest on the balanced lever and largest on the
+    # balanced double broom of the same order and diameter
+    n = t.n
+    d = diameter_and_geodesic(t)[0]
+    assume(3 <= d <= n - 2)
+    low = closed_form("bestmeet_lever", n, d)
+    high = closed_form(bestmeet_dbroom_case(n, d), n, d)
+    value = t_bestmeet(t)[0]
+    assert low <= value <= high, (n, d, format_edge_list(t))
+    if value == low:
+        assert canonical_form(t) == canonical_form(balanced_lever(n, d)), format_edge_list(t)
+    if value == high:
+        assert canonical_form(t) == canonical_form(balanced_double_broom(n, d)), format_edge_list(t)
