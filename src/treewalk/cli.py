@@ -343,15 +343,31 @@ def _sweep_quantity(t: Tree, quantity: str) -> Fraction:
     raise TreewalkError(f"unknown quantity {quantity!r}")
 
 
+def _sweep_diameters(args: argparse.Namespace, d_min: int, trees: str) -> range:
+    """The diameters --d selects among d_min..n-1, the ones `trees` of order
+    n can have; all of them without --d."""
+    n = args.n
+    d_lo, d_hi = _parse_range(args.d, "--d") if args.d else (d_min, n - 1)
+    dees = range(max(d_lo, d_min), min(d_hi, n - 1) + 1)
+    if not dees:
+        raise TreewalkError(
+            f"--d {args.d} selects no diameter of {trees} at order {n} ({d_min}..{n - 1})"
+        )
+    return dees
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     started = time.time()
     rows: list[tuple[int, int, str, int, int]] = []
     if args.enumerated:
         n = args.n
-        for t in tree_classes(n):
-            q = _sweep_quantity(t, args.quantity)
+        classes = tree_classes(n)
+        dees = _sweep_diameters(args, min(2, n - 1), "enumerated trees")
+        for t in classes:
             d, _ = diameter_and_geodesic(t)
-            rows.append((n, d, canonical_form(t).decode("ascii"), q.numerator, q.denominator))
+            if d in dees:
+                q = _sweep_quantity(t, args.quantity)
+                rows.append((n, d, canonical_form(t).decode("ascii"), q.numerator, q.denominator))
         rows.sort(key=lambda r: (r[0], r[1], r[2]))
     else:
         if args.family not in _SWEEP_FAMILIES:
@@ -365,13 +381,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise TreewalkError(
                 f"sweep family {args.family!r} has no instance of order {n}; it needs n >= {d_min + 1}"
             )
-        d_lo, d_hi = _parse_range(args.d, "--d") if args.d else (d_min, n - 1)
-        dees = range(max(d_lo, d_min), min(d_hi, n - 1) + 1)
-        if not dees:
-            raise TreewalkError(
-                f"--d {args.d} selects no diameter of family {args.family!r} at order {n} ({d_min}..{n - 1})"
-            )
-        for d in dees:
+        for d in _sweep_diameters(args, d_min, f"family {args.family!r}"):
             t = build(n, d)
             q = _sweep_quantity(t, args.quantity)
             rows.append((n, d, args.family, q.numerator, q.denominator))

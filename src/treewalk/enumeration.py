@@ -39,7 +39,8 @@ def _free_level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
     list is reused; copy it to keep it.
 
     Each step does O(n) list work rather than the paper's constant
-    amortized bookkeeping; sorting the trees by canonical form costs more.
+    amortized bookkeeping; building each tree and its canonical form costs
+    more (at order 16, about 0.35 s and 0.5 s against 0.1 s here).
     """
     seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:

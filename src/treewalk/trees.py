@@ -3,7 +3,9 @@
 Validated construction from outside edge lists and trusted spine-and-leaves
 shapes, BFS distances, the cached rooted pass from vertex 0, diameter with
 a witness geodesic, vertex splits, Prufer encoding/decoding, and centroid-
-rooted canonical forms (equal byte codes iff the trees are isomorphic).
+rooted canonical forms (equal byte codes iff the trees are isomorphic). A
+canonical form takes one bottom-up pass for both centroids and drops each
+code once its parent's is built, so it holds O(n) bytes at any moment.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     CycleDetected,
@@ -344,20 +346,60 @@ def centroids(t: Tree) -> list[int]:
     return [v for v in range(n) if 2 * heavy[v] <= n]
 
 
+def _wrap(kids: list[bytes]) -> bytes:
+    """The code of a vertex whose children's codes, sorted, are `kids`."""
+    return b"".join([b"1", *kids, b"0"])
+
+
+def _child_codes(t: Tree, root: int, keep: int = -1) -> tuple[list[bytes], list[bytes]]:
+    """One bottom-up pass of the rooted code from `root`.
+
+    A vertex's code is "1", its children's codes in sorted order, then "0";
+    a leaf's is "10". Returns the sorted codes of root's children other
+    than `keep`, and those of keep's children (none when keep is -1;
+    otherwise keep is a neighbor of root). Each code is dropped once its
+    parent's is built, so the codes alive at any moment belong to disjoint
+    subtrees and hold at most 2n bytes in all.
+    """
+    order, parent = bfs_order(t, root)
+    adj = t.adjacency
+    code: list[Optional[bytes]] = [None] * t.n
+
+    def take(u: int, p: int) -> list[bytes]:
+        kids = []
+        for w in adj[u]:
+            if w != p:
+                kids.append(code[w])
+                code[w] = None
+        kids.sort()
+        return kids
+
+    for u in reversed(order):
+        if u != root and u != keep:
+            code[u] = b"10" if len(adj[u]) == 1 else _wrap(take(u, parent[u]))
+    return take(root, keep), (take(keep, root) if keep >= 0 else [])
+
+
 def rooted_canonical_form(t: Tree, root: int) -> bytes:
     """Canonical byte code of (t, root); equal codes iff rooted-isomorphic."""
-    order, parent = bfs_order(t, root)
-    code: list[bytes] = [b""] * t.n
-    for u in reversed(order):
-        children = sorted(code[w] for w in t.adjacency[u] if w != parent[u])
-        code[u] = b"1" + b"".join(children) + b"0"
-    return code[root]
+    return _wrap(_child_codes(t, root)[0])
 
 
 def canonical_form(t: Tree) -> bytes:
     """Canonical byte code rooted at the centroid; with two centroids the
-    lexicographically smaller rooted code wins."""
-    return min(rooted_canonical_form(t, c) for c in centroids(t))
+    lexicographically smaller rooted code wins.
+
+    Both rootings come from one pass rooted at the first centroid: every
+    code off the edge between the two centroids is the same in either
+    rooting, so each root's code is its own side's children plus the other
+    side wrapped as one more child.
+    """
+    cs = centroids(t)
+    if len(cs) == 1:
+        return rooted_canonical_form(t, cs[0])
+    a, b = cs
+    side_a, side_b = _child_codes(t, a, b)
+    return min(_wrap(sorted([*side_a, _wrap(side_b)])), _wrap(sorted([*side_b, _wrap(side_a)])))
 
 
 def parse_edge_list(text: str) -> Tree:

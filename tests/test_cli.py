@@ -222,6 +222,7 @@ def test_audit_usage_error(capsys):
         ["audit", "thm-min", "--n", "5", "--d", "y"],
         ["sweep", "--family", "broom", "--n", "6", "--d", "x"],
         ["analyze", "--input", "{p3}", "--targets", "0,x"],
+        ["sweep", "--enumerated", "--n", "5", "--d", "1..x"],
     ],
 )
 def test_bad_integer_arguments_are_usage_errors(capsys, p3_file, argv):
@@ -249,11 +250,16 @@ def test_bad_integer_arguments_are_usage_errors(capsys, p3_file, argv):
         (["audit", "prop-barycenter", "--n", "2"], "need n >= 3, got 2"),
         (["audit", "formula", "jmax_path", "--n", "5..3"], "--n range 5..3 is empty: 5 > 3"),
         (["audit", "formula", "jmax_broom", "--n", "4..9", "--d", "5..3"], "--d range 5..3 is empty: 5 > 3"),
+        (["sweep", "--enumerated", "--n", "5", "--d", "9"],
+         "--d 9 selects no diameter of enumerated trees at order 5 (2..4)"),
+        (["sweep", "--enumerated", "--n", "2", "--d", "2..3"],
+         "--d 2..3 selects no diameter of enumerated trees at order 2 (1..1)"),
+        (["sweep", "--enumerated", "--n", "5", "--d", "4..2"], "--d range 4..2 is empty: 4 > 2"),
     ],
     ids=[
         "sweep-broom-n1", "sweep-broom-n3", "sweep-lever-neg2", "sweep-dbroom-n2", "sweep-d-outside",
         "sweep-d-inverted", "prop-barycenter-n1", "prop-barycenter-n2", "formula-n-inverted",
-        "formula-d-inverted",
+        "formula-d-inverted", "enumerated-d-outside", "enumerated-n2-d-outside", "enumerated-d-inverted",
     ],
 )
 def test_empty_ranges_are_usage_errors(capsys, argv, message):
@@ -267,6 +273,13 @@ def test_sweep_keeps_the_part_of_a_d_range_inside_the_family(capsys):
     code, out = run(capsys, "sweep", "--family", "broom", "--n", "6", "--d", "2..4")
     assert code == 0
     assert [ln.split(",")[1] for ln in out.strip().splitlines()[1:]] == ["3", "4"]
+
+
+@pytest.mark.parametrize("d_flag, kept", [("2", ["2"]), ("3..9", ["3", "4"]), ("0..3", ["2", "3"])])
+def test_sweep_enumerated_keeps_only_the_selected_diameters(capsys, d_flag, kept):
+    code, out = run(capsys, "sweep", "--enumerated", "--n", "5", "--d", d_flag)
+    assert code == 0
+    assert [ln.split(",")[1] for ln in out.strip().splitlines()[1:]] == kept
 
 
 def test_formula_d_bound_of_zero_is_not_auto(capsys):

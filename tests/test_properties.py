@@ -11,7 +11,9 @@ builders (family generators, broomify, leaf swaps) are held to the
 validating build_tree, and build_tree's error classification to the
 seen-set loop it replaced. On trees with n <= 200, T_bestmeet lies between
 the balanced lever's and the balanced double broom's closed forms, with
-equality only on those two shapes.
+equality only on those two shapes. The one-pass canonical forms are held,
+at the centroids and at every root, to the per-root concatenation loop
+they replaced, on trees with n <= 80 and on every class up to order 12.
 """
 
 import contextlib
@@ -37,6 +39,7 @@ from treewalk.errors import (
     TreewalkError,
     VertexOutOfRange,
 )
+from treewalk.enumeration import enumerate_trees
 from treewalk.families import (
     balanced_double_broom,
     balanced_lever,
@@ -61,6 +64,7 @@ from treewalk.transforms import (
 from treewalk.trees import (
     Tree,
     bfs_distances,
+    bfs_order,
     build_tree,
     canonical_form,
     centroids,
@@ -69,6 +73,7 @@ from treewalk.trees import (
     format_edge_list,
     path_between,
     prufer_decode,
+    rooted_canonical_form,
 )
 from treewalk.walkstats import (
     barycenter,
@@ -456,3 +461,59 @@ def test_bestmeet_lies_between_the_balanced_lever_and_double_broom(t):
         assert canonical_form(t) == canonical_form(balanced_lever(n, d)), format_edge_list(t)
     if value == high:
         assert canonical_form(t) == canonical_form(balanced_double_broom(n, d)), format_edge_list(t)
+
+
+def _concatenated_rooted_form(t: Tree, root: int) -> bytes:
+    # the per-root loop canonical_form used to run once per centroid, kept
+    # verbatim as a reference: every vertex's code stays alive to the end
+    order, parent = bfs_order(t, root)
+    code: list[bytes] = [b""] * t.n
+    for u in reversed(order):
+        children = sorted(code[w] for w in t.adjacency[u] if w != parent[u])
+        code[u] = b"1" + b"".join(children) + b"0"
+    return code[root]
+
+
+def _assert_forms_match_concatenation(t: Tree) -> None:
+    assert canonical_form(t) == min(_concatenated_rooted_form(t, c) for c in centroids(t)), t
+    for r in range(t.n):
+        assert rooted_canonical_form(t, r) == _concatenated_rooted_form(t, r), (t, r)
+
+
+# two centroids whose sides differ: three leaves on 0, a three-vertex path below 1
+_UNEVEN_BICENTROID = build_tree([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (5, 6), (6, 7)], 8)
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(max_n=80))
+@example(path_tree(1))
+@example(path_tree(2))
+@example(path_tree(8))
+@example(path_tree(41))
+@example(path_tree(80))
+@example(star_tree(3))
+@example(star_tree(17))
+@example(balanced_double_broom(10, 5))
+@example(balanced_double_broom(12, 7))
+@example(balanced_double_broom(20, 11))
+@example(_UNEVEN_BICENTROID)
+def test_canonical_forms_match_the_concatenation_loop(t):
+    _assert_forms_match_concatenation(t)
+
+
+def test_explicit_canonical_examples_cover_both_centroid_counts():
+    # the examples above reach the one-pass code's two-centroid branch, and
+    # one of them with sides whose codes differ, so the min is a real choice
+    assert [len(centroids(t)) for t in (path_tree(1), path_tree(2), star_tree(17))] == [1, 2, 1]
+    for t in (path_tree(8), balanced_double_broom(12, 7), _UNEVEN_BICENTROID):
+        assert len(centroids(t)) == 2
+    a, b = centroids(_UNEVEN_BICENTROID)
+    assert _concatenated_rooted_form(_UNEVEN_BICENTROID, a) != _concatenated_rooted_form(
+        _UNEVEN_BICENTROID, b
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_canonical_forms_match_the_concatenation_loop_on_every_class(n):
+    for t in enumerate_trees(n, cap=12):
+        _assert_forms_match_concatenation(t)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -177,6 +178,19 @@ def test_canonical_invariant_under_relabeling():
     for perm in list(permutations(range(6)))[:40]:
         edges = [(perm[u], perm[v]) for u, v in base.edges()]
         assert canonical_form(build_tree(edges, 6)) == expected
+
+
+def test_canonical_form_of_a_long_path_stays_in_linear_memory():
+    # each child's code is dropped once its parent's is built; keeping every
+    # vertex's code to the end costs about 200 MB on this path, n**2/2 bytes
+    p = path_tree(20000)
+    tracemalloc.start()
+    try:
+        canonical_form(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 7])
