@@ -40,7 +40,7 @@ def _free_level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
 
     Each step does O(n) list work rather than the paper's constant
     amortized bookkeeping; building each tree and its canonical form costs
-    more (at order 16, about 0.35 s and 0.5 s against 0.1 s here).
+    more (at order 16, about 3.5 and 5 times the time spent here).
     """
     seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
