@@ -14,7 +14,7 @@ from .audit import (
     audit_theorem_max,
     audit_theorem_min,
 )
-from .enumeration import DEFAULT_CAP, enumerate_trees, tree_classes, tree_classes_with_diameter
+from .enumeration import DEFAULT_CAP, enumerate_trees, tree_classes
 from .families import (
     FAMILY_NAMES,
     FORMULA_IDS,

@@ -2,9 +2,11 @@
 
 Every audit compares a stated claim against ground truth computed from
 generators plus the exact walk statistics, never against the claim's own
-algebra. Extremal-value witnesses are re-derived through two independent
-oracles (subtree-accumulation joining times and first-step linear solves)
-before a report is allowed to contradict a printed statement.
+algebra. The theorem audits read one extremal table per order, streamed
+from the enumeration, and extremal-value witnesses are re-derived through
+two independent oracles (subtree-accumulation joining times and
+first-step linear solves) before a report is allowed to contradict a
+printed statement.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .enumeration import DEFAULT_CAP, tree_classes, tree_classes_with_diameter
+from .enumeration import DEFAULT_CAP, extremal_table, tree_classes
 from .errors import CapExceeded, OutOfStatedRange, ParityMismatch, TreewalkError, UnknownClaim
 from .families import FORMULAS, bestmeet_dbroom_case, closed_form
 from .oracles import joining_time_by_linear_solve
@@ -78,10 +80,11 @@ def _audit_extremal(
     params = {"n": n, "d": d}
     if not 2 <= d <= n - 1:
         raise OutOfStatedRange(f"need 2 <= d <= n-1, got n={n}, d={d}")
-    classes = tree_classes_with_diameter(n, d, cap)
-    vals = [(t_bestmeet(t)[0], t) for t in classes]
-    best = pick(v for v, _ in vals)
-    winners = [t for v, t in vals if v == best]
+    row = extremal_table(n, cap)[d]
+    if pick is min:
+        best, winners = Fraction(row.jmin_lo, 2 * (n - 1)), row.minimizers
+    else:
+        best, winners = Fraction(row.jmin_hi, 2 * (n - 1)), row.maximizers
     role = pick.__name__ + "imizer"
     expected = FORMULAS[fid].witness(n, d)
     expected_val = closed_form(fid, n, d)
@@ -122,7 +125,7 @@ def _audit_extremal(
         status=VERIFIED,
         params=params,
         witnesses=[Witness.of(winner, truth, f"unique {role}")],
-        notes=f"checked {len(classes)} classes",
+        notes=f"checked {row.classes} classes",
     )
 
 
@@ -151,10 +154,13 @@ def audit_theorem_global(n: int, cap: int = DEFAULT_CAP) -> AuditReport:
     params = {"n": n}
     if n < 3:
         raise OutOfStatedRange(f"need n >= 3, got {n}")
-    classes = tree_classes(n, cap)
-    vals = [(t_bestmeet(t)[0], t) for t in classes]
-    best = max(v for v, _ in vals)
-    argmaxes = [t for v, t in vals if v == best]
+    rows = extremal_table(n, cap).values()
+    classes = sum(row.classes for row in rows)
+    top = max(row.jmin_hi for row in rows)
+    best = Fraction(top, 2 * (n - 1))
+    argmaxes = sorted(
+        (t for row in rows if row.jmin_hi == top for t in row.maximizers), key=canonical_form
+    )
     if n % 2 == 0 or n <= 7:
         fid, claimed_name = "bestmeet_pn", "path"
     else:
@@ -173,7 +179,7 @@ def audit_theorem_global(n: int, cap: int = DEFAULT_CAP) -> AuditReport:
             status=VERIFIED,
             params=params,
             witnesses=witnesses,
-            notes=f"checked {len(classes)} classes",
+            notes=f"checked {classes} classes",
         )
     detail = []
     if not structural:
@@ -187,7 +193,7 @@ def audit_theorem_global(n: int, cap: int = DEFAULT_CAP) -> AuditReport:
         status=DISCREPANCY,
         params=params,
         witnesses=witnesses,
-        notes="; ".join(detail) + f"; checked {len(classes)} classes",
+        notes="; ".join(detail) + f"; checked {classes} classes",
     )
 
 

@@ -8,12 +8,18 @@ and McKay, "Constant time generation of free trees" (SIAM J. Comput.
 center. No two sequences name isomorphic trees, so nothing is
 deduplicated. Representatives are labeled in preorder and emitted in
 increasing canonical-code order.
+
+`extremal_table` streams the same sequences once per order and keeps, per
+diameter, only what the extremal audits read: the class count, the least
+and greatest minimum joining time, and the classes that attain them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .errors import CapExceeded
 from .trees import Tree, _tree_from_adjacency, canonical_form
@@ -121,7 +127,8 @@ def tree_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[Tree, ...]:
     """All isomorphism classes of order n, cached for reuse across audits.
 
     The cache holds one entry per order, whatever cap is passed; the cap
-    is checked on every call. `tree_classes.cache_clear()` empties it.
+    is checked on every call. `tree_classes.cache_clear()` empties it and
+    the extremal_table cache.
     """
     _check_order(n, cap)
     return _classes(n)
@@ -132,10 +139,86 @@ def _classes(n: int) -> tuple[Tree, ...]:
     return tuple(enumerate_trees(n, cap=n))
 
 
-tree_classes.cache_clear = _classes.cache_clear
+@dataclass(frozen=True)
+class DiameterRow:
+    """The classes of one order and diameter, as the extremal audits see
+    them: how many there are, the least and greatest J_min (the minimum
+    joining time, 2(n-1) times T_bestmeet) among them, and the classes
+    attaining each, in increasing canonical-code order."""
+
+    classes: int
+    jmin_lo: int
+    jmin_hi: int
+    minimizers: tuple[Tree, ...]
+    maximizers: tuple[Tree, ...]
 
 
-def tree_classes_with_diameter(n: int, d: int, cap: int = DEFAULT_CAP) -> tuple[Tree, ...]:
-    from .trees import diameter_and_geodesic
+def extremal_table(n: int, cap: int = DEFAULT_CAP) -> Mapping[int, DiameterRow]:
+    """Diameter -> DiameterRow over every class of order n, in increasing
+    diameter, from one pass over the level sequences that builds a Tree
+    only for the attaining classes. Cached per order like tree_classes;
+    the cap is checked on every call."""
+    _check_order(n, cap)
+    return _table(n)
 
-    return tuple(t for t in tree_classes(n, cap) if diameter_and_geodesic(t)[0] == d)
+
+def _least_joining(seq: list[int]) -> int:
+    """J_min of a level sequence's tree, from subtree sizes alone.
+
+    J(w) sums (2s-1)^2 over the edges, with s the size of each edge's side
+    away from w, and rerooting from p to its child u swaps one edge's term
+    for its other side's: J(u) = J(p) + 4(n-1)(n-2s). At a centroid every
+    edge's far side is its smaller one, so J_min sums (2 min(s, n-s) - 1)^2.
+    The sizes come from a reverse scan: acc[l] collects the sizes of the
+    pending vertices at level l until their parent, the next vertex one
+    level up, takes them.
+    """
+    n = len(seq)
+    acc = [0] * (n + 1)
+    j = 0
+    for v in range(n - 1, 0, -1):
+        level = seq[v]
+        s = 1 + acc[level + 1]
+        acc[level + 1] = 0
+        acc[level] += s
+        j += (2 * min(s, n - s) - 1) ** 2
+    return j
+
+
+@lru_cache(maxsize=None)
+def _table(n: int) -> Mapping[int, DiameterRow]:
+    # d -> [count, least J_min, its sequences, greatest J_min, its sequences]
+    stats: dict[int, list] = {}
+    for seq, d in _free_level_sequences(n):
+        j = _least_joining(seq)
+        row = stats.get(d)
+        if row is None:
+            stats[d] = [1, j, [seq[:]], j, [seq[:]]]
+            continue
+        row[0] += 1
+        if j < row[1]:
+            row[1:3] = j, [seq[:]]
+        elif j == row[1]:
+            row[2].append(seq[:])
+        if j > row[3]:
+            row[3:5] = j, [seq[:]]
+        elif j == row[3]:
+            row[4].append(seq[:])
+
+    def classes(seqs: list[list[int]]) -> tuple[Tree, ...]:
+        return tuple(sorted(map(_tree_from_levels, seqs), key=canonical_form))
+
+    return MappingProxyType(
+        {
+            d: DiameterRow(count, lo, hi, classes(lo_seqs), classes(hi_seqs))
+            for d, (count, lo, lo_seqs, hi, hi_seqs) in sorted(stats.items())
+        }
+    )
+
+
+def _clear_caches() -> None:
+    _classes.cache_clear()
+    _table.cache_clear()
+
+
+tree_classes.cache_clear = _clear_caches

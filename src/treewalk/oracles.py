@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity from a different principle than the
 walkstats implementations: exact Gaussian elimination on the first-step
 system, per-edge component counting for the edge-decomposition route, and
-plain distance sums for the barycenter. They are deliberately slow and
-share no code with the fast paths.
+plain distance sums for the barycenter. The solve is naive dense
+elimination, independent of the fast paths, and no oracle shares code with
+them.
 """
 
 from __future__ import annotations
@@ -14,35 +15,51 @@ from fractions import Fraction
 from .trees import Tree, bfs_distances, path_between
 
 
-def hitting_row_by_linear_solve(t: Tree, w: int) -> list[Fraction]:
+def _first_step_solve(t: Tree, w: int) -> tuple[list[int], int]:
     """Solve the first-step equations h_u = 1 + mean of h over neighbors,
-    h_w = 0, by exact Gaussian elimination; returns H(u, w) for all u."""
+    h_w = 0, by fraction-free Gauss-Jordan elimination (Bareiss, Math.
+    Comp. 22, 1968) over the integers.
+
+    Returns (x, det) with H(u, w) = x[u] / det for every u (x[w] = 0). Each
+    step replaces every entry off the pivot column by the 2x2 determinant
+    with the pivot, divided by the previous pivot. The division is exact,
+    since every entry is a minor of the system up to sign, and at the end
+    every diagonal entry equals the last pivot.
+    """
     n = t.n
     unknowns = [u for u in range(n) if u != w]
     index = {u: i for i, u in enumerate(unknowns)}
     m = n - 1
     # rows: deg(u) h_u - sum_{v in N(u), v != w} h_v = deg(u)
-    a = [[Fraction(0)] * (m + 1) for _ in range(m)]
+    a = [[0] * (m + 1) for _ in range(m)]
     for u in unknowns:
         i = index[u]
-        a[i][i] = Fraction(t.degree(u))
-        a[i][m] = Fraction(t.degree(u))
+        a[i][i] = a[i][m] = t.degree(u)
         for v in t.adjacency[u]:
             if v != w:
                 a[i][index[v]] -= 1
+    prev = 1
     for col in range(m):
         piv = next(r for r in range(col, m) if a[r][col] != 0)
         a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
+        pivot_row = a[col]
+        p = pivot_row[col]
         for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [Fraction(0)] * n
+            if r != col:
+                row = a[r]
+                f = row[col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    x = [0] * n
     for u in unknowns:
-        out[u] = a[index[u]][m]
-    return out
+        x[u] = a[index[u]][m]
+    return x, prev
+
+
+def hitting_row_by_linear_solve(t: Tree, w: int) -> list[Fraction]:
+    """H(u, w) for all u, from the exact solve of the first-step system."""
+    x, det = _first_step_solve(t, w)
+    return [Fraction(v, det) for v in x]
 
 
 def hitting_matrix_by_linear_solve(t: Tree) -> list[list[Fraction]]:
@@ -87,8 +104,8 @@ def joining_time_by_definition(t: Tree, w: int) -> int:
 
 
 def joining_time_by_linear_solve(t: Tree, w: int) -> Fraction:
-    row = hitting_row_by_linear_solve(t, w)
-    return sum((t.degree(u) * row[u] for u in range(t.n)), Fraction(0))
+    x, det = _first_step_solve(t, w)
+    return Fraction(sum(t.degree(u) * x[u] for u in range(t.n)), det)
 
 
 def distance_argmin(t: Tree) -> list[int]:

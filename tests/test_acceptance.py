@@ -18,7 +18,7 @@ from treewalk.audit import (
     audit_theorem_min,
 )
 from treewalk.cli import main as cli_main
-from treewalk.enumeration import tree_classes, tree_classes_with_diameter
+from treewalk.enumeration import tree_classes
 from treewalk.families import (
     balanced_double_broom,
     balanced_lever,
@@ -59,6 +59,10 @@ from treewalk.walkstats import (
 )
 
 
+def _with_diameter(n, d):
+    return [t for t in tree_classes(n) if diameter_and_geodesic(t)[0] == d]
+
+
 def test_criterion_1_exhaustive_extremal_verification():
     started = time.time()
     assert [len(tree_classes(n)) for n in range(2, 10)] == [1, 1, 2, 3, 6, 11, 23, 47]
@@ -75,6 +79,43 @@ def test_criterion_1_exhaustive_extremal_verification():
     print(
         f"\nPASS criterion 1: unique extremal classes verified on {cells} (n,d) cells, "
         f"orders 3..9, in {elapsed:.1f}s"
+    )
+
+
+def test_criterion_1_past_the_default_cap():
+    # the extremal table makes every cell of orders 10..16 cheap enough to
+    # check on every run; only the contested odd-order global branch fails
+    started = time.time()
+    cells = 0
+    for n in range(10, 17):
+        for d in range(2, n):
+            for audit, family in ((audit_theorem_min, balanced_lever), (audit_theorem_max, balanced_double_broom)):
+                rep = audit(n, d, cap=16)
+                assert rep.status == VERIFIED, (n, d, audit.__name__, rep.notes)
+                assert rep.witnesses[0].canonical == canonical_form(family(n, d)).decode("ascii")
+            cells += 1
+        rep = audit_theorem_global(n, cap=16)
+        path = canonical_form(path_tree(n)).decode("ascii")
+        if n % 2 == 0:
+            assert rep.status == VERIFIED, (n, rep.notes)
+            assert [w.canonical for w in rep.witnesses] == [path, path]
+        else:
+            assert rep.status == DISCREPANCY, (n, rep.notes)
+            assert [w.note for w in rep.witnesses] == [
+                "actual maximizer", "stated maximizer (broom of diameter n-2)"
+            ]
+            assert rep.witnesses[0].canonical == path
+            assert rep.witnesses[1].canonical == canonical_form(broom_tree(n, n - 2)).decode("ascii")
+            truth = Fraction(rep.witnesses[0].value_num, rep.witnesses[0].value_den)
+            assert rep.notes.startswith(f"true maximizer value {truth} vs broom of diameter n-2")
+            assert f"stated value {closed_form('bestmeet_bn_printed', n)} vs enumerated maximum {truth}" in rep.notes
+            if n == 11:
+                assert truth == Fraction(33, 2) and closed_form("bestmeet_bn_printed", 11) == Fraction(83, 5)
+    elapsed = time.time() - started
+    assert elapsed < 30
+    print(
+        f"\nPASS criterion 1 past the cap: {cells} (n,d) cells verified for orders 10..16, "
+        f"thm-global verified at even orders and the path the unique maximizer at odd ones, in {elapsed:.1f}s"
     )
 
 
@@ -246,14 +287,14 @@ def test_criterion_7_pipeline_monotonicity():
     runs = 0
     for n in (8, 9):
         target = canonical_form(balanced_lever(n, 4))
-        for t in tree_classes_with_diameter(n, 4):
+        for t in _with_diameter(n, 4):
             out, trace = minimize_pipeline(t)
             assert canonical_form(out) == target
             values = [trace.initial_value] + [s.value for s in trace.steps]
             assert all(a > b for a, b in zip(values, values[1:]))
             runs += 1
     max_runs = 0
-    for t in tree_classes_with_diameter(9, 4):
+    for t in _with_diameter(9, 4):
         if is_double_broom(t):
             continue
         out, trace = maximize_pipeline(t)

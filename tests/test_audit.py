@@ -19,11 +19,12 @@ from treewalk.audit import (
     audit_theorem_max,
     audit_theorem_min,
 )
+from treewalk.enumeration import extremal_table, tree_classes
 from treewalk.errors import CapExceeded, UnknownClaim
 from treewalk.cli import main
 from treewalk.families import FORMULA_IDS, FORMULAS, broom_tree, path_tree
 from treewalk.simulate import simulate_hitting
-from treewalk.trees import canonical_form
+from treewalk.trees import canonical_form, diameter_and_geodesic
 from treewalk.walkstats import BarycenterResult
 
 
@@ -60,7 +61,7 @@ def _notes(report):
 )
 def test_theorem_extremal_failure_branches(monkeypatch, audit, fid, kind, family):
     # no real input reaches these branches, so each is forced through the
-    # registry row (or, for a tie, through the statistic itself)
+    # registry row (or, for a tie, through the extremal table)
     role = kind + "imizer"
     row = FORMULAS[fid]
     monkeypatch.setitem(FORMULAS, fid, dataclasses.replace(row, witness=lambda n, d: broom_tree(n, d)))
@@ -77,7 +78,10 @@ def test_theorem_extremal_failure_branches(monkeypatch, audit, fid, kind, family
     truth = Fraction(rep.witnesses[0].value_num, rep.witnesses[0].value_den)
     assert _values(rep)[1] == ((truth + 1).numerator, (truth + 1).denominator)
     monkeypatch.setitem(FORMULAS, fid, row)
-    monkeypatch.setattr(audit_mod, "t_bestmeet", lambda t: (Fraction(1), 0))
+    table = dict(extremal_table(6))
+    tied = tuple(t for t in tree_classes(6) if diameter_and_geodesic(t)[0] == 3)
+    table[3] = dataclasses.replace(table[3], minimizers=tied, maximizers=tied)
+    monkeypatch.setattr(audit_mod, "extremal_table", lambda n, cap: table)
     assert _notes(audit(6, 3)) == (
         REFUTED, f"2 isomorphism classes tie for the {kind}imum", [f"tied {role}"] * 2
     )
@@ -93,6 +97,24 @@ def test_theorem_global_small_orders():
     rep = audit_theorem_global(8)
     assert rep.status == VERIFIED
     assert canonical_form(path_tree(8)).decode("ascii") == rep.witnesses[0].canonical
+
+
+def test_theorem_global_merges_tied_maximizers_across_diameters(monkeypatch):
+    # at order 8 the path alone attains the maximum; lift two rows above
+    # it, holding classes whose codes run against the rows' order, so the
+    # argmax spans two rows and must be put back in code order
+    table = dict(extremal_table(8))
+    top = max(row.jmin_hi for row in table.values()) + 1
+    late, early = table[6].maximizers[0], table[3].maximizers[0]
+    assert canonical_form(late) > canonical_form(early)
+    table[3] = dataclasses.replace(table[3], jmin_hi=top, maximizers=(late,))
+    table[5] = dataclasses.replace(table[5], jmin_hi=top, maximizers=(early,))
+    monkeypatch.setattr(audit_mod, "extremal_table", lambda n, cap: table)
+    rep = audit_theorem_global(8)
+    assert rep.status == DISCREPANCY
+    assert [w.note for w in rep.witnesses] == ["actual maximizer"] * 2 + ["stated maximizer (path)"]
+    assert [w.canonical for w in rep.witnesses[:2]] == [canonical_form(t).decode("ascii") for t in (early, late)]
+    assert rep.notes.endswith("; checked 23 classes")
 
 
 def test_formula_flags_star_scaling():
@@ -199,6 +221,18 @@ def test_proposition_barycenter_refuted(monkeypatch, capsys):
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         audit_proposition_barycenter(12)
+
+
+@pytest.mark.parametrize(
+    "n, d, message",
+    [(11, 20, "need 2 <= d <= n-1, got n=11, d=20"), (11, 5, "order 11 outside 2..10")],
+    ids=["d-range-before-cap", "cap"],
+)
+def test_theorem_cell_errors(capsys, n, d, message):
+    for claim in ("thm-min", "thm-max"):
+        assert main(["--no-timing", "audit", claim, "--n", str(n), "--d", str(d)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_simulation_forced_step():

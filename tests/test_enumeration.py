@@ -1,8 +1,10 @@
 import pytest
 
-from treewalk.enumeration import enumerate_trees, tree_classes, tree_classes_with_diameter
+from treewalk import enumeration
+from treewalk.enumeration import enumerate_trees, extremal_table, tree_classes
 from treewalk.errors import CapExceeded
 from treewalk.trees import build_tree, canonical_form, diameter_and_geodesic
+from treewalk.walkstats import joining_all
 
 # OEIS A000055: free trees on n unlabeled vertices
 KNOWN_CLASS_COUNTS = {
@@ -42,12 +44,16 @@ def test_diameter_filter_path_only():
     assert d == 6
 
 
+def _with_diameter(n, d):
+    return [t for t in tree_classes(n) if diameter_and_geodesic(t)[0] == d]
+
+
 def test_diameter_filter_partition():
-    total = sum(len(tree_classes_with_diameter(7, d)) for d in range(2, 7))
+    total = sum(len(_with_diameter(7, d)) for d in range(2, 7))
     assert total == len(tree_classes(7))
     for d in range(2, 10):
         filtered = [canonical_form(t) for t in enumerate_trees(10, d_filter=d)]
-        assert filtered == [canonical_form(t) for t in tree_classes_with_diameter(10, d)]
+        assert filtered == [canonical_form(t) for t in _with_diameter(10, d)]
 
 
 def test_cap_enforced():
@@ -65,3 +71,50 @@ def test_cache_shared_across_cap_spellings():
 
 def test_class_count_order_ten():
     assert len(tree_classes(10)) == 106
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_extremal_table_matches_brute_force(n):
+    by_d: dict[int, list] = {}
+    for t in tree_classes(n):
+        by_d.setdefault(diameter_and_geodesic(t)[0], []).append((min(joining_all(t)), t))
+    table = extremal_table(n)
+    assert list(table) == sorted(by_d)
+    for d, vals in by_d.items():
+        row = table[d]
+        lo, hi = min(v for v, _ in vals), max(v for v, _ in vals)
+        assert (row.classes, row.jmin_lo, row.jmin_hi) == (len(vals), lo, hi)
+        # tree_classes lists the classes in canonical-code order, as the table does
+        assert [canonical_form(t) for t in row.minimizers] == [canonical_form(t) for v, t in vals if v == lo]
+        assert [canonical_form(t) for t in row.maximizers] == [canonical_form(t) for v, t in vals if v == hi]
+
+
+def test_extremal_table_cap_and_cache():
+    assert extremal_table(9) is extremal_table(9, 10) is extremal_table(9, cap=12)
+    with pytest.raises(CapExceeded):
+        extremal_table(11)
+    with pytest.raises(CapExceeded):
+        extremal_table(9, cap=8)
+    with pytest.raises(CapExceeded):
+        extremal_table(1)
+    warm_table, warm_classes = extremal_table(9), tree_classes(9)
+    tree_classes.cache_clear()
+    assert extremal_table(9) is not warm_table
+    assert tree_classes(9) is not warm_classes
+    assert extremal_table(9) == warm_table
+
+
+def test_extremal_table_keeps_every_tied_class(monkeypatch):
+    # no order up to 18 has two classes tied for an extremum of one
+    # diameter, so every class is made to tie by zeroing J_min
+    monkeypatch.setattr(enumeration, "_least_joining", lambda seq: 0)
+    tree_classes.cache_clear()
+    try:
+        table = extremal_table(9)
+    finally:
+        tree_classes.cache_clear()
+    for d, row in table.items():
+        codes = [canonical_form(t) for t in _with_diameter(9, d)]
+        assert (row.classes, row.jmin_lo, row.jmin_hi) == (len(codes), 0, 0)
+        assert [canonical_form(t) for t in row.minimizers] == codes
+        assert [canonical_form(t) for t in row.maximizers] == codes

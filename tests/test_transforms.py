@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from treewalk.enumeration import tree_classes, tree_classes_with_diameter
+from treewalk.enumeration import tree_classes
 from treewalk.errors import DiameterOutOfRange, NotALeaf, SelfAttach, WrongNeighbor
 from treewalk.families import (
     balanced_double_broom,
@@ -22,6 +22,10 @@ from treewalk.trees import (
     rooted_canonical_form,
 )
 from treewalk.walkstats import hitting_profile, joining_all, joining_time
+
+
+def _with_diameter(n, d):
+    return [t for t in tree_classes(n) if diameter_and_geodesic(t)[0] == d]
 
 
 def test_move_leaf_example():
@@ -125,7 +129,7 @@ def test_minimize_pipeline_rejects_extreme_diameters():
 @pytest.mark.parametrize("n,d", [(7, 4), (7, 3), (8, 5)])
 def test_minimize_pipeline_exhaustive_small(n, d):
     target = canonical_form(balanced_lever(n, d))
-    for t in tree_classes_with_diameter(n, d):
+    for t in _with_diameter(n, d):
         out, trace = minimize_pipeline(t)
         assert canonical_form(out) == target
         values = [trace.initial_value] + [s.value for s in trace.steps]
@@ -173,7 +177,7 @@ def test_maximize_pipeline_fixed_points():
 
 @pytest.mark.parametrize("n,d", [(7, 3), (7, 4), (8, 4)])
 def test_maximize_pipeline_exhaustive_small(n, d):
-    for t in tree_classes_with_diameter(n, d):
+    for t in _with_diameter(n, d):
         if is_double_broom(t):
             continue
         out, trace = maximize_pipeline(t)
