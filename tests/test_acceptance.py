@@ -85,6 +85,9 @@ def test_criterion_1_exhaustive_extremal_verification():
 def test_criterion_1_past_the_default_cap():
     # the extremal table makes every cell of orders 10..16 cheap enough to
     # check on every run; only the contested odd-order global branch fails
+    def code(t):
+        return canonical_form(t).decode("ascii")
+
     started = time.time()
     cells = 0
     for n in range(10, 17):
@@ -92,30 +95,30 @@ def test_criterion_1_past_the_default_cap():
             for audit, family in ((audit_theorem_min, balanced_lever), (audit_theorem_max, balanced_double_broom)):
                 rep = audit(n, d, cap=16)
                 assert rep.status == VERIFIED, (n, d, audit.__name__, rep.notes)
-                assert rep.witnesses[0].canonical == canonical_form(family(n, d)).decode("ascii")
+                assert rep.witnesses[0].canonical == code(family(n, d))
             cells += 1
         rep = audit_theorem_global(n, cap=16)
-        path = canonical_form(path_tree(n)).decode("ascii")
         if n % 2 == 0:
             assert rep.status == VERIFIED, (n, rep.notes)
-            assert [w.canonical for w in rep.witnesses] == [path, path]
-        else:
-            assert rep.status == DISCREPANCY, (n, rep.notes)
-            assert [w.note for w in rep.witnesses] == [
-                "actual maximizer", "stated maximizer (broom of diameter n-2)"
-            ]
-            assert rep.witnesses[0].canonical == path
-            assert rep.witnesses[1].canonical == canonical_form(broom_tree(n, n - 2)).decode("ascii")
-            truth = Fraction(rep.witnesses[0].value_num, rep.witnesses[0].value_den)
-            assert rep.notes.startswith(f"true maximizer value {truth} vs broom of diameter n-2")
-            assert f"stated value {closed_form('bestmeet_bn_printed', n)} vs enumerated maximum {truth}" in rep.notes
-            if n == 11:
-                assert truth == Fraction(33, 2) and closed_form("bestmeet_bn_printed", 11) == Fraction(83, 5)
+            assert [w.canonical for w in rep.witnesses] == [code(path_tree(n))] * 2
+            continue
+        assert rep.status == DISCREPANCY, (n, rep.notes)
+        assert [(w.canonical, w.note) for w in rep.witnesses] == [
+            (code(path_tree(n)), "actual maximizer"),
+            (code(broom_tree(n, n - 2)), "stated maximizer (broom of diameter n-2)"),
+        ]
+        truth = Fraction(rep.witnesses[0].value_num, rep.witnesses[0].value_den)
+        printed = closed_form("bestmeet_bn_printed", n)
+        assert rep.notes.startswith(f"true maximizer value {truth} vs broom of diameter n-2")
+        assert f"stated value {printed} vs enumerated maximum {truth}" in rep.notes
+        if n == 11:
+            assert (printed, truth) == (Fraction(83, 5), Fraction(33, 2))
     elapsed = time.time() - started
     assert elapsed < 30
     print(
         f"\nPASS criterion 1 past the cap: {cells} (n,d) cells verified for orders 10..16, "
-        f"thm-global verified at even orders and the path the unique maximizer at odd ones, in {elapsed:.1f}s"
+        f"thm-global verified at even orders and the path the unique maximizer at odd ones, "
+        f"in {elapsed:.1f}s"
     )
 
 

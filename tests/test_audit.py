@@ -113,7 +113,8 @@ def test_theorem_global_merges_tied_maximizers_across_diameters(monkeypatch):
     rep = audit_theorem_global(8)
     assert rep.status == DISCREPANCY
     assert [w.note for w in rep.witnesses] == ["actual maximizer"] * 2 + ["stated maximizer (path)"]
-    assert [w.canonical for w in rep.witnesses[:2]] == [canonical_form(t).decode("ascii") for t in (early, late)]
+    tied = [canonical_form(t).decode("ascii") for t in (early, late)]
+    assert [w.canonical for w in rep.witnesses[:2]] == tied
     assert rep.notes.endswith("; checked 23 classes")
 
 

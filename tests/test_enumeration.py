@@ -85,8 +85,8 @@ def test_extremal_table_matches_brute_force(n):
         lo, hi = min(v for v, _ in vals), max(v for v, _ in vals)
         assert (row.classes, row.jmin_lo, row.jmin_hi) == (len(vals), lo, hi)
         # tree_classes lists the classes in canonical-code order, as the table does
-        assert [canonical_form(t) for t in row.minimizers] == [canonical_form(t) for v, t in vals if v == lo]
-        assert [canonical_form(t) for t in row.maximizers] == [canonical_form(t) for v, t in vals if v == hi]
+        for got, target in ((row.minimizers, lo), (row.maximizers, hi)):
+            assert [canonical_form(t) for t in got] == [canonical_form(t) for v, t in vals if v == target]
 
 
 def test_extremal_table_cap_and_cache():
