@@ -52,7 +52,6 @@ from .trees import (
     format_edge_list,
     parse_edge_list,
     prufer_decode,
-    prufer_encode,
     rooted_canonical_form,
     v_split,
 )
@@ -63,12 +62,10 @@ from .walkstats import (
     barycenter,
     check_barycenter_equivalences,
     hitting_profile,
-    hitting_time,
     joining_all,
     joining_time,
     kemeny,
     meeting_time,
-    path_overlap,
     t_bestmeet,
     t_bestmeet_set,
     t_meet,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .enumeration import DEFAULT_CAP, extremal_table, tree_classes
+from .enumeration import DEFAULT_CAP, ENUMERATION_CEILING, extremal_table, tree_classes
 from .errors import CapExceeded, OutOfStatedRange, ParityMismatch, TreewalkError, UnknownClaim
 from .families import FORMULAS, bestmeet_dbroom_case, closed_form
 from .oracles import joining_time_by_linear_solve
@@ -262,6 +262,8 @@ def audit_proposition_barycenter(n_cap: int, cap: int = DEFAULT_CAP) -> AuditRep
         raise OutOfStatedRange(f"need n >= 3, got {n_cap}")
     if n_cap > cap:
         raise CapExceeded(f"n_cap {n_cap} above enumeration cap {cap}")
+    if n_cap > ENUMERATION_CEILING:
+        raise CapExceeded(f"n_cap {n_cap} above the enumeration ceiling {ENUMERATION_CEILING}")
     count = 0
     for n in range(3, n_cap + 1):
         for t in tree_classes(n, cap):

@@ -25,11 +25,17 @@ from .errors import CapExceeded
 from .trees import Tree, _tree_from_adjacency, canonical_form
 
 DEFAULT_CAP = 10
+# no cap reaches past this order: order 18 has 123,867 classes, which the
+# extremal table streams in about 1.5 s, and each order costs about 2.6
+# times the one before
+ENUMERATION_CEILING = 18
 
 
 def _check_order(n: int, cap: int) -> None:
     if n < 2 or n > cap:
         raise CapExceeded(f"order {n} outside 2..{cap}")
+    if n > ENUMERATION_CEILING:
+        raise CapExceeded(f"order {n} above the enumeration ceiling {ENUMERATION_CEILING}")
 
 
 def _free_level_sequences(n: int) -> Iterator[tuple[list[int], int]]:

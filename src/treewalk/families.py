@@ -186,21 +186,28 @@ def rooted_broom_depth(t: Tree, root: int) -> Optional[int]:
     """Depth r when (t, root) is a broom with the root at the far handle
     end: one vertex per depth 1..r-1 and all depth-r vertices leaves on the
     depth-(r-1) vertex (depth-1 stars and plain paths included)."""
+    r, broom = _rooted_broom(t, root)
+    return r if broom else None
+
+
+def _rooted_broom(t: Tree, root: int) -> tuple[int, bool]:
+    """The eccentricity r of root, and whether (t, root) is a broom of
+    depth r, from one BFS."""
     dist = bfs_distances(t, root)
     r = max(dist)
     if t.n == 1:
-        return 0
+        return 0, True
     by_depth: dict[int, list[int]] = {}
     for v, dv in enumerate(dist):
         by_depth.setdefault(dv, []).append(v)
     for depth in range(1, r):
         if len(by_depth.get(depth, [])) != 1:
-            return None
+            return r, False
     holder = by_depth[r - 1][0] if r >= 1 else root
     for v in by_depth.get(r, []):
         if t.degree(v) != 1 or t.adjacency[v][0] != holder:
-            return None
-    return r
+            return r, False
+    return r, True
 
 
 # ---------------------------------------------------------------------------

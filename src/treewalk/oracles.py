@@ -2,8 +2,9 @@
 
 Each oracle recomputes a quantity from a different principle than the
 walkstats implementations: exact Gaussian elimination on the first-step
-system, per-edge component counting for the edge-decomposition route, and
-plain distance sums for the barycenter. The solve is naive dense
+system, per-edge component counting for the edge-decomposition route,
+distance sums over path overlaps for single hitting times, and plain
+distance sums for the barycenter. The solve is naive dense
 elimination, independent of the fast paths, and no oracle shares code with
 them.
 """
@@ -65,6 +66,31 @@ def hitting_row_by_linear_solve(t: Tree, w: int) -> list[Fraction]:
 def hitting_matrix_by_linear_solve(t: Tree) -> list[list[Fraction]]:
     cols = [hitting_row_by_linear_solve(t, w) for w in range(t.n)]
     return [[cols[w][u] for w in range(t.n)] for u in range(t.n)]
+
+
+def path_overlap(t: Tree, u: int, v: int, w: int) -> int:
+    """Length of the intersection of the u->w and v->w paths.
+
+    Equals (d(u,w) + d(v,w) - d(u,v)) / 2, always an integer on trees.
+    """
+    du = bfs_distances(t, u)
+    dw = bfs_distances(t, w)
+    return (du[w] + dw[v] - du[v]) // 2
+
+
+def hitting_time(t: Tree, u: int, w: int) -> int:
+    """Expected steps from u to w: sum over v of overlap(u,v;w) * deg(v),
+    from two BFS distance rows. walkstats accumulates the same numbers
+    along subtree sizes instead."""
+    if u == w:
+        return 0
+    du = bfs_distances(t, u)
+    dw = bfs_distances(t, w)
+    duw = du[w]
+    total = 0
+    for v in range(t.n):
+        total += (duw + dw[v] - du[v]) * t.degree(v)
+    return total // 2
 
 
 def _edges_on_side(t: Tree, a: int, b: int) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidWalkParameters
 from .trees import Tree
-from .walkstats import hitting_time
+from .walkstats import _hits_into
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def simulate_hitting(t: Tree, u: int, w: int, walks: int, seed: int) -> WalkSamp
         stderr = math.sqrt(var / walks)
     else:
         stderr = 0.0
-    exact = Fraction(hitting_time(t, u, w))
+    exact = Fraction(_hits_into(t, w)[u])
     if stderr > 0:
         z = (float(mean) - float(exact)) / stderr
     else:

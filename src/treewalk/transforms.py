@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (
     DiameterOutOfRange,
@@ -21,11 +21,12 @@ from .errors import (
     TreewalkError,
     WrongNeighbor,
 )
-from .families import _delta_plus, is_double_broom, rooted_broom_depth
+from .families import _delta_plus, _rooted_broom, is_double_broom
 from .trees import (
     Tree,
+    _depths,
     _spine_tree,
-    bfs_distances,
+    bfs_order,
     build_tree,
     canonical_form,
     diameter_and_geodesic,
@@ -143,8 +144,8 @@ def broomify(t: Tree, z: int) -> Tree:
     """The unique maximizer of the joining time to z among trees of the same
     order and the same eccentricity of z: a broom with z at the far end of
     the handle. Returns t itself when it already has that shape."""
-    r = max(bfs_distances(t, z))
-    if rooted_broom_depth(t, z) == r:
+    r, broom = _rooted_broom(t, z)
+    if broom:
         return t
     handle = [z] + [v for v in range(t.n) if v != z][: r - 1]
     return _spine_tree(t.n, handle, [handle[-1]] * (t.n - r))
@@ -211,24 +212,20 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     return cur, trace
 
 
-def _part_geometry(t: Tree, c: int, part: set[int]) -> tuple[int, int, int]:
-    """(depth r, deepest leaf, holder of the deepest leaves) for a
-    broom-shaped branch hanging off c."""
-    dist = {c: 0}
-    frontier = [c]
-    parent = {c: c}
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in t.adjacency[u]:
-                if w in part and w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    r = max(dist[v] for v in part)
-    deepest = min(v for v in part if dist[v] == r)
-    return r, deepest, parent[deepest]
+def _branch_geometry(t: Tree, c: int) -> Callable[[set[int]], tuple[int, int, int]]:
+    """Root t at c once. The returned function gives (depth r, deepest
+    leaf, holder of the deepest leaves) for a broom-shaped branch hanging
+    off c; the path from c to any vertex of a branch stays in the branch,
+    so depths in the whole tree are depths in the branch."""
+    order, parent = bfs_order(t, c)
+    depth = _depths(order, parent)
+
+    def geometry(part: set[int]) -> tuple[int, int, int]:
+        r = max(depth[v] for v in part)
+        deepest = min(v for v in part if depth[v] == r)
+        return r, deepest, parent[deepest]
+
+    return geometry
 
 
 def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
@@ -276,11 +273,10 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     if len(parts) <= 2:
         return _finish(cur, d, trace)
 
-    def rank(i: int) -> tuple:
-        r = _part_geometry(cur, c, parts[i])[0]
-        return -_delta_plus(len(parts[i]) + 1, r), i
-
-    ranked = sorted(range(len(parts)), key=rank)
+    geometry = _branch_geometry(cur, c)
+    ranked = sorted(
+        range(len(parts)), key=lambda i: (-_delta_plus(len(parts[i]) + 1, geometry(parts[i])[0]), i)
+    )
     g1, g2 = ranked[0], ranked[1]
     donors = sorted(ranked[2:])
 
@@ -296,14 +292,14 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     # handles span the diameter they keep spanning it.
     extending = True
     while donors:
+        # every geometry read of a step is on the same cur, rooted once
+        geometry = _branch_geometry(cur, c)
         if extending:
-            r1 = _part_geometry(cur, c, parts[g1])[0]
-            r2 = _part_geometry(cur, c, parts[g2])[0]
-            extending = r1 + r2 < d
+            extending = geometry(parts[g1])[0] + geometry(parts[g2])[0] < d
         target = acceptor()
         donor = donors[0]
-        _, w, holder = _part_geometry(cur, c, parts[donor])
-        rt, deep, t_holder = _part_geometry(cur, c, parts[target])
+        _, w, holder = geometry(parts[donor])
+        rt, deep, t_holder = geometry(parts[target])
         if extending:
             attach = deep
             description = f"extend handle of branch {target} with leaf {w}"

@@ -1,9 +1,10 @@
 """Immutable trees over dense integer vertex ids.
 
 Validated construction from outside edge lists and trusted spine-and-leaves
-shapes, BFS distances, the cached rooted pass from vertex 0, diameter with
-a witness geodesic, vertex splits, Prufer encoding/decoding, and centroid-
-rooted canonical forms (equal byte codes iff the trees are isomorphic). A
+shapes, the two traversals (BFS distances and BFS order), the cached
+rooted pass from vertex 0, diameter with a witness geodesic read off that
+pass and one more BFS, vertex splits, Prufer decoding, and centroid-rooted
+canonical forms (equal byte codes iff the trees are isomorphic). A
 canonical form takes one bottom-up pass for both centroids and drops each
 code once its parent's is built, so it holds O(n) bytes at any moment.
 """
@@ -183,18 +184,26 @@ def rooted_pass(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, .
     return tuple(order), tuple(parent), tuple(size)
 
 
+def _depths(order: Sequence[int], parent: Sequence[int]) -> list[int]:
+    """Depth of every vertex, read along a BFS order and its parent array."""
+    depth = [0] * len(order)
+    for u in order[1:]:
+        depth[u] = depth[parent[u]] + 1
+    return depth
+
+
 def diameter_and_geodesic(t: Tree) -> tuple[int, list[int]]:
-    """Diameter and one witness path, found by double BFS.
+    """Diameter and one witness path, found by double BFS; the first sweep
+    is the cached rooted pass from vertex 0.
 
     Ties break toward the smallest vertex id; the returned path runs from
     its smaller endpoint to its larger one.
     """
-    dist = bfs_distances(t, 0)
-    a = dist.index(max(dist))
+    order, parent, _ = rooted_pass(t)
+    depth = _depths(order, parent)
+    a = depth.index(depth[order[-1]])
     order, parent = bfs_order(t, a)
-    depth = [0] * t.n
-    for u in order[1:]:
-        depth[u] = depth[parent[u]] + 1
+    depth = _depths(order, parent)
     d = depth[order[-1]]
     b = depth.index(d)
     path = [b]
@@ -229,28 +238,20 @@ def v_split(t: Tree, v: int) -> SplitResult:
     """
     if t.degree(v) < 2:
         raise SplitAtLeaf(f"vertex {v} has degree {t.degree(v)}; need >= 2 to split")
+    order, parent = bfs_order(t, v)
+    # every other vertex joins the part of the neighbor of v it hangs under
+    members = {w: [v] for w in t.adjacency[v]}
+    branch = [v] * t.n
+    for u in order[1:]:
+        p = parent[u]
+        branch[u] = u if p == v else branch[p]
+        members[branch[u]].append(u)
     parts = []
     for w in t.adjacency[v]:
-        comp = [v, w]
-        seen = {v, w}
-        head = 1
-        while head < len(comp):
-            u = comp[head]
-            head += 1
-            for x in t.adjacency[u]:
-                if x not in seen:
-                    seen.add(x)
-                    comp.append(x)
-        local_ids = sorted(comp)
+        local_ids = sorted(members[w])
         index = {p: i for i, p in enumerate(local_ids)}
-        adj: list[list[int]] = [[] for _ in local_ids]
-        for u in comp:
-            if u == v:
-                # only w neighbors the split vertex inside this part
-                adj[index[v]].append(index[w])
-            else:
-                for x in t.adjacency[u]:
-                    adj[index[u]].append(index[x])
+        # only w neighbors the split vertex inside this part
+        adj = [[index[x] for x in t.adjacency[u]] if u != v else [index[w]] for u in local_ids]
         part = _tree_from_adjacency(adj)
         parts.append(SplitPart(tree=part, to_parent=tuple(local_ids), center=index[v]))
     return SplitResult(center=v, parts=tuple(parts))
@@ -287,48 +288,6 @@ def prufer_decode(code: Sequence[int], n: int) -> Tree:
     adj[leaf].append(n - 1)
     adj[n - 1].append(leaf)
     return _tree_from_adjacency(adj)
-
-
-def prufer_encode(t: Tree) -> tuple[int, ...]:
-    """Inverse of prufer_decode on labeled trees."""
-    n = t.n
-    if n < 2:
-        raise EntryOutOfRange("encoding needs n >= 2")
-    deg = [t.degree(v) for v in range(n)]
-    nbrs = [list(t.adjacency[v]) for v in range(n)]
-    code = []
-    ptr = 0
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for _ in range(n - 2):
-        p = next(x for x in nbrs[leaf] if deg[x] > 0 and x != leaf)
-        code.append(p)
-        deg[leaf] = 0
-        deg[p] -= 1
-        if deg[p] == 1 and p < ptr:
-            leaf = p
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    return tuple(code)
-
-
-def _parts(t: Tree, parent: Sequence[int], size: Sequence[int], v: int) -> list[int]:
-    """Sizes of the components of t - v: one per child, plus the part
-    through the parent unless v is the root."""
-    parts = [size[w] for w in t.adjacency[v] if w != parent[v]]
-    if parent[v] >= 0:
-        parts.append(t.n - size[v])
-    return parts
-
-
-def component_sizes(t: Tree, v: int) -> list[int]:
-    """Sizes of the components of t - v, read off the rooted pass."""
-    _, parent, size = rooted_pass(t)
-    return _parts(t, parent, size, v)
 
 
 def centroids(t: Tree) -> list[int]:

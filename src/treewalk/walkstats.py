@@ -15,33 +15,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import TooFewVertices
-from .trees import Tree, bfs_distances, centroids, component_sizes, rooted_pass, subtree_sizes
-
-
-def path_overlap(t: Tree, u: int, v: int, w: int) -> int:
-    """Length of the intersection of the u->w and v->w paths.
-
-    Equals (d(u,w) + d(v,w) - d(u,v)) / 2, always an integer on trees.
-    """
-    du = bfs_distances(t, u)
-    dw = bfs_distances(t, w)
-    return (du[w] + dw[v] - du[v]) // 2
-
-def hitting_time(t: Tree, u: int, w: int) -> int:
-    """Expected steps from u to w: sum over v of overlap(u,v;w) * deg(v).
-
-    Reference implementation; hitting_profile computes the same numbers by
-    subtree accumulation and is the one to use for whole matrices.
-    """
-    if u == w:
-        return 0
-    du = bfs_distances(t, u)
-    dw = bfs_distances(t, w)
-    duw = du[w]
-    total = 0
-    for v in range(t.n):
-        total += (duw + dw[v] - du[v]) * t.degree(v)
-    return total // 2
+from .oracles import distance_argmin
+from .trees import Tree, centroids, rooted_pass, subtree_sizes
 
 
 @dataclass(frozen=True)
@@ -164,7 +139,13 @@ class BarycenterResult:
 def barycenter(t: Tree) -> BarycenterResult:
     """The centroids, each with its component sizes in descending order."""
     centers = tuple(centroids(t))
-    witnesses = tuple(tuple(sorted(component_sizes(t, c), reverse=True)) for c in centers)
+    _, parent, size = rooted_pass(t)
+
+    def parts(c: int) -> list[int]:
+        # one per neighbor of c: a child's subtree, or the rest through c's parent
+        return [t.n - size[c] if w == parent[c] else size[w] for w in t.adjacency[c]]
+
+    witnesses = tuple(tuple(sorted(parts(c), reverse=True)) for c in centers)
     return BarycenterResult(centers=centers, component_bound_witness=witnesses)
 
 
@@ -191,9 +172,7 @@ def check_barycenter_equivalences(t: Tree) -> BarycenterEquivalenceReport:
     """Evaluate all four barycenter criteria on every vertex; the report's
     `agreed` says whether the four vertex sets coincide."""
     n = t.n
-    dist_sums = [sum(bfs_distances(t, v)) for v in range(n)]
-    best_sum = min(dist_sums)
-    set_a = tuple(v for v in range(n) if dist_sums[v] == best_sum)
+    set_a = tuple(distance_argmin(t))
 
     profile = hitting_profile(t).matrix
     set_b = tuple(

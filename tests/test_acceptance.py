@@ -32,6 +32,7 @@ from treewalk.families import (
 )
 from treewalk.oracles import (
     hitting_matrix_by_linear_solve,
+    hitting_time,
     hitting_time_by_edge_decomposition,
     joining_time_by_linear_solve,
 )
@@ -50,7 +51,6 @@ from treewalk.walkstats import (
     barycenter,
     check_barycenter_equivalences,
     hitting_profile,
-    hitting_time,
     joining_all,
     joining_time,
     kemeny,

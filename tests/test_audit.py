@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from treewalk.enumeration import extremal_table, tree_classes
 from treewalk.errors import CapExceeded, UnknownClaim
 from treewalk.cli import main
 from treewalk.families import FORMULA_IDS, FORMULAS, broom_tree, path_tree
+from treewalk.oracles import hitting_time
 from treewalk.simulate import simulate_hitting
 from treewalk.trees import canonical_form, diameter_and_geodesic
 from treewalk.walkstats import BarycenterResult
@@ -236,6 +238,23 @@ def test_theorem_cell_errors(capsys, n, d, message):
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["thm-min", "--n", "22", "--d", "5"], "order 22 above the enumeration ceiling 18"),
+        (["prop-barycenter", "--n", "19"], "n_cap 19 above the enumeration ceiling 18"),
+    ],
+    ids=["thm-min", "prop-barycenter"],
+)
+def test_enumeration_ceiling_ends_in_an_error_line(capsys, argv, message):
+    # prop-barycenter must refuse before it enumerates orders 3..18
+    started = time.perf_counter()
+    assert main(["--no-timing", "audit", *argv, "--cap", "40"]) == 1
+    assert time.perf_counter() - started < 10
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_simulation_forced_step():
     s = simulate_hitting(path_tree(2), 0, 1, 100, 7)
     assert s.mean == 1 and s.stderr == 0.0 and s.z_score == 0.0
@@ -297,3 +316,8 @@ def test_simulation_exact_field():
     s = simulate_hitting(path_tree(3), 0, 2, 500, 5)
     assert s.exact == Fraction(4)
     assert abs(s.z_score) < 6
+    # a broom's hitting times are not symmetric, so the direction shows
+    b = broom_tree(5, 3)
+    for u, w in itertools.permutations(range(5), 2):
+        assert simulate_hitting(b, u, w, 2, 5).exact == hitting_time(b, u, w)
+    assert simulate_hitting(b, 1, 3, 2, 5).exact != simulate_hitting(b, 3, 1, 2, 5).exact

@@ -63,6 +63,20 @@ def test_cap_enforced():
         list(enumerate_trees(8, cap=7))
 
 
+def test_no_cap_reaches_past_the_enumeration_ceiling():
+    enumeration._check_order(enumeration.ENUMERATION_CEILING, cap=40)
+    for call in (
+        lambda: list(enumerate_trees(19, cap=40)),
+        lambda: tree_classes(19, cap=40),
+        lambda: extremal_table(22, cap=40),
+    ):
+        with pytest.raises(CapExceeded, match="above the enumeration ceiling 18"):
+            call()
+    # the cap's own error still comes first
+    with pytest.raises(CapExceeded, match="^order 19 outside 2..10$"):
+        list(enumerate_trees(19))
+
+
 def test_cache_shared_across_cap_spellings():
     assert tree_classes(9) is tree_classes(9, 10) is tree_classes(9, cap=12)
     with pytest.raises(CapExceeded):

@@ -14,6 +14,10 @@ the balanced lever's and the balanced double broom's closed forms, with
 equality only on those two shapes. The one-pass canonical forms are held,
 at the centroids and at every root, to the per-root concatenation loop
 they replaced, on trees with n <= 80 and on every class up to order 12.
+diameter_and_geodesic and v_split are held the same way to the double BFS
+and the per-neighbor seen-set loops they replaced, on trees with n <= 80
+and at every vertex of every class up to order 10. Kemeny's constant is
+held to the Wiener index: K = 2W/(n-1) - (2n-1)/2.
 """
 
 import contextlib
@@ -62,7 +66,10 @@ from treewalk.transforms import (
     move_leaf,
 )
 from treewalk.trees import (
+    SplitPart,
+    SplitResult,
     Tree,
+    _tree_from_adjacency,
     bfs_distances,
     bfs_order,
     build_tree,
@@ -74,6 +81,7 @@ from treewalk.trees import (
     path_between,
     prufer_decode,
     rooted_canonical_form,
+    v_split,
 )
 from treewalk.walkstats import (
     barycenter,
@@ -517,3 +525,93 @@ def test_explicit_canonical_examples_cover_both_centroid_counts():
 def test_canonical_forms_match_the_concatenation_loop_on_every_class(n):
     for t in enumerate_trees(n, cap=12):
         _assert_forms_match_concatenation(t)
+
+
+def _double_bfs_diameter(t: Tree) -> tuple[int, list[int]]:
+    # diameter_and_geodesic as it read with its own first BFS from vertex 0,
+    # kept verbatim as a reference
+    dist = bfs_distances(t, 0)
+    a = dist.index(max(dist))
+    order, parent = bfs_order(t, a)
+    depth = [0] * t.n
+    for u in order[1:]:
+        depth[u] = depth[parent[u]] + 1
+    d = depth[order[-1]]
+    b = depth.index(d)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return d, path if b < a else path[::-1]
+
+
+def _seen_set_v_split(t: Tree, v: int) -> SplitResult:
+    # v_split as it read with one seen-set BFS per neighbor, kept verbatim
+    # as a reference (its degree check aside)
+    parts = []
+    for w in t.adjacency[v]:
+        comp = [v, w]
+        seen = {v, w}
+        head = 1
+        while head < len(comp):
+            u = comp[head]
+            head += 1
+            for x in t.adjacency[u]:
+                if x not in seen:
+                    seen.add(x)
+                    comp.append(x)
+        local_ids = sorted(comp)
+        index = {p: i for i, p in enumerate(local_ids)}
+        adj: list[list[int]] = [[] for _ in local_ids]
+        for u in comp:
+            if u == v:
+                # only w neighbors the split vertex inside this part
+                adj[index[v]].append(index[w])
+            else:
+                for x in t.adjacency[u]:
+                    adj[index[u]].append(index[x])
+        part = _tree_from_adjacency(adj)
+        parts.append(SplitPart(tree=part, to_parent=tuple(local_ids), center=index[v]))
+    return SplitResult(center=v, parts=tuple(parts))
+
+
+def _assert_traversals_match_references(t: Tree) -> None:
+    # equality of the result tuples pins the path's orientation, the part
+    # order and every part's to_parent and center
+    assert diameter_and_geodesic(t) == _double_bfs_diameter(t), t
+    for v in range(t.n):
+        if t.degree(v) >= 2:
+            assert v_split(t, v) == _seen_set_v_split(t, v), (t, v)
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(max_n=80))
+@example(path_tree(1))
+@example(path_tree(2))
+@example(star_tree(17))
+@example(balanced_double_broom(20, 11))
+def test_traversals_match_the_replaced_loops(t):
+    _assert_traversals_match_references(t)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_traversals_match_the_replaced_loops_on_every_class(n):
+    for t in enumerate_trees(n):
+        _assert_traversals_match_references(t)
+
+
+def _assert_kemeny_is_wiener(t: Tree) -> None:
+    n = t.n
+    wiener = sum(map(sum, distances(t))) // 2
+    assert kemeny(t) == Fraction(2 * wiener, n - 1) - Fraction(2 * n - 1, 2), t
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(max_n=60))
+def test_kemeny_matches_the_wiener_index(t):
+    _assert_kemeny_is_wiener(t)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_kemeny_matches_the_wiener_index_on_every_class(n):
+    for t in enumerate_trees(n):
+        _assert_kemeny_is_wiener(t)

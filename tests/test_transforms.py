@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from treewalk import families, transforms
 from treewalk.enumeration import tree_classes
 from treewalk.errors import DiameterOutOfRange, NotALeaf, SelfAttach, WrongNeighbor
 from treewalk.families import (
@@ -89,6 +90,23 @@ def test_broomify_fixed_point():
     b = broom_tree(5, 3)
     assert broomify(b, 3) is b
     assert joining_time(b, 3) == 76
+
+
+def test_broomify_runs_one_bfs(monkeypatch):
+    roots = []
+    real = families.bfs_distances
+
+    def counted(t, root):
+        roots.append(root)
+        return real(t, root)
+
+    monkeypatch.setattr(families, "bfs_distances", counted)
+    # and wherever transforms might bind its own
+    monkeypatch.setattr(transforms, "bfs_distances", counted, raising=False)
+    for t, z in ((path_tree(4), 1), (broom_tree(5, 3), 3)):
+        roots.clear()
+        broomify(t, z)
+        assert roots == [z]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

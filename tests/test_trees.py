@@ -13,6 +13,7 @@ from treewalk.errors import (
     SplitAtLeaf,
     VertexOutOfRange,
 )
+from treewalk import trees
 from treewalk.families import balanced_double_broom, broom_tree, path_tree, star_tree
 from treewalk.trees import (
     build_tree,
@@ -22,7 +23,6 @@ from treewalk.trees import (
     format_edge_list,
     parse_edge_list,
     prufer_decode,
-    prufer_encode,
     v_split,
 )
 
@@ -90,6 +90,18 @@ def test_diameter_balanced_double_broom():
     assert d == 5 and len(geo) == 6
 
 
+def test_diameter_runs_one_bfs_on_the_rooted_pass(monkeypatch):
+    t = prufer_decode([3, 3, 7, 0, 9, 1, 1, 4], 10)
+    trees.rooted_pass(t)  # analyze and sweep have built it before they ask
+    roots = []
+    real = trees.bfs_order
+    monkeypatch.setattr(trees, "bfs_order", lambda t, root: roots.append(root) or real(t, root))
+    monkeypatch.setattr(trees, "bfs_distances", None)
+    d, geo = diameter_and_geodesic(t)
+    # the one BFS runs from the far end that the rooted pass found
+    assert len(roots) == 1 and roots[0] in (geo[0], geo[-1])
+
+
 def test_split_path_center():
     res = v_split(path_tree(3), 1)
     assert len(res.parts) == 2
@@ -151,8 +163,9 @@ def test_prufer_entry_out_of_range():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_prufer_bijection(n):
-    for code in product(range(n), repeat=n - 2):
-        assert prufer_encode(prufer_decode(code, n)) == code
+    # Cayley: the n^(n-2) codes name n^(n-2) distinct labeled trees
+    edge_sets = {frozenset(prufer_decode(code, n).edges()) for code in product(range(n), repeat=n - 2)}
+    assert len(edge_sets) == n ** (n - 2)
 
 
 def test_canonical_isomorphic_paths_equal():

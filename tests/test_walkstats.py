@@ -12,20 +12,20 @@ from treewalk.families import (
 from treewalk.oracles import (
     distance_argmin,
     hitting_matrix_by_linear_solve,
+    hitting_time,
     hitting_time_by_edge_decomposition,
     joining_time_by_definition,
+    path_overlap,
 )
 from treewalk.trees import build_tree, distances, v_split
 from treewalk.walkstats import (
     barycenter,
     check_barycenter_equivalences,
     hitting_profile,
-    hitting_time,
     joining_all,
     joining_time,
     kemeny,
     meeting_time,
-    path_overlap,
     t_bestmeet,
     t_bestmeet_set,
     t_meet,
