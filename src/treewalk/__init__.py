@@ -29,7 +29,6 @@ from .families import (
     is_double_broom,
     lever_tree,
     path_tree,
-    rooted_broom_depth,
     star_tree,
 )
 from .simulate import WalkSample, simulate_hitting

@@ -182,17 +182,11 @@ def is_double_broom(t: Tree) -> bool:
     return True
 
 
-def rooted_broom_depth(t: Tree, root: int) -> Optional[int]:
-    """Depth r when (t, root) is a broom with the root at the far handle
-    end: one vertex per depth 1..r-1 and all depth-r vertices leaves on the
-    depth-(r-1) vertex (depth-1 stars and plain paths included)."""
-    r, broom = _rooted_broom(t, root)
-    return r if broom else None
-
-
 def _rooted_broom(t: Tree, root: int) -> tuple[int, bool]:
     """The eccentricity r of root, and whether (t, root) is a broom of
-    depth r, from one BFS."""
+    depth r with the root at the far handle end, from one BFS: one vertex
+    per depth 1..r-1 and all depth-r vertices leaves on the depth-(r-1)
+    vertex (depth-1 stars and plain paths included)."""
     dist = bfs_distances(t, root)
     r = max(dist)
     if t.n == 1:

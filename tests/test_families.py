@@ -8,6 +8,7 @@ from treewalk.families import (
     FORMULA_IDS,
     FORMULAS,
     FamilySpec,
+    _rooted_broom,
     balanced_double_broom,
     balanced_lever,
     bestmeet_dbroom_case,
@@ -21,7 +22,6 @@ from treewalk.families import (
     jmin_lever_case,
     lever_tree,
     path_tree,
-    rooted_broom_depth,
     star_tree,
 )
 from treewalk.trees import canonical_form, diameter_and_geodesic
@@ -191,8 +191,8 @@ def test_is_double_broom_classification():
 
 def test_rooted_broom_depth():
     b = broom_tree(7, 4)
-    assert rooted_broom_depth(b, 4) == 4  # far handle end
-    assert rooted_broom_depth(b, 0) is None  # a bristle is not the far end
-    assert rooted_broom_depth(path_tree(5), 0) == 4
-    assert rooted_broom_depth(star_tree(5), 1) == 1
-    assert rooted_broom_depth(balanced_lever(9, 4), 0) is None
+    assert _rooted_broom(b, 4) == (4, True)  # far handle end
+    assert _rooted_broom(b, 0)[1] is False  # a bristle is not the far end
+    assert _rooted_broom(path_tree(5), 0) == (4, True)
+    assert _rooted_broom(star_tree(5), 1) == (1, True)
+    assert _rooted_broom(balanced_lever(9, 4), 0)[1] is False

@@ -17,7 +17,10 @@ they replaced, on trees with n <= 80 and on every class up to order 12.
 diameter_and_geodesic and v_split are held the same way to the double BFS
 and the per-neighbor seen-set loops they replaced, on trees with n <= 80
 and at every vertex of every class up to order 10. Kemeny's constant is
-held to the Wiener index: K = 2W/(n-1) - (2n-1)/2.
+held to the Wiener index: K = 2W/(n-1) - (2n-1)/2. parse_edge_list, numpy
+pass first, is held to the line parser on edge lists of trees with n <= 200,
+re-spaced with blanks and tabs and sometimes damaged by one edit: the same
+tree, or the same error class and message.
 """
 
 import contextlib
@@ -27,13 +30,14 @@ import json
 import os
 import random
 import tempfile
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from treewalk import cli
+from treewalk import cli, trees
 from treewalk.errors import (
     CycleDetected,
     DiameterOutOfRange,
@@ -45,6 +49,7 @@ from treewalk.errors import (
 )
 from treewalk.enumeration import enumerate_trees
 from treewalk.families import (
+    _rooted_broom,
     balanced_double_broom,
     balanced_lever,
     bestmeet_dbroom_case,
@@ -54,7 +59,6 @@ from treewalk.families import (
     is_double_broom,
     lever_tree,
     path_tree,
-    rooted_broom_depth,
     star_tree,
 )
 from treewalk.oracles import distance_argmin
@@ -78,6 +82,7 @@ from treewalk.trees import (
     diameter_and_geodesic,
     distances,
     format_edge_list,
+    parse_edge_list,
     path_between,
     prufer_decode,
     rooted_canonical_form,
@@ -265,7 +270,7 @@ def test_family_generators_match_build_tree():
 def _broomify_reference(t: Tree, z: int) -> Tree:
     """broomify as it read when it built an edge list for build_tree."""
     r = max(bfs_distances(t, z))
-    if rooted_broom_depth(t, z) == r:
+    if _rooted_broom(t, z) == (r, True):
         return t
     others = sorted(v for v in range(t.n) if v != z)
     chain = [z] + others[: r - 1]
@@ -328,9 +333,10 @@ def _seen_set_build_tree(edges, n: int) -> Tree:
     return Tree(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
-def _outcome(build, edges, n: int):
+def _outcome(fn, *args):
+    """What fn returns, or the class and message of the error it raised."""
     try:
-        return build(edges, n)
+        return fn(*args)
     except TreewalkError as e:
         return type(e), str(e)
 
@@ -615,3 +621,50 @@ def test_kemeny_matches_the_wiener_index(t):
 def test_kemeny_matches_the_wiener_index_on_every_class(n):
     for t in enumerate_trees(n):
         _assert_kemeny_is_wiener(t)
+
+
+PARSE_SETTINGS = settings(max_examples=100, deadline=timedelta(seconds=5))
+
+# one-edit damages: the CLI fuzzer's, which change the line count, and three
+# that keep it, so the numpy pass's range and connectivity checks decide
+DAMAGES = ["none", "none", "drop", "repeat", "extra", "count", "out-of-range", "rewire", "self-loop"]
+
+
+@st.composite
+def respaced_edge_lists(draw) -> tuple[Tree, str, str]:
+    """A Prufer tree with n <= 200, the damage done, and its edge list with
+    runs of spaces and tabs between ids and blank lines at the end."""
+    t = draw(prufer_trees(max_n=200))
+    lines = format_edge_list(t).splitlines()
+    damage = draw(st.sampled_from(DAMAGES))
+    edge = st.integers(1, len(lines) - 1)
+    if damage == "drop":
+        del lines[draw(edge)]
+    elif damage == "repeat":
+        lines.append(lines[draw(edge)])
+    elif damage == "extra":
+        lines.append(draw(st.sampled_from(["0 0", "1 2 3", "junk", "5 x"])))
+    elif damage == "count":
+        lines[0] = str(t.n + draw(st.sampled_from([-2, -1, 1, 2])))
+    elif damage == "out-of-range":
+        lines[draw(edge)] = f"0 {t.n + draw(st.integers(0, 2))}"
+    elif damage == "rewire":
+        # one edge line copied over another, unless both draws agree: the
+        # copy repeats an edge and the lost edge splits the tree in two
+        lines[draw(edge)] = lines[draw(edge)]
+    elif damage == "self-loop":
+        v = draw(st.integers(0, t.n - 1))
+        lines[draw(edge)] = f"{v} {v}"
+    rng = draw(st.randoms(use_true_random=True))
+    lines = ["".join(rng.choices(" \t", k=rng.randint(1, 3))).join(line.split(" ")) for line in lines]
+    lines += draw(st.lists(st.text(" \t", max_size=2), max_size=2))
+    return t, damage, "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@PARSE_SETTINGS
+@given(respaced_edge_lists())
+def test_numpy_parse_matches_the_line_parser(case):
+    t, damage, text = case
+    assert _outcome(parse_edge_list, text) == _outcome(trees._parse_lines, text)
+    if damage == "none":
+        assert trees._parse_well_formed(text) == t

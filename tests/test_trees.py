@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import permutations, product
 
@@ -11,6 +12,7 @@ from treewalk.errors import (
     ParseError,
     SelfLoop,
     SplitAtLeaf,
+    TreewalkError,
     VertexOutOfRange,
 )
 from treewalk import trees
@@ -239,3 +241,64 @@ def test_parse_rejects_extra_lines():
     with pytest.raises(ParseError) as err:
         parse_edge_list("2\n0 1\n0 1\n")
     assert err.value.line == 3
+
+
+def _outcome(parse, text: str):
+    """The tree a parser returns, or the class and message it raised."""
+    try:
+        return parse(text)
+    except TreewalkError as e:
+        return type(e), str(e)
+
+
+# text -> whether the numpy pass reads it; every other text is left to the
+# line parser, which must give the same tree or error either way
+PARSE_CORPUS = {
+    "plus-sign-id": ("3\n+1 0\n1 +2\n", False),
+    "plus-sign-count": ("+2\n0 1\n", False),
+    "underscore-id": ("11\n" + "".join(f"{i} {i + 1}\n" for i in range(9)) + "9 1_0\n", False),
+    "underscore-out-of-range": ("2\n0 1_0\n", False),
+    "leading-zeros": ("8\n" + "".join(f"{i} {i + 1:03d}\n" for i in range(7)), True),
+    "leading-zeros-count": ("003\n0 1\n1 2\n", True),
+    "arabic-indic-digits": ("\u0663\n\u0660 \u0661\n\u0661 \u0662\n", False),
+    "nbsp-separator": ("3\n0\u00a01\n1 2\n", False),
+    "tab-separators": ("3\n0\t1\n1 \t\t2\n", True),
+    "no-final-newline": ("3\n0 1\n1 2", True),
+    "trailing-blank-lines": ("3\n0 1\n1 2\n\n \t\n", True),
+    "crlf": ("3\r\n0 1\r\n1 2\r\n", False),
+    "one-vertex": ("1\n", True),
+    "huge-count": (f"{10**20}\n0 1\n", False),
+    "huge-id": (f"2\n0 {10**20}\n", False),
+    "count-past-the-file": ("1000000000000\n0 1\n", False),
+    "edge-past-the-count": ("3\n0 1\n1 2\n0 2\n", False),
+    "out-of-range": ("3\n0 1\n1 3\n", False),
+    "self-loop": ("3\n0 1\n2 2\n", False),
+    "repeated-edge": ("3\n0 1\n1 0\n", False),
+    "cycle": ("4\n0 1\n1 2\n2 0\n", False),
+}
+
+
+@pytest.mark.parametrize("text, fast", PARSE_CORPUS.values(), ids=PARSE_CORPUS)
+def test_parse_routes_agree_on_the_corpus(text, fast):
+    # no text may allocate anything of size n: "1000000000000\n0 1\n" must
+    # end at its second edge line, before any array of 10**12 entries
+    tracemalloc.start()
+    try:
+        got = _outcome(parse_edge_list, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert got == _outcome(trees._parse_lines, text)
+    assert (trees._parse_well_formed(text) is not None) == fast
+
+
+def test_numpy_pass_reads_well_formed_lists():
+    rng = random.Random(12)
+    n = 10_000
+    t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+    assert trees._parse_well_formed(format_edge_list(t)) == t
+    # the layout perfbench writes: edges in any order, either way round
+    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in t.edges()]
+    rng.shuffle(edges)
+    assert trees._parse_well_formed(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)) == t
