@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import audit as audit_mod
 from .enumeration import DEFAULT_CAP, tree_classes
-from .errors import TreewalkError, UnknownClaim
+from .errors import TreewalkError
 from .families import (
     FORMULAS,
     FamilySpec,
@@ -199,9 +199,7 @@ _FAMILY_FLAG = {
 
 
 def _gen_tree(args: argparse.Namespace) -> tuple[Tree, FamilySpec]:
-    family = _FAMILY_FLAG.get(args.family)
-    if family is None:
-        raise TreewalkError(f"unknown family {args.family!r}")
+    family = _FAMILY_FLAG[args.family]
     n = args.n
     if family not in ("path", "star") and args.d is None:
         raise TreewalkError(f"family {args.family!r} needs --d")
@@ -277,44 +275,33 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    """Each claim reads its own flags, then runs; the audit functions are
+    looked up on the module at call time, so a rebound one is seen."""
     started = time.time()
-    claim = args.claim
-    if claim == "thm-min":
-        report = audit_mod.audit_theorem_min(args.n_single, args.d_single, cap=args.cap)
-    elif claim == "thm-max":
-        report = audit_mod.audit_theorem_max(args.n_single, args.d_single, cap=args.cap)
-    elif claim == "thm-global":
-        report = audit_mod.audit_theorem_global(args.n_single, cap=args.cap)
-    elif claim == "prop-barycenter":
-        report = audit_mod.audit_proposition_barycenter(args.n_single, cap=args.cap)
-    elif claim == "formula":
-        n_lo, n_hi = _parse_range(args.n_range, "--n")
-        d_lo = d_hi = None
-        if args.d_range:
-            d_lo, d_hi = _parse_range(args.d_range, "--d")
-        report = audit_mod.audit_formula(args.formula_id, n_lo, n_hi, d_lo, d_hi)
-    else:
-        raise UnknownClaim(f"unknown claim {claim!r}")
-    digest = _digest(json.dumps(report.params, sort_keys=True))
-    _emit(_envelope(args, report.as_dict(), digest, started))
-    return 0 if report.status == audit_mod.VERIFIED else 2
-
-
-def _audit_args(args: argparse.Namespace) -> None:
     claim = args.claim
     if claim in ("thm-min", "thm-max"):
         if args.n is None or args.d is None:
             raise TreewalkError(f"{claim} needs --n and --d")
-        args.n_single, args.d_single = _int(args.n, "--n"), _int(args.d, "--d")
+        n, d = _int(args.n, "--n"), _int(args.d, "--d")
+        run = audit_mod.audit_theorem_min if claim == "thm-min" else audit_mod.audit_theorem_max
+        report = run(n, d, cap=args.cap)
     elif claim in ("thm-global", "prop-barycenter"):
         if args.n is None:
             raise TreewalkError(f"{claim} needs --n")
-        args.n_single = _int(args.n, "--n")
-    elif claim == "formula":
+        n = _int(args.n, "--n")
+        if claim == "thm-global":
+            report = audit_mod.audit_theorem_global(n, cap=args.cap)
+        else:
+            report = audit_mod.audit_proposition_barycenter(n, cap=args.cap)
+    else:
         if args.formula_id is None or args.n is None:
             raise TreewalkError("formula audits need a formula id and --n range")
-        args.n_range = args.n
-        args.d_range = args.d
+        n_lo, n_hi = _parse_range(args.n, "--n")
+        d_lo, d_hi = _parse_range(args.d, "--d") if args.d else (None, None)
+        report = audit_mod.audit_formula(args.formula_id, n_lo, n_hi, d_lo, d_hi)
+    digest = _digest(json.dumps(report.params, sort_keys=True))
+    _emit(_envelope(args, report.as_dict(), digest, started))
+    return 0 if report.status == audit_mod.VERIFIED else 2
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +475,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1 if e.code not in (0, None) else 0
     args.command_echo = ["treewalk"] + argv
     try:
-        if args.command == "audit":
-            _audit_args(args)
         return args.func(args)
-    except TreewalkError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (TreewalkError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

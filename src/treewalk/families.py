@@ -131,10 +131,6 @@ def balanced_clusters(n: int, d: int) -> tuple[int, int]:
 
 def balanced_double_broom(n: int, d: int) -> Tree:
     """Double broom whose end clusters differ in size by at most one."""
-    if not 2 <= d <= n - 1:
-        raise InvalidFamilyParameters(
-            f"double broom needs 2 <= d <= n-1, got n={n}, d={d}"
-        )
     return double_broom_tree(n, d, *balanced_clusters(n, d))
 
 
@@ -154,54 +150,30 @@ def generate(spec: FamilySpec) -> Tree:
 
 
 def is_double_broom(t: Tree) -> bool:
-    """True when every vertex lies on a central path whose two end vertices
-    carry all the leaves (paths, stars and brooms all qualify)."""
-    n = t.n
-    if n <= 3:
-        return True
-    internal = [v for v in range(n) if t.degree(v) >= 2]
-    ends = [v for v in internal if sum(1 for w in t.adjacency[v] if t.degree(w) >= 2) <= 1]
-    if len(internal) == 1:
-        spine_ends = (internal[0], internal[0])
-    else:
-        # internal vertices must form a path: all of them of internal-degree
-        # <= 2 and exactly two of internal-degree <= 1
-        if len(ends) != 2:
-            return False
-        for v in internal:
-            if sum(1 for w in t.adjacency[v] if t.degree(w) >= 2) > 2:
-                return False
-        # connectivity of the internal set follows from t being a tree when
-        # leaves only hang off the two spine ends, checked below
-        spine_ends = (ends[0], ends[1])
-    for v in range(n):
-        if t.degree(v) == 1:
-            attach = t.adjacency[v][0]
-            if attach not in spine_ends:
+    """True when the non-leaf vertices form a path whose leaves all hang off
+    its two ends (paths, stars and brooms all qualify): no non-leaf vertex
+    has more than two non-leaf neighbors, and none with exactly two has a
+    leaf."""
+    deg = [len(nbrs) for nbrs in t.adjacency]
+    for v, nbrs in enumerate(t.adjacency):
+        if deg[v] >= 2:
+            inner = sum(1 for w in nbrs if deg[w] >= 2)
+            if inner > 2 or (inner == 2 and deg[v] > 2):
                 return False
     return True
 
 
 def _rooted_broom(t: Tree, root: int) -> tuple[int, bool]:
     """The eccentricity r of root, and whether (t, root) is a broom of
-    depth r with the root at the far handle end, from one BFS: one vertex
-    per depth 1..r-1 and all depth-r vertices leaves on the depth-(r-1)
-    vertex (depth-1 stars and plain paths included)."""
+    depth r with the root at the far handle end, from one BFS: exactly one
+    vertex at each depth 1..r-1 (depth-1 stars and plain paths included).
+    The depth-r vertices are then leaves on the one depth-(r-1) vertex."""
     dist = bfs_distances(t, root)
     r = max(dist)
-    if t.n == 1:
-        return 0, True
-    by_depth: dict[int, list[int]] = {}
-    for v, dv in enumerate(dist):
-        by_depth.setdefault(dv, []).append(v)
-    for depth in range(1, r):
-        if len(by_depth.get(depth, [])) != 1:
-            return r, False
-    holder = by_depth[r - 1][0] if r >= 1 else root
-    for v in by_depth.get(r, []):
-        if t.degree(v) != 1 or t.adjacency[v][0] != holder:
-            return r, False
-    return r, True
+    width = [0] * (r + 1)
+    for dv in dist:
+        width[dv] += 1
+    return r, all(w == 1 for w in width[1:r])
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,12 @@ from .trees import (
     bfs_order,
     build_tree,
     canonical_form,
+    centroids,
     diameter_and_geodesic,
     path_between,
     v_split,
 )
-from .walkstats import barycenter, hitting_profile, joining_all, joining_time
+from .walkstats import hitting_profile, joining_all, joining_time
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     # phase one: every leaf beside the barycenter
     guard = 0
     while True:
-        c = min(barycenter(cur).centers)
+        c = min(centroids(cur))
         z = _moveable_leaf(cur, c, ends)
         if z is None:
             break
@@ -191,7 +192,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
         if guard > 4 * n:
             raise TreewalkError("leaf relocation failed to converge")
 
-    c = min(barycenter(cur).centers)
+    c = min(centroids(cur))
     if c not in geo_set:
         # phase two: collapse the off-geodesic branch onto its attachment
         attach = next(v for v in path_between(cur, c, ends[0]) if v in geo_set)
@@ -203,8 +204,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
 
     # phase three: recenter the fulcrum
     k = geo.index(c)
-    central = {d // 2} if d % 2 == 0 else {(d - 1) // 2, (d + 1) // 2}
-    if n > d + 1 and k not in central:
+    if n > d + 1 and abs(2 * k - d) > 1:
         target = geo[d // 2]
         cur = _spine_tree(n, geo, [target] * (n - d - 1))
         trace.append(f"recenter fulcrum from {c} to {target}", cur, _jmin(cur))
@@ -246,7 +246,7 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     if is_double_broom(t):
         return t, trace
     cur = t
-    c = min(barycenter(cur).centers)
+    c = min(centroids(cur))
 
     # phase one: broomify every branch at c, keeping vertex sets in place;
     # each branch is tracked as the vertex set of its component (c excluded)
@@ -327,7 +327,7 @@ def _swap_edge(t: Tree, w: int, old: int, new: int) -> Tree:
 
 
 def _assert_barycenter(t: Tree, c: int) -> None:
-    if c not in barycenter(t).centers:
+    if c not in centroids(t):
         raise TreewalkError(f"vertex {c} stopped being a barycenter mid-pipeline")
 
 

@@ -52,20 +52,11 @@ class Tree:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in self.adjacency[u]:
                 if u < v:
                     yield (u, v)
-
-    def is_leaf(self, v: int) -> bool:
-        return len(self.adjacency[v]) == 1
 
     def __repr__(self) -> str:
         return f"Tree(n={self.n}, edges={list(self.edges())})"

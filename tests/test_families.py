@@ -179,6 +179,14 @@ def test_generator_formula_agreement_spot():
             assert js[d] == max(js) == closed_form("jmax_broom", n, d)
 
 
+@pytest.mark.parametrize("n, d", [(7, 1), (7, 7)])
+def test_balanced_double_broom_rejects_a_diameter_outside_the_range(n, d):
+    # the message comes from FamilySpec.validate, the one check on this route
+    with pytest.raises(InvalidFamilyParameters) as err:
+        balanced_double_broom(n, d)
+    assert str(err.value) == f"double broom needs 2 <= d <= n-1, got n={n}, d={d}"
+
+
 def test_is_double_broom_classification():
     assert is_double_broom(path_tree(2))
     assert is_double_broom(path_tree(7))

@@ -9,20 +9,28 @@ behaviour keeps every digest; a failing case names its group.
 `simulate` is left out: its standard error is a float whose digits follow
 the variance formula, not the walks.
 
+The benchmark in `perfbench/` reaches treewalk by name, so the names it
+reads are pinned here too: a renamed function fails this suite, not only
+the benchmark's own selftest.
+
     python tests/test_golden.py    # print the current digests
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import os
 import random
 import tempfile
+from pathlib import Path
 
 import pytest
 
+import treewalk
 from treewalk.cli import main
 from treewalk.errors import TreewalkError
 from treewalk.families import FORMULA_IDS
@@ -142,6 +150,35 @@ DIGESTS = {
 @pytest.mark.parametrize("group", sorted(DIGESTS))
 def test_golden_digest(group):
     assert _digest(group) == DIGESTS[group], f"output of group {group!r} changed"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_source(name: str) -> ast.Module:
+    # read, never run: the benchmark's modules stay out of the suite's process
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def test_benchmark_names_resolve():
+    # every (module, function) the traced run wraps is a callable
+    targets = next(
+        node.value
+        for node in ast.walk(_perfbench_source("tracing.py"))
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS"
+    )
+    pairs = [tuple(ast.literal_eval(e) for e in row.elts[:2]) for row in targets.elts]
+    assert ("treewalk.transforms", "maximize_pipeline") in pairs
+    for module, name in pairs:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+    # every tw.<name> the worker reads is on the package
+    names = {
+        node.attr
+        for node in ast.walk(_perfbench_source("worker.py"))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "tw"
+    }
+    assert "is_double_broom" in names
+    assert [name for name in sorted(names) if not hasattr(treewalk, name)] == []
 
 
 if __name__ == "__main__":

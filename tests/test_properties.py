@@ -20,7 +20,10 @@ and at every vertex of every class up to order 10. Kemeny's constant is
 held to the Wiener index: K = 2W/(n-1) - (2n-1)/2. parse_edge_list, numpy
 pass first, is held to the line parser on edge lists of trees with n <= 200,
 re-spaced with blanks and tabs and sometimes damaged by one edit: the same
-tree, or the same error class and message.
+tree, or the same error class and message. is_double_broom and
+_rooted_broom, read off their definitions, are held to the spine and
+by-depth bookkeeping they replaced, on trees with n <= 120 and on every
+class up to order 12, each also relabeled at random, at every root.
 """
 
 import contextlib
@@ -284,6 +287,80 @@ def test_broomify_matches_build_tree_at_every_root(t):
     for z in range(t.n):
         out = broomify(t, z)
         assert out == _broomify_reference(t, z) == build_tree(list(out.edges()), t.n)
+
+
+def _is_double_broom_by_spine(t: Tree) -> bool:
+    # is_double_broom as it read with path, end and leaf-attachment
+    # bookkeeping, kept verbatim as a reference
+    n = t.n
+    if n <= 3:
+        return True
+    internal = [v for v in range(n) if t.degree(v) >= 2]
+    ends = [v for v in internal if sum(1 for w in t.adjacency[v] if t.degree(w) >= 2) <= 1]
+    if len(internal) == 1:
+        spine_ends = (internal[0], internal[0])
+    else:
+        if len(ends) != 2:
+            return False
+        for v in internal:
+            if sum(1 for w in t.adjacency[v] if t.degree(w) >= 2) > 2:
+                return False
+        spine_ends = (ends[0], ends[1])
+    for v in range(n):
+        if t.degree(v) == 1:
+            attach = t.adjacency[v][0]
+            if attach not in spine_ends:
+                return False
+    return True
+
+
+def _rooted_broom_by_holder(t: Tree, root: int) -> tuple[int, bool]:
+    # _rooted_broom as it read with a by-depth dict and a check that every
+    # deepest vertex is a leaf on the one depth-(r-1) vertex, kept verbatim
+    dist = bfs_distances(t, root)
+    r = max(dist)
+    if t.n == 1:
+        return 0, True
+    by_depth: dict[int, list[int]] = {}
+    for v, dv in enumerate(dist):
+        by_depth.setdefault(dv, []).append(v)
+    for depth in range(1, r):
+        if len(by_depth.get(depth, [])) != 1:
+            return r, False
+    holder = by_depth[r - 1][0] if r >= 1 else root
+    for v in by_depth.get(r, []):
+        if t.degree(v) != 1 or t.adjacency[v][0] != holder:
+            return r, False
+    return r, True
+
+
+def _assert_broom_predicates_match_references(t: Tree) -> None:
+    assert is_double_broom(t) == _is_double_broom_by_spine(t), t
+    for root in range(t.n):
+        assert _rooted_broom(t, root) == _rooted_broom_by_holder(t, root), (t, root)
+
+
+def _relabeled(t: Tree, rng: random.Random) -> Tree:
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return build_tree([(perm[u], perm[v]) for u, v in t.edges()], t.n)
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(max_n=120))
+@example(path_tree(1))
+@example(balanced_lever(9, 5))
+def test_broom_predicates_match_the_replaced_loops(t):
+    _assert_broom_predicates_match_references(t)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_broom_predicates_match_the_replaced_loops_on_every_class(n):
+    rng = random.Random(n)
+    classes = [path_tree(1)] if n == 1 else enumerate_trees(n, cap=12)
+    for t in classes:
+        _assert_broom_predicates_match_references(t)
+        _assert_broom_predicates_match_references(_relabeled(t, rng))
 
 
 @PROPERTY_SETTINGS
