@@ -300,11 +300,15 @@ def _is_double_broom_by_spine(t: Tree) -> bool:
     if len(internal) == 1:
         spine_ends = (internal[0], internal[0])
     else:
+        # internal vertices must form a path: all of them of internal-degree
+        # <= 2 and exactly two of internal-degree <= 1
         if len(ends) != 2:
             return False
         for v in internal:
             if sum(1 for w in t.adjacency[v] if t.degree(w) >= 2) > 2:
                 return False
+        # connectivity of the internal set follows from t being a tree when
+        # leaves only hang off the two spine ends, checked below
         spine_ends = (ends[0], ends[1])
     for v in range(n):
         if t.degree(v) == 1:
