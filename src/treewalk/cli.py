@@ -479,6 +479,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (TreewalkError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: ran out of memory", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

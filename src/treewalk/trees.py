@@ -107,17 +107,26 @@ def build_tree(edges: Sequence[tuple[int, int]], n: int) -> Tree:
 
 def _spine_tree(n: int, spine: Sequence[int], hubs: Sequence[int]) -> Tree:
     """The path through `spine` with every other vertex of 0..n-1, in id
-    order, pendant at the matching entry of `hubs`. A tree by construction,
-    so nothing is validated; internal use."""
-    adj: list[list[int]] = [[] for _ in range(n)]
+    order, pendant at the matching entry of `hubs` (each a spine vertex).
+    A tree by construction, so nothing is validated; internal use.
+
+    Each neighbor tuple is built once: a leaf's is `(hub,)`, and only the
+    spine vertices' lists are sorted, since a spine may come in any id
+    order."""
+    adj: list = [None] * n
+    for v in spine:
+        adj[v] = []
     for u, v in zip(spine, spine[1:]):
         adj[u].append(v)
         adj[v].append(u)
-    on_spine = set(spine)
-    for x, hub in zip((x for x in range(n) if x not in on_spine), hubs, strict=True):
+    for x, hub in zip([x for x in range(n) if adj[x] is None], hubs, strict=True):
         adj[hub].append(x)
-        adj[x].append(hub)
-    return _tree_from_adjacency(adj)
+        adj[x] = (hub,)
+    for v in spine:
+        nbrs = adj[v]
+        nbrs.sort()
+        adj[v] = tuple(nbrs)
+    return Tree(n, tuple(adj))
 
 
 def bfs_distances(t: Tree, src: int) -> list[int]:

@@ -3,8 +3,10 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -419,6 +421,27 @@ def test_simulate_bad_input_is_usage_error(p3_file, flags, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_order_too_large_to_build_is_an_error_line():
+    # the child alone runs under an address-space cap, so the billion-vertex
+    # path fails to allocate at once instead of filling the machine's memory
+    def cap_memory():
+        limit = 1_500_000 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(treewalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "treewalk.cli", "--no-timing", "gen", "--family", "path", "--n", "1000000000"],
+        capture_output=True, text=True, timeout=10, env=env, preexec_fn=cap_memory,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: ran out of memory\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_subcommand_usage(capsys):

@@ -40,7 +40,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from treewalk import cli, trees
+from treewalk import cli, families, trees
 from treewalk.errors import (
     CycleDetected,
     DiameterOutOfRange,
@@ -52,6 +52,7 @@ from treewalk.errors import (
 )
 from treewalk.enumeration import enumerate_trees
 from treewalk.families import (
+    FORMULAS,
     _rooted_broom,
     balanced_double_broom,
     balanced_lever,
@@ -64,7 +65,7 @@ from treewalk.families import (
     path_tree,
     star_tree,
 )
-from treewalk.oracles import distance_argmin
+from treewalk.oracles import distance_argmin, joining_time_by_definition
 from treewalk.transforms import (
     _swap_edge,
     broomify,
@@ -120,6 +121,28 @@ def _reference(t: Tree) -> list[int]:
 @given(prufer_trees())
 def test_joining_all_matches_single_target(t):
     assert joining_all(t) == _reference(t)
+
+
+def _assert_joining_time_matches_definition(t: Tree) -> None:
+    # joining_time is the ground truth of the ledger's broom rows, so it is
+    # pinned at every vertex to the rerooted pass and to the oracle
+    js = joining_all(t)
+    for w in range(t.n):
+        assert joining_time(t, w) == js[w] == joining_time_by_definition(t, w), (t, w)
+
+
+# the oracle walks every u..w path and counts each crossed edge's side, so
+# a tree costs O(n^3) or more: fewer draws than the other properties
+@settings(max_examples=50, deadline=None)
+@given(prufer_trees())
+def test_joining_time_matches_the_definition_at_every_vertex(t):
+    _assert_joining_time_matches_definition(t)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_joining_time_matches_the_definition_at_every_vertex_of_every_class(n):
+    for t in [path_tree(1)] if n == 1 else enumerate_trees(n):
+        _assert_joining_time_matches_definition(t)
 
 
 @PROPERTY_SETTINGS
@@ -268,6 +291,59 @@ def test_family_generators_match_build_tree():
         assert t == build_tree(edges, t.n) == build_tree(list(t.edges()), t.n)
         count += 1
     assert count == 8613
+
+
+def _spine_tree_by_lists(n: int, spine, hubs) -> Tree:
+    # trees._spine_tree as it read with a list for every vertex, each sorted
+    # by _tree_from_adjacency, kept verbatim as a reference
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(spine, spine[1:]):
+        adj[u].append(v)
+        adj[v].append(u)
+    on_spine = set(spine)
+    for x, hub in zip((x for x in range(n) if x not in on_spine), hubs, strict=True):
+        adj[hub].append(x)
+        adj[x].append(hub)
+    return _tree_from_adjacency(adj)
+
+
+@st.composite
+def spine_shapes(draw) -> tuple[int, list[int], list[int]]:
+    """n <= 80, a spine in arbitrary id order, and hubs drawn from it."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    order = draw(st.permutations(range(n)))
+    spine = order[: draw(st.integers(min_value=1, max_value=n))]
+    hubs = draw(st.lists(st.sampled_from(spine), min_size=n - len(spine), max_size=n - len(spine)))
+    return n, spine, hubs
+
+
+@PROPERTY_SETTINGS
+@given(spine_shapes())
+@example((1, [0], []))
+@example((2, [1, 0], []))
+@example((2, [1], [1]))
+def test_spine_tree_matches_the_replaced_builder(case):
+    n, spine, hubs = case
+    t = trees._spine_tree(n, spine, hubs)
+    assert t == _spine_tree_by_lists(n, spine, hubs) == build_tree(list(t.edges()), n)
+    for wrong in (hubs + spine[:1], hubs[:-1]) if hubs else (spine[:1],):
+        with pytest.raises(ValueError):
+            trees._spine_tree(n, spine, wrong)
+        with pytest.raises(ValueError):
+            _spine_tree_by_lists(n, spine, wrong)
+
+
+def test_formula_witnesses_match_the_replaced_builder(monkeypatch):
+    cases = [
+        (row.witness, n, d)
+        for row in FORMULAS.values()
+        for n in range(1, 21)
+        for d in (range(n + 1) if row.needs_d else [None])
+    ]
+    built = [_outcome(witness, n, d) for witness, n, d in cases]
+    monkeypatch.setattr(families, "_spine_tree", _spine_tree_by_lists)
+    assert [_outcome(witness, n, d) for witness, n, d in cases] == built
+    assert sum(isinstance(t, Tree) for t in built) == 3051
 
 
 def _broomify_reference(t: Tree, z: int) -> Tree:
