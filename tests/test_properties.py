@@ -24,6 +24,11 @@ tree, or the same error class and message. is_double_broom and
 _rooted_broom, read off their definitions, are held to the spine and
 by-depth bookkeeping they replaced, on trees with n <= 120 and on every
 class up to order 12, each also relabeled at random, at every root.
+The one-pass _spine_tree is held to the list-per-vertex builder it
+replaced, on random spines and hubs with n <= 80 and on every formula
+witness with n <= 20. The single-target joining_time, the ground truth of
+the ledger's broom rows, is held at every vertex to joining_all and to the
+definition oracle, on trees with n <= 60 and on every class up to order 9.
 """
 
 import contextlib
