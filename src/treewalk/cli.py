@@ -205,20 +205,12 @@ def _gen_tree(args: argparse.Namespace) -> tuple[Tree, FamilySpec]:
         raise TreewalkError(f"family {args.family!r} needs --d")
     if args.family == "balanced-lever":
         return balanced_lever(n, args.d), FamilySpec("lever", n, args.d, k=balanced_fulcrum(args.d))
+    d = {"path": n - 1, "star": 2}.get(family, args.d)
     if args.family == "balanced-double-broom":
-        left, right = balanced_clusters(n, args.d)
-        spec = FamilySpec("double_broom", n, args.d, left_leaves=left, right_leaves=right)
-        return balanced_double_broom(n, args.d), spec
-    if family == "path":
-        spec = FamilySpec("path", n, n - 1)
-    elif family == "star":
-        spec = FamilySpec("star", n, 2)
-    elif family == "lever":
-        spec = FamilySpec("lever", n, args.d, k=args.k)
-    elif family == "broom":
-        spec = FamilySpec("broom", n, args.d)
+        left, right = balanced_clusters(n, d)
     else:
-        spec = FamilySpec("double_broom", n, args.d, left_leaves=args.left, right_leaves=args.right)
+        left, right = args.left, args.right
+    spec = FamilySpec(family, n, d, k=args.k, left_leaves=left, right_leaves=right)
     return generate(spec), spec
 
 

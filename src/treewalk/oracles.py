@@ -5,15 +5,17 @@ walkstats implementations: exact Gaussian elimination on the first-step
 system, per-edge component counting for the edge-decomposition route,
 distance sums over path overlaps for single hitting times, and plain
 distance sums for the barycenter. The solve is naive dense
-elimination, independent of the fast paths, and no oracle shares code with
-them.
+elimination, independent of the fast paths. The only traversal the
+oracles import is `trees.bfs_distances`, which no fast statistic calls:
+those rest on `trees.bfs_order`. Outside this module only
+`families._rooted_broom`, which no oracle checks, reads `bfs_distances`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .trees import Tree, bfs_distances, path_between
+from .trees import Tree, bfs_distances
 
 
 def _first_step_solve(t: Tree, w: int) -> tuple[list[int], int]:
@@ -111,11 +113,15 @@ def _edges_on_side(t: Tree, a: int, b: int) -> int:
 
 def hitting_time_by_edge_decomposition(t: Tree, u: int, w: int) -> int:
     """Sum per-edge costs 2*m_a + 1 along the u..w path, where m_a counts
-    the edges on a's side of the edge being crossed."""
+    the edges on a's side of the edge being crossed. The path runs downhill
+    in the distances to w: each step goes to the one neighbor nearer w."""
+    dist = bfs_distances(t, w)
     total = 0
-    path = path_between(t, u, w)
-    for a, b in zip(path, path[1:]):
+    a = u
+    while a != w:
+        b = next(x for x in t.adjacency[a] if dist[x] < dist[a])
         total += 2 * _edges_on_side(t, a, b) + 1
+        a = b
     return total
 
 

@@ -11,7 +11,7 @@ monotone step by step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .errors import (
@@ -34,7 +34,7 @@ from .trees import (
     path_between,
     v_split,
 )
-from .walkstats import hitting_profile, joining_all, joining_time
+from .walkstats import _hits_into, joining_all, joining_time
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,10 @@ class TransformTrace:
         )
 
     def to_json_lines(self) -> str:
-        lines = []
-        for i, s in enumerate(self.steps):
-            lines.append(
-                json.dumps(
-                    {
-                        "step": i,
-                        "description": s.description,
-                        "value": s.value,
-                        "canonical": s.canonical.decode("ascii"),
-                        "allow_equal": s.allow_equal,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            json.dumps({**asdict(s), "step": i, "canonical": s.canonical.decode("ascii")}, sort_keys=True)
+            for i, s in enumerate(self.steps)
+        )
 
 
 def _jmin(t: Tree) -> int:
@@ -126,13 +115,10 @@ def move_leaf(t: Tree, z: int, y: int, x: int, check: bool = False) -> Tree:
         return t
     out = _swap_edge(t, z, y, x)
     if check:
-        before = hitting_profile(t).matrix
-        after = hitting_profile(out).matrix
+        before, after = _hits_into(t, x), _hits_into(out, x)
         for v in range(t.n):
-            if after[v][x] > before[v][x]:
-                raise TreewalkError(
-                    f"hitting time into {x} grew at {v}: {before[v][x]} -> {after[v][x]}"
-                )
+            if after[v] > before[v]:
+                raise TreewalkError(f"hitting time into {x} grew at {v}: {before[v]} -> {after[v]}")
         if joining_time(out, x) >= joining_time(t, x):
             raise TreewalkError(
                 f"joining time to {x} did not drop: "

@@ -3,9 +3,10 @@
 Validated construction from outside edge lists and trusted spine-and-leaves
 shapes. An edge-list text of the strict shape (a count line, then lines of
 two ASCII-digit ids, then blank lines) is read in one numpy pass that
-checks the id range and connectivity; any other text, and any strict text
-that fails a check, goes to the line parser and `build_tree`, whose errors
-name the line or edge at fault.
+checks the id range, and the cached rooted pass from vertex 0 proves its
+n-1 edges reach all n vertices; any other text, and any strict text that
+fails a check, goes to the line parser and `build_tree`, whose errors name
+the line or edge at fault.
 
 Then the two traversals (BFS distances and BFS order), the cached rooted
 pass from vertex 0, diameter with a witness geodesic read off that pass
@@ -21,7 +22,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     CycleDetected,
@@ -33,9 +34,6 @@ from .errors import (
     SplitAtLeaf,
     VertexOutOfRange,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -375,9 +373,10 @@ def parse_edge_list(text: str) -> Tree:
     """Parse the edge-list text format: first line n, then n-1 lines "u v".
 
     A strictly shaped text that describes a tree is read in one numpy pass
-    (`_parse_well_formed`). Any other text goes through the line-by-line
-    parser and `build_tree` (`_parse_lines`), which name the offending line
-    or edge in the error they raise.
+    (`_parse_well_formed`), which leaves the tree's rooted pass cached. Any
+    other text goes through the line-by-line parser and `build_tree`
+    (`_parse_lines`), which name the offending line or edge in the error
+    they raise.
     """
     t = _parse_well_formed(text)
     return t if t is not None else _parse_lines(text)
@@ -408,8 +407,9 @@ def _parse_well_formed(text: str) -> Optional[Tree]:
 
     Nothing of size n is allocated before the token count is checked to be
     2(n-1) + 1. n-1 edges that join n vertices form a tree: none can be a
-    self-loop, a repeat or close a cycle. So the range and connectivity are
-    all it checks.
+    self-loop, a repeat or close a cycle. So it checks the id range, builds
+    the adjacency, and keeps it only if the rooted pass from vertex 0
+    reaches all n vertices; that pass stays cached for the statistics.
     """
     if not _well_formed(text):
         return None
@@ -427,39 +427,16 @@ def _parse_well_formed(text: str) -> Optional[Tree]:
     if (ends >= n).any():
         return None
     u, v = ends[0::2], ends[1::2]
-    if not _connected(u, v, n):
-        return None
     # one key per directed edge; a tree repeats none, so sorting the keys
     # groups each vertex's neighbors in increasing order
     keys = np.sort(np.concatenate((u * n + v, v * n + u)))
     flat = tuple((keys % n).tolist())
     del keys
     stops = np.bincount(ends, minlength=n).cumsum().tolist()
-    return Tree(n, tuple(flat[a:b] for a, b in zip([0, *stops], stops)))
-
-
-def _connected(u: np.ndarray, v: np.ndarray, n: int) -> bool:
-    """Whether the edges u[i]-v[i] join all of 0..n-1.
-
-    Each round hooks every component's root onto the least root across an
-    edge from it, when that one is smaller, and then jumps pointers until
-    each vertex points at its root, the least vertex of its component.
-    Every component with an edge out joins another within two rounds, so
-    there are O(log n) rounds.
-    """
-    import numpy as np
-
-    label = np.arange(n)
-    while True:
-        lu, lv = label[u], label[v]
-        if (lu == lv).all():
-            return bool((label == 0).all())
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        while True:
-            up = label[label]
-            if (up == label).all():
-                break
-            label = up
+    t = Tree(n, tuple(flat[a:b] for a, b in zip([0, *stops], stops)))
+    # freed before the pass, which would otherwise hold them at its peak
+    del ids, ends, u, v, flat, stops
+    return t if len(rooted_pass(t)[0]) == n else None
 
 
 def _parse_lines(text: str) -> Tree:

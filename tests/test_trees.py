@@ -302,3 +302,12 @@ def test_numpy_pass_reads_well_formed_lists():
     edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in t.edges()]
     rng.shuffle(edges)
     assert trees._parse_well_formed(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)) == t
+
+
+def test_numpy_pass_leaves_the_rooted_pass_cached():
+    # the pass that proves the edges are a tree is the one the statistics read
+    trees.rooted_pass.cache_clear()
+    t = parse_edge_list("5\n3 1\n0 3\n3 4\n2 4\n")
+    assert trees.rooted_pass.cache_info().misses == 1
+    assert trees.rooted_pass(t) == ((0, 3, 1, 4, 2), (-1, 3, 4, 0, 3), (5, 1, 1, 4, 2))
+    assert trees.rooted_pass.cache_info().hits == 1

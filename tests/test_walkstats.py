@@ -1,7 +1,9 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 
+from treewalk import oracles, trees
 from treewalk.enumeration import tree_classes
 from treewalk.families import (
     balanced_double_broom,
@@ -220,3 +222,49 @@ def test_large_instance_spot_check():
     )
     js = joining_all(t)
     assert js == [joining_time_by_definition(t, w) for w in range(10)]
+
+
+def test_oracles_do_not_traverse_with_bfs_order(monkeypatch):
+    # every fast statistic walks the tree with bfs_order; an oracle that
+    # did too would share a fault with what it checks
+    checked = {
+        "distance_argmin",
+        "hitting_matrix_by_linear_solve",
+        "hitting_row_by_linear_solve",
+        "hitting_time",
+        "hitting_time_by_edge_decomposition",
+        "joining_time_by_definition",
+        "joining_time_by_linear_solve",
+        "path_overlap",
+    }
+    public = {
+        name
+        for name, f in vars(oracles).items()
+        if inspect.isfunction(f) and f.__module__ == oracles.__name__ and not name.startswith("_")
+    }
+    assert public == checked
+    cases = []
+    spider = build_tree([(0, 3), (3, 1), (3, 2), (2, 4), (4, 5)], 6)
+    for t in (star_tree(5), broom_tree(7, 4), balanced_double_broom(9, 4), spider):
+        prof = hitting_profile(t).matrix
+        paths = [[trees.path_between(t, u, w) for w in range(t.n)] for u in range(t.n)]
+        cases.append((t, prof, joining_all(t), barycenter(t).centers, paths))
+
+    def refuse(*_):
+        raise AssertionError("an oracle called bfs_order")
+
+    monkeypatch.setattr(trees, "bfs_order", refuse)
+    for t, prof, js, centers, paths in cases:
+        n = t.n
+        assert oracles.distance_argmin(t) == list(centers)
+        assert oracles.hitting_matrix_by_linear_solve(t) == [list(row) for row in prof]
+        for w in range(n):
+            assert oracles.hitting_row_by_linear_solve(t, w) == [prof[u][w] for u in range(n)]
+            assert oracles.joining_time_by_definition(t, w) == js[w]
+            assert oracles.joining_time_by_linear_solve(t, w) == js[w]
+            for u in range(n):
+                assert oracles.hitting_time(t, u, w) == prof[u][w]
+                assert oracles.hitting_time_by_edge_decomposition(t, u, w) == prof[u][w]
+                for v in range(n):
+                    common = set(paths[u][w]) & set(paths[v][w])
+                    assert oracles.path_overlap(t, u, v, w) == len(common) - 1
