@@ -214,6 +214,7 @@ def audit_formula(
     if needs_d:
         params["d"] = "..".join("auto" if b is None else str(b) for b in (d_lo, d_hi))
     checked = 0
+    known: dict = {}  # the rows' shared terms, for this sweep only
     for n in range(n_lo, n_hi + 1):
         if needs_d:
             lo = d_lo if d_lo is not None else 1
@@ -226,7 +227,7 @@ def audit_formula(
                 stated = closed_form(fid, n, d)
             except (ParityMismatch, OutOfStatedRange):
                 continue
-            truth = row.truth(n, d)
+            truth = row.truth(n, d, known)
             checked += 1
             if stated != truth:
                 t = row.witness(n, d)

@@ -398,13 +398,26 @@ def _bestmeet(t: Tree) -> Fraction:
     return t_bestmeet(t)[0]
 
 
-def _broom_j(n: int, d: int) -> Fraction:
-    """Joining time at the handle end of the broom, its maximum."""
-    return Fraction(joining_time(broom_tree(n, d), d))
+def _broom_j(n: int, d: int, known: dict) -> Fraction:
+    """Joining time at the handle end of the broom, its maximum.
+
+    known is one formula audit's memo, keyed by (n, d). The difference rows
+    read each broom twice (row n's (n+1, .) term is row n+1's (n, .) term),
+    so the memo builds each broom once per audit.
+    """
+    if (n, d) not in known:
+        known[n, d] = Fraction(joining_time(broom_tree(n, d), d))
+    return known[n, d]
 
 
-# Witnesses look their generator up at call time, so a rebound generator
-# (a tracer, a test) is seen by every row.
+def _broom_step(dn: int, dd: int) -> Callable[[int, Optional[int], dict], Fraction]:
+    """Truth of a broom difference row: J(broom(n+dn, d+dd)) - J(broom(n, d))."""
+    return lambda n, d, known: _broom_j(n + dn, d + dd, known) - _broom_j(n, d, known)
+
+
+# Witnesses and _broom_j look their generator up at call time, so a rebound
+# generator (a tracer, a test) is seen by every row. No memo outlives the
+# audit that made it, so a generator rebound between audits is seen too.
 
 
 def _path(n: int, d: Optional[int]) -> Tree:
@@ -437,14 +450,15 @@ class Formula:
 
     form: the printed closed form, called as form(n) or form(n, d).
     witness(n, d): the tree the form describes, or None.
-    truth(n, d): the exact value the form is audited against.
+    truth(n, d, known): the exact value the form is audited against; known
+    is the calling audit's memo, which only the broom rows read.
     predicts: the FamilySpec family whose balanced `gen` instances report it.
     """
 
     form: Callable[..., Fraction]
     needs_d: bool
     witness: Callable[[int, Optional[int]], Optional[Tree]]
-    truth: Callable[[int, Optional[int]], Fraction]
+    truth: Callable[[int, Optional[int], dict], Fraction]
     predicts: Optional[str] = None
 
 
@@ -456,7 +470,7 @@ def _measured(
     predicts: Optional[str] = None,
 ) -> Formula:
     """Row whose ground truth is a statistic of its witness tree."""
-    return Formula(form, needs_d, witness, lambda n, d: stat(witness(n, d)), predicts)
+    return Formula(form, needs_d, witness, lambda n, d, known: stat(witness(n, d)), predicts)
 
 
 FORMULAS: dict[str, Formula] = {
@@ -472,13 +486,13 @@ FORMULAS: dict[str, Formula] = {
         _jmin_dnd_max,
         False,
         lambda n, d: None,
-        lambda n, d: max(_jmin(balanced_double_broom(n, dd)) for dd in range(2, n)),
+        lambda n, d, known: max(_jmin(balanced_double_broom(n, dd)) for dd in range(2, n)),
     ),
     "bestmeet_pn": _measured(_bestmeet_pn, False, _path, _bestmeet, "path"),
     "bestmeet_bn_printed": _measured(_bestmeet_bn_printed, False, _short_broom, _bestmeet),
     "bestmeet_bn_corrected": _measured(_bestmeet_bn_corrected, False, _short_broom, _bestmeet),
     "delta_minus_path": Formula(
-        _delta_minus_path, False, _path, lambda n, d: _jmax(path_tree(n - 1)) - _jmax(path_tree(n))
+        _delta_minus_path, False, _path, lambda n, d, known: _jmax(path_tree(n - 1)) - _jmax(path_tree(n))
     ),
     "jmin_lever_odd": _measured(_jmin_lever_odd, True, _lever, _jmin, "lever"),
     "jmin_lever_even": _measured(_jmin_lever_even, True, _lever, _jmin, "lever"),
@@ -493,13 +507,9 @@ FORMULAS: dict[str, Formula] = {
     "bestmeet_dbroom_oe_printed": _measured(_bestmeet_dbroom_oe_printed, True, _dbroom, _bestmeet),
     "bestmeet_dbroom_eo": _measured(_bestmeet_dbroom_eo, True, _dbroom, _bestmeet, "double_broom"),
     "bestmeet_dbroom_ee": _measured(_bestmeet_dbroom_ee, True, _dbroom, _bestmeet, "double_broom"),
-    "big_delta_plus": Formula(
-        _big_delta_plus, True, _broom, lambda n, d: _broom_j(n + 1, d + 1) - _broom_j(n, d)
-    ),
-    "delta_plus": Formula(_delta_plus, True, _broom, lambda n, d: _broom_j(n + 1, d) - _broom_j(n, d)),
-    "delta_minus_broom": Formula(
-        _delta_minus_broom, True, _broom, lambda n, d: _broom_j(n - 1, d) - _broom_j(n, d)
-    ),
+    "big_delta_plus": Formula(_big_delta_plus, True, _broom, _broom_step(1, 1)),
+    "delta_plus": Formula(_delta_plus, True, _broom, _broom_step(1, 0)),
+    "delta_minus_broom": Formula(_delta_minus_broom, True, _broom, _broom_step(-1, 0)),
 }
 
 # n-only forms first, each group sorted by id

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import treewalk.audit as audit_mod
+import treewalk.families as families_mod
 import treewalk.simulate as simulate_mod
 import treewalk.walkstats as walkstats_mod
 from treewalk.audit import (
@@ -191,6 +193,38 @@ def test_ledger_audit_outcome(fid):
     assert [w.canonical for w in rep.witnesses] == [canonical, canonical]
     assert [w.note for w in rep.witnesses] == ["printed form", "ground truth"]
     assert _values(rep) == values
+
+
+def _count_broom_builds(monkeypatch) -> collections.Counter:
+    built: collections.Counter = collections.Counter()
+    real = families_mod.broom_tree
+
+    def counting(n, d):
+        built[n, d] += 1
+        return real(n, d)
+
+    monkeypatch.setattr(families_mod, "broom_tree", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "fid, distinct", [("delta_plus", 1828), ("big_delta_plus", 1828), ("delta_minus_broom", 1710)]
+)
+def test_formula_audit_builds_each_broom_once(monkeypatch, fid, distinct):
+    # row n's (n+1, .) term is row n+1's (n, .) term: one audit builds it once
+    built = _count_broom_builds(monkeypatch)
+    assert audit_formula(fid, 3, 60).status == VERIFIED
+    assert len(built) == distinct
+    assert set(built.values()) == {1}
+
+
+def test_formula_audit_keeps_no_broom_between_calls(monkeypatch):
+    # the memo lives for one audit, and the next one reads the rebound generator
+    first = audit_formula("delta_plus", 3, 12)
+    built = _count_broom_builds(monkeypatch)
+    assert audit_formula("delta_plus", 3, 12) == first
+    assert set(built) == {(m, d) for n in range(3, 13) for d in range(1, n) for m in (n, n + 1)}
+    assert set(built.values()) == {1}
 
 
 def test_formula_out_of_range_window():

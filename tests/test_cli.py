@@ -444,5 +444,26 @@ def test_order_too_large_to_build_is_an_error_line():
     assert "Traceback" not in proc.stderr
 
 
+def test_analyze_into_a_closed_pipe_is_an_error_line(tmp_path):
+    # the reader takes a few bytes of a multi-megabyte block and closes the
+    # pipe: the write that fails ends in one error line, not a traceback
+    rng = random.Random(16)
+    n = 20_000
+    f = tmp_path / "t.txt"
+    f.write_text(format_edge_list(prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)))
+    src = str(Path(treewalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treewalk.cli", "--no-timing", "analyze", "--input", str(f)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(16) == b'{\n  "command": ['
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 1
+    assert err.decode() == "error: [Errno 32] Broken pipe\n"
+    assert b"Traceback" not in err
+
+
 def test_unknown_subcommand_usage(capsys):
     assert main(["frobnicate"]) == 1
