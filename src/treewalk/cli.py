@@ -20,7 +20,7 @@ from decimal import Context
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from . import audit as audit_mod
 from .enumeration import DEFAULT_CAP, tree_classes
@@ -127,26 +127,38 @@ _PER_VERTEX_KEY = '\n    "per_vertex": '
 _PER_VERTEX_SLOT = _PER_VERTEX_KEY + "null"
 
 
-def _per_vertex_json(js: Sequence[int], targets: list[int], two_edges: int) -> str:
-    """The per_vertex value exactly as json.dumps(sort_keys=True, indent=2)
-    renders {str(v): {"joining_time": J(v), "meeting_time": _exact(J(v)/2|E|)}}
-    at its depth in the envelope, filled from one fixed template per vertex."""
-    entries = []
-    for v in sorted(targets, key=str):  # sort_keys order: "10" < "9"
-        j = js[v]
-        g = gcd(j, two_edges)
-        num, den = j // g, two_edges // g
-        entries.append(
-            f'      "{v}": {{\n'
-            f'        "joining_time": {j},\n'
-            f'        "meeting_time": {{\n'
-            f'          "decimal": "{_DECIMAL12.divide(num, den)}",\n'
-            f'          "den": {den},\n'
-            f'          "num": {num}\n'
-            f"        }}\n"
-            f"      }}"
-        )
-    return "{\n" + ",\n".join(entries) + "\n    }"
+# Entries rendered per write: the block is never held whole, only one chunk
+# of it, so analyze's peak memory does not grow with the block.
+_CHUNK = 4096
+
+
+def _write_per_vertex(out: TextIO, js: Sequence[int], targets: list[int], two_edges: int) -> None:
+    """Write the per_vertex value to `out` exactly as json.dumps(sort_keys=True,
+    indent=2) renders {str(v): {"joining_time": J(v), "meeting_time":
+    _exact(J(v)/2|E|)}} at its depth in the envelope, filled from one fixed
+    template per vertex and written _CHUNK entries at a time."""
+    order = sorted(targets, key=str)  # sort_keys order: "10" < "9"
+    out.write("{\n")
+    for start in range(0, len(order), _CHUNK):
+        entries = []
+        for v in order[start:start + _CHUNK]:
+            j = js[v]
+            g = gcd(j, two_edges)
+            num, den = j // g, two_edges // g
+            entries.append(
+                f'      "{v}": {{\n'
+                f'        "joining_time": {j},\n'
+                f'        "meeting_time": {{\n'
+                f'          "decimal": "{_DECIMAL12.divide(num, den)}",\n'
+                f'          "den": {den},\n'
+                f'          "num": {num}\n'
+                f"        }}\n"
+                f"      }}"
+            )
+        if start:
+            out.write(",\n")
+        out.write(",\n".join(entries))
+    out.write("\n    }")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -179,7 +191,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         payload["dot_file"] = args.dot
     env = _envelope(args, payload, _digest(text), started)
     head, _, tail = json.dumps(env, sort_keys=True, indent=2).partition(_PER_VERTEX_SLOT)
-    print(head + _PER_VERTEX_KEY + _per_vertex_json(js, targets, 2 * (t.n - 1)) + tail)
+    out = sys.stdout  # looked up now, so redirect_stdout captures the output
+    out.write(head + _PER_VERTEX_KEY)
+    _write_per_vertex(out, js, targets, 2 * (t.n - 1))
+    out.write(tail + "\n")
     return 0
 
 

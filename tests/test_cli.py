@@ -1,5 +1,7 @@
+import contextlib
 import decimal
 import hashlib
+import io
 import json
 import os
 import random
@@ -14,7 +16,7 @@ import pytest
 
 import treewalk
 from treewalk import trees, walkstats
-from treewalk.cli import main
+from treewalk.cli import _exact, main
 from treewalk.families import closed_form
 from treewalk.trees import format_edge_list, parse_edge_list, prufer_decode
 from treewalk.families import path_tree
@@ -463,6 +465,42 @@ def test_analyze_into_a_closed_pipe_is_an_error_line(tmp_path):
     assert proc.returncode == 1
     assert err.decode() == "error: [Errno 32] Broken pipe\n"
     assert b"Traceback" not in err
+
+
+class _WriteLengths(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, s):
+        self.lengths.append(len(s))
+        return super().write(s)
+
+
+def test_analyze_writes_per_vertex_in_bounded_chunks(tmp_path):
+    # about 1.9 MB of per_vertex text, more than one chunk: the block is
+    # written in pieces well under its whole size, and the pieces add up to
+    # the json.dumps rendering of the per-vertex dict
+    rng = random.Random(17)
+    n = 10_000
+    t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+    f = tmp_path / "t.txt"
+    f.write_text(format_edge_list(t))
+    out = _WriteLengths()
+    with contextlib.redirect_stdout(out):
+        assert main(["--no-timing", "analyze", "--input", str(f)]) == 0
+    text = out.getvalue()
+    doc = json.loads(text)
+    js = walkstats.joining_all(t)
+    doc["results"]["per_vertex"] = {
+        str(v): {"joining_time": js[v], "meeting_time": _exact(Fraction(js[v], 2 * (n - 1)))}
+        for v in range(n)
+    }
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert len(text) > 1_800_000
+    assert max(out.lengths) < 1_000_000
 
 
 def test_unknown_subcommand_usage(capsys):

@@ -6,8 +6,10 @@ definitions of t_meet, t_bestmeet and Kemeny's constant, to the
 distance-sum oracle, and to the caches' keying. The rewrite pipelines and
 move_leaf are held to their stated postconditions on the same trees.
 `analyze`'s templated per_vertex block is held, on trees with n <= 300, to
-the json.dumps rendering of the per-vertex dict it replaced. The trusted
-builders (family generators, broomify, leaf swaps) are held to the
+the json.dumps rendering of the per-vertex dict it replaced; the chunk-edge
+test holds it the same way when written in chunks of 1, 2 and 3 entries on
+a 25-vertex tree, so that the separators between chunks are checked. The
+trusted builders (family generators, broomify, leaf swaps) are held to the
 validating build_tree, and build_tree's error classification to the
 seen-set loop it replaced. On trees with n <= 200, T_bestmeet lies between
 the balanced lever's and the balanced double broom's closed forms, with
@@ -614,6 +616,21 @@ def test_analyze_splice_ignores_its_slot_text_in_the_argv(slot_text):
     _analyze_matches_dict_rendering(t, slot_text, [], list(range(t.n)), dot=slot_text + ".dot")
     _analyze_matches_dict_rendering(t, slot_text, ["--targets", "0,9,10,119"], [0, 9, 10, 119])
 
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("chosen", [None, [0, 3, 9, 10, 17, 24], [10]], ids=["all", "six", "one"])
+def test_analyze_per_vertex_chunk_edges(monkeypatch, chunk, chosen):
+    # the template property never fills a real chunk; chunks of 1..3 entries
+    # put chunk edges between most entries, where a lost or doubled ",\n"
+    # would show. Six targets fill whole chunks of each size; 25 vertices
+    # leave a part chunk at sizes 2 and 3.
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    rng = random.Random(17)
+    t = prufer_decode([rng.randrange(25) for _ in range(23)], 25)
+    if chosen is None:
+        _analyze_matches_dict_rendering(t, "tree.txt", [], list(range(t.n)))
+    else:
+        _analyze_matches_dict_rendering(t, "tree.txt", ["--targets", ",".join(map(str, chosen))], chosen)
 
 @PROPERTY_SETTINGS
 @given(prufer_trees(max_n=200))
