@@ -220,7 +220,7 @@ def _gen_tree(args: argparse.Namespace) -> tuple[Tree, FamilySpec]:
         raise TreewalkError(f"family {args.family!r} needs --d")
     if args.family == "balanced-lever":
         return balanced_lever(n, args.d), FamilySpec("lever", n, args.d, k=balanced_fulcrum(args.d))
-    d = {"path": n - 1, "star": 2}.get(family, args.d)
+    d = args.d if args.d is not None else {"path": n - 1, "star": 2}[family]
     if args.family == "balanced-double-broom":
         left, right = balanced_clusters(n, d)
     else:

@@ -126,7 +126,9 @@ def enumerate_trees(
         for seq, d in _free_level_sequences(n)
         if d_filter is None or d == d_filter
     ]
-    yield from sorted(trees, key=canonical_form)
+    # each key is taken on a throwaway copy, so the yielded trees do not keep
+    # the rooted passes that canonical_form stores on the tree it reads
+    yield from sorted(trees, key=lambda t: canonical_form(Tree(t.n, t.adjacency)))
 
 
 def tree_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[Tree, ...]:
@@ -135,6 +137,10 @@ def tree_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[Tree, ...]:
     The cache holds one entry per order, whatever cap is passed; the cap
     is checked on every call. `tree_classes.cache_clear()` empties it and
     the extremal_table cache.
+
+    A class keeps its rooted pass and J vector (`Tree.rooted`,
+    `Tree.joining`) only once a statistic has been asked of it: O(n) ints,
+    at most about the size of the class's own adjacency.
     """
     _check_order(n, cap)
     return _classes(n)

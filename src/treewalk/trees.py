@@ -3,17 +3,21 @@
 Validated construction from outside edge lists and trusted spine-and-leaves
 shapes. An edge-list text of the strict shape (a count line, then lines of
 two ASCII-digit ids, then blank lines) is read in one numpy pass that
-checks the id range, and the cached rooted pass from vertex 0 proves its
+checks the id range, and the tree's rooted pass from vertex 0 proves its
 n-1 edges reach all n vertices; any other text, and any strict text that
 fails a check, goes to the line parser and `build_tree`, whose errors name
 the line or edge at fault.
 
-Then the two traversals (BFS distances and BFS order), the cached rooted
-pass from vertex 0, diameter with a witness geodesic read off that pass
-and one more BFS, vertex splits, Prufer decoding, and centroid-rooted
-canonical forms (equal byte codes iff the trees are isomorphic). A
-canonical form takes one bottom-up pass for both centroids and drops each
-code once its parent's is built, so it holds O(n) bytes at any moment.
+A `Tree` keeps what is derived from it on itself: the rooted pass from
+vertex 0 (`Tree.rooted`) and the joining time of every vertex
+(`Tree.joining`), each computed on first use and freed with the tree.
+
+Then the two traversals (BFS distances and BFS order), diameter with a
+witness geodesic read off the rooted pass and one more BFS, vertex
+splits, Prufer decoding, and centroid-rooted canonical forms (equal byte
+codes iff the trees are isomorphic). A canonical form takes one bottom-up
+pass for both centroids and drops each code once its parent's is built,
+so it holds O(n) bytes at any moment.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -38,10 +42,40 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tree:
-    """Connected acyclic graph on vertices 0..n-1 with sorted adjacency."""
+    """Connected acyclic graph on vertices 0..n-1 with sorted adjacency.
+
+    Equality and hashing read only n and the adjacency. The two cached
+    properties are stored on the instance the first time they are read,
+    so they live exactly as long as the tree: O(n) ints each.
+    """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def rooted(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """BFS order, parent array and subtree sizes from vertex 0, frozen.
+        Every statistic of the tree reads this single pass."""
+        order, parent, size = subtree_sizes(self, 0)
+        return tuple(order), tuple(parent), tuple(size)
+
+    @cached_property
+    def joining(self) -> tuple[int, ...]:
+        """J(w) for every w in O(n) total, by rerooting across each edge.
+
+        The step u->p across an edge costs 2*size(u)-1, which is also the
+        degree sum of u's side, so J(w) is the sum over edges of (2s-1)^2 with
+        s the size of the side away from w. Moving the target from p to its
+        child u swaps only that edge's term: J(u) = J(p) + (2(n-s)-1)^2 -
+        (2s-1)^2 = J(p) + 4(n-1)(n-2s) with s = size(u) from the rooted pass.
+        """
+        n = self.n
+        order, parent, size = self.rooted
+        j = [0] * n
+        j[0] = sum((2 * s - 1) ** 2 for s in size[1:])
+        for u in order[1:]:
+            j[u] = j[parent[u]] + 4 * (n - 1) * (n - 2 * size[u])
+        return tuple(j)
 
     @property
     def edge_count(self) -> int:
@@ -184,14 +218,6 @@ def subtree_sizes(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
     return order, parent, size
 
 
-@lru_cache(maxsize=1)
-def rooted_pass(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """subtree_sizes from vertex 0, frozen. Every statistic of one tree
-    reads this single pass; the cache holds the last tree asked about."""
-    order, parent, size = subtree_sizes(t, 0)
-    return tuple(order), tuple(parent), tuple(size)
-
-
 def _depths(order: Sequence[int], parent: Sequence[int]) -> list[int]:
     """Depth of every vertex, read along a BFS order and its parent array."""
     depth = [0] * len(order)
@@ -202,12 +228,12 @@ def _depths(order: Sequence[int], parent: Sequence[int]) -> list[int]:
 
 def diameter_and_geodesic(t: Tree) -> tuple[int, list[int]]:
     """Diameter and one witness path, found by double BFS; the first sweep
-    is the cached rooted pass from vertex 0.
+    is the tree's rooted pass from vertex 0.
 
     Ties break toward the smallest vertex id; the returned path runs from
     its smaller endpoint to its larger one.
     """
-    order, parent, _ = rooted_pass(t)
+    order, parent, _ = t.rooted
     depth = _depths(order, parent)
     a = depth.index(depth[order[-1]])
     order, parent = bfs_order(t, a)
@@ -301,7 +327,7 @@ def prufer_decode(code: Sequence[int], n: int) -> Tree:
 def centroids(t: Tree) -> list[int]:
     """Centroid vertex (or two adjacent ones): every component of t - c
     has at most n/2 vertices."""
-    order, parent, size = rooted_pass(t)
+    order, parent, size = t.rooted
     n = t.n
     # heavy[v]: the largest component of t - v, the part through the parent
     # (none at the root) or the largest child subtree
@@ -373,7 +399,7 @@ def parse_edge_list(text: str) -> Tree:
     """Parse the edge-list text format: first line n, then n-1 lines "u v".
 
     A strictly shaped text that describes a tree is read in one numpy pass
-    (`_parse_well_formed`), which leaves the tree's rooted pass cached. Any
+    (`_parse_well_formed`), whose tree already holds its rooted pass. Any
     other text goes through the line-by-line parser and `build_tree`
     (`_parse_lines`), which name the offending line or edge in the error
     they raise.
@@ -409,7 +435,7 @@ def _parse_well_formed(text: str) -> Optional[Tree]:
     2(n-1) + 1. n-1 edges that join n vertices form a tree: none can be a
     self-loop, a repeat or close a cycle. So it checks the id range, builds
     the adjacency, and keeps it only if the rooted pass from vertex 0
-    reaches all n vertices; that pass stays cached for the statistics.
+    reaches all n vertices; the tree keeps that pass for the statistics.
     """
     if not _well_formed(text):
         return None
@@ -436,7 +462,7 @@ def _parse_well_formed(text: str) -> Optional[Tree]:
     t = Tree(n, tuple(flat[a:b] for a, b in zip([0, *stops], stops)))
     # freed before the pass, which would otherwise hold them at its peak
     del ids, ends, u, v, flat, stops
-    return t if len(rooted_pass(t)[0]) == n else None
+    return t if len(t.rooted[0]) == n else None
 
 
 def _parse_lines(text: str) -> Tree:

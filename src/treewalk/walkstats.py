@@ -5,18 +5,23 @@ the non-lazy nearest-neighbor chain, whose stationary weight at v is
 deg(v)/2|E|. Hitting times H(u,w) are integers on unweighted trees, so the
 scaled meeting time J(w) = sum_u deg(u) H(u,w) clears all denominators and
 most computations stay in plain ints.
+
+J at every vertex comes from one rerooting pass over the rooted pass from
+vertex 0; both are stored on the tree (`Tree.joining`, `Tree.rooted`), so
+`joining_all`, `t_meet`, `t_bestmeet`, `kemeny` and `barycenter` on one
+tree run each pass once. The single-target `joining_time` accumulates
+from its own target and stays an independent check on that identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import TooFewVertices
 from .oracles import distance_argmin
-from .trees import Tree, centroids, rooted_pass, subtree_sizes
+from .trees import Tree, centroids, subtree_sizes
 
 
 @dataclass(frozen=True)
@@ -56,28 +61,10 @@ def joining_time(t: Tree, w: int) -> int:
     return sum(len(a) * h for a, h in zip(t.adjacency, _hits_into(t, w)))
 
 
-@lru_cache(maxsize=1)
-def _joining(t: Tree) -> tuple[int, ...]:
-    """J(w) for every w in O(n) total, by rerooting across each edge.
-
-    The step u->p across an edge costs 2*size(u)-1, which is also the
-    degree sum of u's side, so J(w) is the sum over edges of (2s-1)^2 with
-    s the size of the side away from w. Moving the target from p to its
-    child u swaps only that edge's term: J(u) = J(p) + (2(n-s)-1)^2 -
-    (2s-1)^2 = J(p) + 4(n-1)(n-2s) with s = size(u) from the rooted pass.
-    """
-    n = t.n
-    order, parent, size = rooted_pass(t)
-    j = [0] * n
-    j[0] = sum((2 * s - 1) ** 2 for s in size[1:])
-    for u in order[1:]:
-        j[u] = j[parent[u]] + 4 * (n - 1) * (n - 2 * size[u])
-    return tuple(j)
-
-
 def joining_all(t: Tree) -> list[int]:
-    """J(w) for every w, as a fresh list the caller may keep or change."""
-    return list(_joining(t))
+    """J(w) for every w, as a fresh list the caller may keep or change;
+    the rerooting pass behind it is `Tree.joining`."""
+    return list(t.joining)
 
 
 def _two_edges(t: Tree) -> int:
@@ -139,7 +126,7 @@ class BarycenterResult:
 def barycenter(t: Tree) -> BarycenterResult:
     """The centroids, each with its component sizes in descending order."""
     centers = tuple(centroids(t))
-    _, parent, size = rooted_pass(t)
+    _, parent, size = t.rooted
 
     def parts(c: int) -> list[int]:
         # one per neighbor of c: a child's subtree, or the rest through c's parent

@@ -81,17 +81,19 @@ def test_analyze_one_vertex_tree_is_usage_error(tmp_path, capsys):
     assert walkstats.joining_all(parse_edge_list("1\n")) == [0]
 
 
-def test_analyze_runs_one_rooted_pass_and_one_rerooting(tmp_path, capsys):
+def test_analyze_runs_one_rooted_pass_and_one_rerooting(tmp_path, capsys, monkeypatch):
     rng = random.Random(4)
     f = tmp_path / "t.txt"
     f.write_text(format_edge_list(prufer_decode([rng.randrange(300) for _ in range(298)], 300)))
-    trees.rooted_pass.cache_clear()
-    walkstats._joining.cache_clear()
+    calls = []
+    for name in ("rooted", "joining"):
+        prop = vars(trees.Tree)[name]
+        real = prop.func
+        monkeypatch.setattr(prop, "func", lambda t, name=name, real=real: calls.append(name) or real(t))
     assert main(["--no-timing", "analyze", "--input", str(f)]) == 0
-    assert trees.rooted_pass.cache_info().misses == 1
-    assert walkstats._joining.cache_info().misses == 1
-    # joining_all, t_meet, t_bestmeet and kemeny all read the one J vector
-    assert walkstats._joining.cache_info().hits == 3
+    # the parse, diameter, barycenter, joining_all, t_meet, t_bestmeet and
+    # kemeny all read the one pass and the one J vector stored on the tree
+    assert sorted(calls) == ["joining", "rooted"]
 
 
 def test_analyze_target_subset(capsys, p3_file):
@@ -172,6 +174,32 @@ def test_gen_rejects_bad_params(capsys):
     code = main(["gen", "--family", "broom", "--n", "5", "--d", "5"])
     err = capsys.readouterr().err
     assert code == 1 and "broom" in err
+
+
+@pytest.mark.parametrize(
+    "family, d, message",
+    [
+        ("path", "2", "path needs d = n-1, got n=5, d=2"),
+        ("star", "3", "star needs n >= 3 and d = 2, got n=5, d=3"),
+    ],
+    ids=["path", "star"],
+)
+def test_gen_rejects_a_diameter_the_family_contradicts(capsys, family, d, message):
+    assert main(["--no-timing", "gen", "--family", family, "--n", "5", "--d", d]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family, d", [("path", "4"), ("star", "2")])
+def test_gen_consistent_diameter_gives_what_no_diameter_gives(capsys, family, d):
+    def gen(*extra):
+        code, out = run(capsys, "--no-timing", "gen", "--family", family, "--n", "5", *extra)
+        edges, envelope = out.split("{", 1)
+        return code, edges, json.loads("{" + envelope)["results"]
+
+    # only the echoed command line tells the two runs apart
+    assert gen() == gen("--d", d)
 
 
 def test_gen_dot_export(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import gc
 import inspect
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,7 +22,15 @@ from treewalk.oracles import (
     joining_time_by_definition,
     path_overlap,
 )
-from treewalk.trees import build_tree, distances, v_split
+from treewalk.trees import (
+    build_tree,
+    diameter_and_geodesic,
+    distances,
+    format_edge_list,
+    parse_edge_list,
+    prufer_decode,
+    v_split,
+)
 from treewalk.walkstats import (
     barycenter,
     check_barycenter_equivalences,
@@ -268,3 +279,17 @@ def test_oracles_do_not_traverse_with_bfs_order(monkeypatch):
                 for v in range(n):
                     common = set(paths[u][w]) & set(paths[v][w])
                     assert oracles.path_overlap(t, u, v, w) == len(common) - 1
+
+
+def test_a_dropped_tree_is_freed_after_its_statistics():
+    # the rooted pass and the J vector live on the tree, so nothing else
+    # holds the tree once the caller lets it go
+    rng = random.Random(18)
+    n = 2_000
+    text = format_edge_list(prufer_decode([rng.randrange(n) for _ in range(n - 2)], n))
+    t = parse_edge_list(text)
+    t_bestmeet(t), barycenter(t), diameter_and_geodesic(t)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
