@@ -3,7 +3,8 @@
 Subcommands: analyze | gen | audit | sweep | simulate. All flags are
 long-form. Exact values cross the process boundary as integer pairs with
 an advisory 12-significant-digit decimal rendering; identical inputs and
-seeds produce byte-identical output once --no-timing is passed.
+seeds produce byte-identical output once --no-timing is passed. A flag
+that the chosen claim, family or mode does not read is a usage error.
 
 Exit codes: 0 success/verified, 1 usage or input error, 2 audit
 discrepancy or refutation.
@@ -20,7 +21,7 @@ from decimal import Context
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import audit as audit_mod
 from .enumeration import DEFAULT_CAP, tree_classes
@@ -96,6 +97,15 @@ def _parse_range(spec: str, flag: str) -> tuple[int, int]:
         return lo_v, hi_v
     v = _int(spec, flag)
     return v, v
+
+
+def _reject_unread(what: str, args: argparse.Namespace, *names: str) -> None:
+    """A given flag that `what` does not read is a usage error, never a
+    silent no-op; names are argparse dests, each None when not given."""
+    given = [name for name in names if getattr(args, name) is not None]
+    if given:
+        flags = ", ".join("a formula id" if name == "formula_id" else f"--{name}" for name in given)
+        raise TreewalkError(f"{what} does not read {flags}")
 
 
 def _load_tree(path: str) -> tuple[str, Tree]:
@@ -214,6 +224,8 @@ _FAMILY_FLAG = {
 
 
 def _gen_tree(args: argparse.Namespace) -> tuple[Tree, FamilySpec]:
+    unread = {"lever": ("left", "right"), "double-broom": ("k",)}.get(args.family, ("k", "left", "right"))
+    _reject_unread(f"gen --family {args.family}", args, *unread)
     family = _FAMILY_FLAG[args.family]
     n = args.n
     if family not in ("path", "star") and args.d is None:
@@ -282,29 +294,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    """Each claim reads its own flags, then runs; the audit functions are
-    looked up on the module at call time, so a rebound one is seen."""
+    """Each claim parses its own flags and rejects the ones it does not
+    read, then runs; the audit functions are looked up on the module at
+    call time, so a rebound one is seen."""
     started = time.time()
     claim = args.claim
+    cap = DEFAULT_CAP if args.cap is None else args.cap
     if claim in ("thm-min", "thm-max"):
         if args.n is None or args.d is None:
             raise TreewalkError(f"{claim} needs --n and --d")
         n, d = _int(args.n, "--n"), _int(args.d, "--d")
+        _reject_unread(claim, args, "formula_id")
         run = audit_mod.audit_theorem_min if claim == "thm-min" else audit_mod.audit_theorem_max
-        report = run(n, d, cap=args.cap)
+        report = run(n, d, cap=cap)
     elif claim in ("thm-global", "prop-barycenter"):
         if args.n is None:
             raise TreewalkError(f"{claim} needs --n")
         n = _int(args.n, "--n")
+        _reject_unread(claim, args, "formula_id", "d")
         if claim == "thm-global":
-            report = audit_mod.audit_theorem_global(n, cap=args.cap)
+            report = audit_mod.audit_theorem_global(n, cap=cap)
         else:
-            report = audit_mod.audit_proposition_barycenter(n, cap=args.cap)
+            report = audit_mod.audit_proposition_barycenter(n, cap=cap)
     else:
         if args.formula_id is None or args.n is None:
             raise TreewalkError("formula audits need a formula id and --n range")
         n_lo, n_hi = _parse_range(args.n, "--n")
         d_lo, d_hi = _parse_range(args.d, "--d") if args.d else (None, None)
+        row = FORMULAS.get(args.formula_id)
+        if row is not None:  # an unknown id is audit_formula's error
+            unread = ("cap",) if row.needs_d else ("cap", "d")
+            _reject_unread(f"formula {args.formula_id}", args, *unread)
         report = audit_mod.audit_formula(args.formula_id, n_lo, n_hi, d_lo, d_hi)
     digest = _digest(json.dumps(report.params, sort_keys=True))
     _emit(_envelope(args, report.as_dict(), digest, started))
@@ -322,19 +342,14 @@ _SWEEP_FAMILIES = {
 }
 
 
-def _sweep_quantity(t: Tree, quantity: str) -> Fraction:
-    if quantity == "t_bestmeet":
-        return t_bestmeet(t)[0]
-    if quantity == "t_meet":
-        return t_meet(t)[0]
-    if quantity == "kemeny":
-        return kemeny(t)
-    js = joining_all(t)
-    if quantity == "j_min":
-        return Fraction(min(js))
-    if quantity == "j_max":
-        return Fraction(max(js))
-    raise TreewalkError(f"unknown quantity {quantity!r}")
+# Each entry looks its statistic up at call time, so a rebound one is seen.
+_SWEEP_QUANTITIES: dict[str, Callable[[Tree], Fraction]] = {
+    "t_bestmeet": lambda t: t_bestmeet(t)[0],
+    "t_meet": lambda t: t_meet(t)[0],
+    "kemeny": lambda t: kemeny(t),
+    "j_min": lambda t: Fraction(min(joining_all(t))),
+    "j_max": lambda t: Fraction(max(joining_all(t))),
+}
 
 
 def _sweep_diameters(args: argparse.Namespace, d_min: int, trees: str) -> range:
@@ -353,14 +368,16 @@ def _sweep_diameters(args: argparse.Namespace, d_min: int, trees: str) -> range:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     started = time.time()
     rows: list[tuple[int, int, str, int, int]] = []
+    quantity = _SWEEP_QUANTITIES[args.quantity]
     if args.enumerated:
+        _reject_unread("sweep --enumerated", args, "family")
         n = args.n
         classes = tree_classes(n)
         dees = _sweep_diameters(args, min(2, n - 1), "enumerated trees")
         for t in classes:
             d, _ = diameter_and_geodesic(t)
             if d in dees:
-                q = _sweep_quantity(t, args.quantity)
+                q = quantity(t)
                 rows.append((n, d, canonical_form(t).decode("ascii"), q.numerator, q.denominator))
         rows.sort(key=lambda r: (r[0], r[1], r[2]))
     else:
@@ -377,7 +394,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         for d in _sweep_diameters(args, d_min, f"family {args.family!r}"):
             t = build(n, d)
-            q = _sweep_quantity(t, args.quantity)
+            q = quantity(t)
             rows.append((n, d, args.family, q.numerator, q.denominator))
     header = "n,d,family,quantity_num,quantity_den"
     lines = [header] + [f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]}" for r in rows]
@@ -447,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("formula_id", nargs="?", default=None)
     pd.add_argument("--n", default=None, help="integer or lo..hi range for formula audits")
     pd.add_argument("--d", default=None)
-    pd.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    pd.add_argument("--cap", type=int, default=None)
     pd.set_defaults(func=_cmd_audit)
 
     ps = sub.add_parser("sweep", help="tabulate a quantity over families or enumerated classes")
@@ -458,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--quantity",
         default="t_bestmeet",
-        choices=["t_bestmeet", "t_meet", "kemeny", "j_min", "j_max"],
+        choices=list(_SWEEP_QUANTITIES),
     )
     ps.add_argument("--format", default="csv", choices=["csv", "json"])
     ps.set_defaults(func=_cmd_sweep)

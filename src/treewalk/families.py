@@ -6,8 +6,9 @@ by attachment point. The ledger evaluates each printed closed form
 verbatim; forms known to be misprinted keep a `_printed` variant alongside
 a corrected one so audits can separate what the source states from what
 the mathematics gives. `FORMULAS` is the one table of ledger entries: each
-row holds the form, the tree it describes, its ground truth and the `gen`
-family that reports it.
+row holds the form, the range and parity it is stated for, the tree it
+describes, its ground truth and the `gen` family that reports it. Only
+`closed_form` checks the range, so each form is just the printed algebra.
 """
 
 from __future__ import annotations
@@ -181,96 +182,62 @@ def _rooted_broom(t: Tree, root: int) -> tuple[int, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _requires(cond: bool, what: str) -> None:
-    if not cond:
-        raise OutOfStatedRange(what)
-
-
-def _parity(cond: bool, what: str) -> None:
-    if not cond:
-        raise ParityMismatch(what)
-
-
 def _jmax_path(n: int) -> Fraction:
-    _requires(n >= 2, f"path maximum joining time needs n >= 2, got {n}")
     return Fraction(4 * (n - 1) ** 3 - (n - 1), 3)
 
 
 def _jmax_path_expanded_printed(n: int) -> Fraction:
-    _requires(n >= 2, f"path maximum joining time needs n >= 2, got {n}")
     return Fraction(4 * n**3 - 4 * n**2 + 11 * n, 3) - 1
 
 
 def _tmeet_path(n: int) -> Fraction:
-    _requires(n >= 2, f"path meeting time needs n >= 2, got {n}")
     return Fraction(4 * n * n - 8 * n + 3, 6)
 
 
 def _tmeet_star(n: int) -> Fraction:
-    _requires(n >= 2, f"star meeting time needs n >= 2, got {n}")
     return Fraction(4 * n - 7, 2)
 
 
 def _jmax_star_printed(n: int) -> Fraction:
-    _requires(n >= 2, f"star maximum joining time needs n >= 2, got {n}")
     return 2 * n * n - Fraction(11 * n, 2) + Fraction(7, 2)
 
 
 def _jmax_star_corrected(n: int) -> Fraction:
-    _requires(n >= 2, f"star maximum joining time needs n >= 2, got {n}")
     return Fraction(4 * n * n - 11 * n + 7)
 
 
 def _jmin_path_odd(n: int) -> Fraction:
-    _requires(n >= 2, f"path minimum joining time needs n >= 2, got {n}")
-    _parity(n % 2 == 1, f"odd-order path form evaluated at n={n}")
     return Fraction(n**3 - 3 * n**2 + 2 * n, 3)
 
 
 def _jmin_path_even(n: int) -> Fraction:
-    _requires(n >= 2, f"path minimum joining time needs n >= 2, got {n}")
-    _parity(n % 2 == 0, f"even-order path form evaluated at n={n}")
     return Fraction(n**3 - 3 * n**2 + 5 * n, 3) - 1
 
 
 def _jmin_lever_odd(n: int, d: int) -> Fraction:
-    _requires(2 <= d <= n - 1, f"lever form needs 2 <= d <= n-1, got n={n}, d={d}")
-    _parity(d % 2 == 1, f"odd-diameter lever form evaluated at d={d}")
     return n - 1 + Fraction(d**3 - d, 3)
 
 
 def _jmin_lever_even(n: int, d: int) -> Fraction:
-    _requires(2 <= d <= n - 1, f"lever form needs 2 <= d <= n-1, got n={n}, d={d}")
-    _parity(d % 2 == 0, f"even-diameter lever form evaluated at d={d}")
     return n - 1 + Fraction(d**3 - 4 * d, 3)
 
 
 def _bestmeet_lever(n: int, d: int) -> Fraction:
-    _requires(2 <= d <= n - 1, f"lever form needs 2 <= d <= n-1, got n={n}, d={d}")
     num = d**3 - d if d % 2 == 1 else d**3 - 4 * d
     return Fraction(num, 6 * (n - 1)) + Fraction(1, 2)
 
 
 def _jmax_broom(n: int, d: int) -> Fraction:
-    _requires(1 <= d <= n - 1, f"broom form needs 1 <= d <= n-1, got n={n}, d={d}")
     return Fraction(
         3 * (4 * (d - 1) * n * n + (5 - 4 * d * d) * n) + 4 * d**3 - 4 * d - 3, 3
     )
 
 
-def _dbroom_guard(n: int, d: int, n_odd: bool, d_odd: bool) -> None:
-    _requires(2 <= d <= n - 1, f"double-broom form needs 2 <= d <= n-1, got n={n}, d={d}")
-    _parity(n % 2 == (1 if n_odd else 0), f"form wants n {'odd' if n_odd else 'even'}, got {n}")
-    _parity(d % 2 == (1 if d_odd else 0), f"form wants d {'odd' if d_odd else 'even'}, got {d}")
-
-
 def _jmin_dbroom_oo(n: int, d: int) -> Fraction:
-    _dbroom_guard(n, d, True, True)
     return Fraction((d - 2) * n * n - (d * d - 2 * d) * n) + Fraction(d**3 - 3 * d * d + 2 * d, 3)
 
 
 def _jmin_dbroom_oe(n: int, d: int) -> Fraction:
-    _dbroom_guard(n, d, True, False)
     return (
         Fraction((d - 2) * n * n - (d * d - 2 * d - 1) * n)
         + Fraction(d**3 - 3 * d * d - d, 3)
@@ -279,12 +246,10 @@ def _jmin_dbroom_oe(n: int, d: int) -> Fraction:
 
 
 def _jmin_dbroom_eo(n: int, d: int) -> Fraction:
-    _dbroom_guard(n, d, False, True)
     return Fraction((d - 2) * n * n - (d * d - 2 * d - 2) * n) + Fraction(d**3 - 3 * d * d - d, 3)
 
 
 def _jmin_dbroom_ee(n: int, d: int) -> Fraction:
-    _dbroom_guard(n, d, False, False)
     return (
         Fraction((d - 2) * n * n - (d * d - 2 * d - 1) * n)
         + Fraction(d**3 - 3 * d * d + 2 * d, 3)
@@ -293,7 +258,6 @@ def _jmin_dbroom_ee(n: int, d: int) -> Fraction:
 
 
 def _bestmeet_dbroom_oo(n: int, d: int) -> Fraction:
-    _dbroom_guard(n, d, True, True)
     return Fraction((d - 2) * n - d * d + 3 * d - 2, 2) + Fraction(
         d**3 - 6 * d * d + 11 * d - 6, 6 * (n - 1)
     )
@@ -302,28 +266,24 @@ def _bestmeet_dbroom_oo(n: int, d: int) -> Fraction:
 def _bestmeet_dbroom_oe(n: int, d: int) -> Fraction:
     # corrected second-term denominator 6(n-1); the printed 2(n-1) variant
     # is kept separately for the audit
-    _dbroom_guard(n, d, True, False)
     return Fraction((d - 2) * n - d * d + 3 * d - 1, 2) + Fraction(
         d**3 - 6 * d * d + 8 * d, 6 * (n - 1)
     )
 
 
 def _bestmeet_dbroom_oe_printed(n: int, d: int) -> Fraction:
-    _dbroom_guard(n, d, True, False)
     return Fraction((d - 2) * n - d * d + 3 * d - 1, 2) + Fraction(
         d**3 - 6 * d * d + 8 * d, 2 * (n - 1)
     )
 
 
 def _bestmeet_dbroom_eo(n: int, d: int) -> Fraction:
-    _dbroom_guard(n, d, False, True)
     return Fraction((d - 2) * n - d * d + 3 * d, 2) + Fraction(
         d**3 - 6 * d * d + 8 * d, 6 * (n - 1)
     )
 
 
 def _bestmeet_dbroom_ee(n: int, d: int) -> Fraction:
-    _dbroom_guard(n, d, False, False)
     return Fraction((d - 2) * n - d * d + 3 * d - 1, 2) + Fraction(
         d**3 - 6 * d * d + 11 * d - 6, 6 * (n - 1)
     )
@@ -332,7 +292,6 @@ def _bestmeet_dbroom_ee(n: int, d: int) -> Fraction:
 def _jmin_dnd_max(n: int) -> Fraction:
     """Printed maximum of the balanced double brooms' minimum joining time
     over all diameters (the odd n >= 9 branch is contested; audited)."""
-    _requires(n >= 3, f"needs n >= 3, got {n}")
     if n % 2 == 0:
         return Fraction(n**3 - 3 * n * n + 5 * n - 3, 3)
     if n <= 7:
@@ -341,41 +300,32 @@ def _jmin_dnd_max(n: int) -> Fraction:
 
 
 def _bestmeet_pn(n: int) -> Fraction:
-    _requires(n >= 2, f"needs n >= 2, got {n}")
     if n % 2 == 0:
         return Fraction(n * n - 2 * n + 3, 6)
     return Fraction(n * n - 2 * n, 6)
 
 
 def _bestmeet_bn_printed(n: int) -> Fraction:
-    _requires(n >= 5, f"short-diameter broom form needs n >= 5, got {n}")
-    _parity(n % 2 == 1, f"form wants odd n, got {n}")
     return Fraction(n * n - 2 * n + 3, 6) - Fraction(4, n - 1)
 
 
 def _bestmeet_bn_corrected(n: int) -> Fraction:
-    _requires(n >= 5, f"short-diameter broom form needs n >= 5, got {n}")
-    _parity(n % 2 == 1, f"form wants odd n, got {n}")
     return Fraction(n * n - 2 * n, 6) - Fraction(4, n - 1)
 
 
 def _big_delta_plus(n: int, d: int) -> Fraction:
-    _requires(1 <= d <= n - 1, f"broom form needs 1 <= d <= n-1, got n={n}, d={d}")
     return Fraction(4 * n * n - 4 * n + 1)
 
 
 def _delta_plus(n: int, d: int) -> Fraction:
-    _requires(1 <= d <= n - 1, f"broom form needs 1 <= d <= n-1, got n={n}, d={d}")
     return Fraction(4 * (d - 1) * (2 * n - d) + 1)
 
 
 def _delta_minus_broom(n: int, d: int) -> Fraction:
-    _requires(2 <= d <= n - 2, f"bristle-removal form needs 2 <= d <= n-2, got n={n}, d={d}")
     return Fraction(-4 * (d - 1) * (2 * (n - 1) - d) - 1)
 
 
 def _delta_minus_path(n: int) -> Fraction:
-    _requires(n >= 2, f"path-shrink form needs n >= 2, got {n}")
     return Fraction(-((2 * n - 3) ** 2))
 
 
@@ -445,10 +395,26 @@ def _short_broom(n: int, d: Optional[int]) -> Tree:
 
 
 @dataclass(frozen=True)
+class Domain:
+    """The (n, d) a closed form is stated for: n >= n_min; lo <= d <= n - gap
+    for span (lo, gap), None for an n-only form; n_odd, d_odd None: any parity."""
+
+    n_min: int = 2
+    span: Optional[tuple[int, int]] = None
+    n_odd: Optional[bool] = None
+    d_odd: Optional[bool] = None
+
+
+# the balanced double broom's four n/d parity cases, each for 2 <= d <= n-1
+_OO, _OE, _EO, _EE = (Domain(span=(2, 1), n_odd=a, d_odd=b) for a in (True, False) for b in (True, False))
+
+
+@dataclass(frozen=True)
 class Formula:
     """One ledger entry.
 
     form: the printed closed form, called as form(n) or form(n, d).
+    domain: the range and parity case it is stated for; only closed_form checks it.
     witness(n, d): the tree the form describes, or None.
     truth(n, d, known): the exact value the form is audited against; known
     is the calling audit's memo, which only the broom rows read.
@@ -456,60 +422,64 @@ class Formula:
     """
 
     form: Callable[..., Fraction]
-    needs_d: bool
+    domain: Domain
     witness: Callable[[int, Optional[int]], Optional[Tree]]
     truth: Callable[[int, Optional[int], dict], Fraction]
     predicts: Optional[str] = None
 
+    @property
+    def needs_d(self) -> bool:
+        return self.domain.span is not None
+
 
 def _measured(
     form: Callable[..., Fraction],
-    needs_d: bool,
+    domain: Domain,
     witness: Callable[[int, Optional[int]], Tree],
     stat: Callable[[Tree], Fraction],
     predicts: Optional[str] = None,
 ) -> Formula:
     """Row whose ground truth is a statistic of its witness tree."""
-    return Formula(form, needs_d, witness, lambda n, d, known: stat(witness(n, d)), predicts)
+    return Formula(form, domain, witness, lambda n, d, known: stat(witness(n, d)), predicts)
 
 
 FORMULAS: dict[str, Formula] = {
-    "jmax_path": _measured(_jmax_path, False, _path, _jmax, "path"),
-    "jmax_path_expanded_printed": _measured(_jmax_path_expanded_printed, False, _path, _jmax),
-    "tmeet_path": _measured(_tmeet_path, False, _path, _tmeet, "path"),
-    "tmeet_star": _measured(_tmeet_star, False, _star, _tmeet, "star"),
-    "jmax_star_printed": _measured(_jmax_star_printed, False, _star, _jmax, "star"),
-    "jmax_star_corrected": _measured(_jmax_star_corrected, False, _star, _jmax, "star"),
-    "jmin_path_odd": _measured(_jmin_path_odd, False, _path, _jmin, "path"),
-    "jmin_path_even": _measured(_jmin_path_even, False, _path, _jmin, "path"),
+    "jmax_path": _measured(_jmax_path, Domain(), _path, _jmax, "path"),
+    "jmax_path_expanded_printed": _measured(_jmax_path_expanded_printed, Domain(), _path, _jmax),
+    "tmeet_path": _measured(_tmeet_path, Domain(), _path, _tmeet, "path"),
+    "tmeet_star": _measured(_tmeet_star, Domain(), _star, _tmeet, "star"),
+    "jmax_star_printed": _measured(_jmax_star_printed, Domain(), _star, _jmax, "star"),
+    "jmax_star_corrected": _measured(_jmax_star_corrected, Domain(), _star, _jmax, "star"),
+    "jmin_path_odd": _measured(_jmin_path_odd, Domain(n_odd=True), _path, _jmin, "path"),
+    "jmin_path_even": _measured(_jmin_path_even, Domain(n_odd=False), _path, _jmin, "path"),
     "jmin_dnd_max": Formula(
         _jmin_dnd_max,
-        False,
+        Domain(n_min=3),
         lambda n, d: None,
         lambda n, d, known: max(_jmin(balanced_double_broom(n, dd)) for dd in range(2, n)),
     ),
-    "bestmeet_pn": _measured(_bestmeet_pn, False, _path, _bestmeet, "path"),
-    "bestmeet_bn_printed": _measured(_bestmeet_bn_printed, False, _short_broom, _bestmeet),
-    "bestmeet_bn_corrected": _measured(_bestmeet_bn_corrected, False, _short_broom, _bestmeet),
+    "bestmeet_pn": _measured(_bestmeet_pn, Domain(), _path, _bestmeet, "path"),
+    "bestmeet_bn_printed": _measured(_bestmeet_bn_printed, Domain(n_min=5, n_odd=True), _short_broom, _bestmeet),
+    "bestmeet_bn_corrected": _measured(_bestmeet_bn_corrected, Domain(n_min=5, n_odd=True), _short_broom, _bestmeet),
     "delta_minus_path": Formula(
-        _delta_minus_path, False, _path, lambda n, d, known: _jmax(path_tree(n - 1)) - _jmax(path_tree(n))
+        _delta_minus_path, Domain(), _path, lambda n, d, known: _jmax(path_tree(n - 1)) - _jmax(path_tree(n))
     ),
-    "jmin_lever_odd": _measured(_jmin_lever_odd, True, _lever, _jmin, "lever"),
-    "jmin_lever_even": _measured(_jmin_lever_even, True, _lever, _jmin, "lever"),
-    "bestmeet_lever": _measured(_bestmeet_lever, True, _lever, _bestmeet, "lever"),
-    "jmax_broom": Formula(_jmax_broom, True, _broom, _broom_j, "broom"),  # type: ignore[arg-type]
-    "jmin_dbroom_oo": _measured(_jmin_dbroom_oo, True, _dbroom, _jmin, "double_broom"),
-    "jmin_dbroom_oe": _measured(_jmin_dbroom_oe, True, _dbroom, _jmin, "double_broom"),
-    "jmin_dbroom_eo": _measured(_jmin_dbroom_eo, True, _dbroom, _jmin, "double_broom"),
-    "jmin_dbroom_ee": _measured(_jmin_dbroom_ee, True, _dbroom, _jmin, "double_broom"),
-    "bestmeet_dbroom_oo": _measured(_bestmeet_dbroom_oo, True, _dbroom, _bestmeet, "double_broom"),
-    "bestmeet_dbroom_oe": _measured(_bestmeet_dbroom_oe, True, _dbroom, _bestmeet, "double_broom"),
-    "bestmeet_dbroom_oe_printed": _measured(_bestmeet_dbroom_oe_printed, True, _dbroom, _bestmeet),
-    "bestmeet_dbroom_eo": _measured(_bestmeet_dbroom_eo, True, _dbroom, _bestmeet, "double_broom"),
-    "bestmeet_dbroom_ee": _measured(_bestmeet_dbroom_ee, True, _dbroom, _bestmeet, "double_broom"),
-    "big_delta_plus": Formula(_big_delta_plus, True, _broom, _broom_step(1, 1)),
-    "delta_plus": Formula(_delta_plus, True, _broom, _broom_step(1, 0)),
-    "delta_minus_broom": Formula(_delta_minus_broom, True, _broom, _broom_step(-1, 0)),
+    "jmin_lever_odd": _measured(_jmin_lever_odd, Domain(span=(2, 1), d_odd=True), _lever, _jmin, "lever"),
+    "jmin_lever_even": _measured(_jmin_lever_even, Domain(span=(2, 1), d_odd=False), _lever, _jmin, "lever"),
+    "bestmeet_lever": _measured(_bestmeet_lever, Domain(span=(2, 1)), _lever, _bestmeet, "lever"),
+    "jmax_broom": Formula(_jmax_broom, Domain(span=(1, 1)), _broom, _broom_j, "broom"),  # type: ignore[arg-type]
+    "jmin_dbroom_oo": _measured(_jmin_dbroom_oo, _OO, _dbroom, _jmin, "double_broom"),
+    "jmin_dbroom_oe": _measured(_jmin_dbroom_oe, _OE, _dbroom, _jmin, "double_broom"),
+    "jmin_dbroom_eo": _measured(_jmin_dbroom_eo, _EO, _dbroom, _jmin, "double_broom"),
+    "jmin_dbroom_ee": _measured(_jmin_dbroom_ee, _EE, _dbroom, _jmin, "double_broom"),
+    "bestmeet_dbroom_oo": _measured(_bestmeet_dbroom_oo, _OO, _dbroom, _bestmeet, "double_broom"),
+    "bestmeet_dbroom_oe": _measured(_bestmeet_dbroom_oe, _OE, _dbroom, _bestmeet, "double_broom"),
+    "bestmeet_dbroom_oe_printed": _measured(_bestmeet_dbroom_oe_printed, _OE, _dbroom, _bestmeet),
+    "bestmeet_dbroom_eo": _measured(_bestmeet_dbroom_eo, _EO, _dbroom, _bestmeet, "double_broom"),
+    "bestmeet_dbroom_ee": _measured(_bestmeet_dbroom_ee, _EE, _dbroom, _bestmeet, "double_broom"),
+    "big_delta_plus": Formula(_big_delta_plus, Domain(span=(1, 1)), _broom, _broom_step(1, 1)),
+    "delta_plus": Formula(_delta_plus, Domain(span=(1, 1)), _broom, _broom_step(1, 0)),
+    "delta_minus_broom": Formula(_delta_minus_broom, Domain(span=(2, 2)), _broom, _broom_step(-1, 0)),
 }
 
 # n-only forms first, each group sorted by id
@@ -517,15 +487,24 @@ FORMULA_IDS = tuple(sorted(FORMULAS, key=lambda fid: (FORMULAS[fid].needs_d, fid
 
 
 def closed_form(fid: str, n: int, d: Optional[int] = None) -> Fraction:
-    """Evaluate one ledger formula exactly at (n, d)."""
+    """Evaluate one ledger formula exactly at (n, d), the one check of its
+    row's domain: OutOfStatedRange for an unknown id, a missing d or an (n, d)
+    out of range, ParityMismatch for the other parity case; n-only forms ignore d."""
     row = FORMULAS.get(fid)
     if row is None:
         raise OutOfStatedRange(f"unknown formula id {fid!r}")
-    if not row.needs_d:
-        return row.form(n)
-    if d is None:
+    dom = row.domain
+    if dom.span is not None and d is None:
         raise OutOfStatedRange(f"formula {fid!r} needs a diameter argument")
-    return row.form(n, d)
+    if n < dom.n_min:
+        raise OutOfStatedRange(f"formula {fid!r} needs n >= {dom.n_min}, got n={n}")
+    if dom.span is not None and not dom.span[0] <= d <= n - dom.span[1]:  # type: ignore[operator]
+        raise OutOfStatedRange(f"formula {fid!r} needs {dom.span[0]} <= d <= n-{dom.span[1]}, got n={n}, d={d}")
+    if dom.n_odd is not None and n % 2 != dom.n_odd:
+        raise ParityMismatch(f"formula {fid!r} needs {'odd' if dom.n_odd else 'even'} n, got n={n}")
+    if dom.d_odd is not None and d % 2 != dom.d_odd:  # type: ignore[operator]
+        raise ParityMismatch(f"formula {fid!r} needs {'odd' if dom.d_odd else 'even'} d, got d={d}")
+    return row.form(n) if dom.span is None else row.form(n, d)
 
 
 def jmin_dbroom_case(n: int, d: int) -> str:
@@ -545,7 +524,8 @@ def delta_inequalities_hold(n: int, d: int) -> bool:
     adding a bristle helps more on bigger brooms, shrinking the handle of a
     path costs less than extending it pays, and handle extension dominates
     bristle addition dominates leaf removal."""
-    _requires(3 <= d <= n - 1 and n >= 4, f"broom range needed, got n={n}, d={d}")
+    if not (3 <= d <= n - 1 and n >= 4):
+        raise OutOfStatedRange(f"broom range needed, got n={n}, d={d}")
     dp = _delta_plus
     ineq1 = dp(n + 1, d) > dp(n, d)
     ineq2 = dp(n, n - 1) > dp(n - 1, n - 2)

@@ -301,6 +301,46 @@ def test_empty_ranges_are_usage_errors(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["audit", "thm-min", "jmax_path", "--n", "5", "--d", "3"], "thm-min does not read a formula id"),
+        (["audit", "thm-max", "bestmeet_pn", "--n", "5", "--d", "3"], "thm-max does not read a formula id"),
+        (["audit", "thm-global", "--n", "5", "--d", "9"], "thm-global does not read --d"),
+        (["audit", "prop-barycenter", "--n", "4", "--d", "2"], "prop-barycenter does not read --d"),
+        (["audit", "formula", "jmax_path", "--n", "3..4", "--d", "7"], "formula jmax_path does not read --d"),
+        (["audit", "formula", "jmax_broom", "--n", "4", "--cap", "9"], "formula jmax_broom does not read --cap"),
+        (["sweep", "--enumerated", "--family", "broom", "--n", "4"], "sweep --enumerated does not read --family"),
+        (["gen", "--family", "balanced-lever", "--n", "6", "--d", "3", "--k", "1"],
+         "gen --family balanced-lever does not read --k"),
+        (["gen", "--family", "path", "--n", "6", "--k", "1"], "gen --family path does not read --k"),
+        (["gen", "--family", "broom", "--n", "6", "--d", "3", "--left", "2", "--right", "2"],
+         "gen --family broom does not read --left, --right"),
+        (["gen", "--family", "balanced-double-broom", "--n", "6", "--d", "3", "--left", "2"],
+         "gen --family balanced-double-broom does not read --left"),
+        (["gen", "--family", "lever", "--n", "6", "--d", "3", "--k", "1", "--right", "3"],
+         "gen --family lever does not read --right"),
+        (["gen", "--family", "double-broom", "--n", "6", "--d", "3", "--left", "2", "--right", "2", "--k", "1"],
+         "gen --family double-broom does not read --k"),
+    ],
+    ids=[
+        "thm-min-formula-id", "thm-max-formula-id", "thm-global-d", "prop-barycenter-d", "formula-n-only-d",
+        "formula-cap", "sweep-enumerated-family", "gen-balanced-lever-k", "gen-path-k", "gen-broom-clusters",
+        "gen-balanced-double-broom-left", "gen-lever-right", "gen-double-broom-k",
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv, message):
+    assert main(["--no-timing", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_an_unknown_formula_id_is_named_before_its_flags(capsys):
+    assert main(["--no-timing", "audit", "formula", "nonesuch", "--n", "3", "--d", "2", "--cap", "9"]) == 1
+    assert capsys.readouterr().err == "error: unknown formula id 'nonesuch'\n"
+
+
 def test_sweep_keeps_the_part_of_a_d_range_inside_the_family(capsys):
     code, out = run(capsys, "sweep", "--family", "broom", "--n", "6", "--d", "2..4")
     assert code == 0

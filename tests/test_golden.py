@@ -1,10 +1,12 @@
 """Golden digests of the behavioural contract.
 
 Each group runs a fixed set of in-process `--no-timing` CLI commands, or
-both rewrite pipelines on seeded random trees, and hashes every output
-byte: stdout, stderr and exit code per command; the JSON-lines trace, the
-final adjacency and the error text per pipeline run. A refactor that keeps
-behaviour keeps every digest; a failing case names its group.
+both rewrite pipelines on seeded random trees, or every ledger formula on
+a grid of (n, d), and hashes every output byte: stdout, stderr and exit
+code per command; the JSON-lines trace, the final adjacency and the error
+text per pipeline run; the value or the exception class per formula call.
+A refactor that keeps behaviour keeps every digest; a failing case names
+its group.
 
 `simulate` is left out: its standard error is a float whose digits follow
 the variance formula, not the walks.
@@ -33,7 +35,7 @@ import pytest
 import treewalk
 from treewalk.cli import main
 from treewalk.errors import TreewalkError
-from treewalk.families import FORMULA_IDS
+from treewalk.families import FORMULA_IDS, FORMULAS, closed_form
 from treewalk.transforms import maximize_pipeline, minimize_pipeline
 from treewalk.trees import format_edge_list, prufer_decode
 
@@ -122,7 +124,27 @@ def _pipeline_digest(pipeline) -> str:
     return h.hexdigest()
 
 
+def _closed_form_digest() -> str:
+    # the grid runs past every stated range on both sides, so each range
+    # check and its exception class is pinned along with the values
+    h = hashlib.sha256()
+    for fid in FORMULA_IDS:
+        for n in range(-2, 43):
+            calls = [(n,)]
+            if FORMULAS[fid].needs_d:
+                calls += [(n, d) for d in range(-2, 44)]
+            for args in calls:
+                try:
+                    record = closed_form(fid, *args)
+                except TreewalkError as e:
+                    record = type(e).__name__
+                h.update(repr((fid, args, record)).encode())
+    return h.hexdigest()
+
+
 def _digest(group: str) -> str:
+    if group == "closed-form":
+        return _closed_form_digest()
     if group == "minimize_pipeline":
         return _pipeline_digest(minimize_pipeline)
     if group == "maximize_pipeline":
@@ -144,6 +166,7 @@ DIGESTS = {
     'analyze': '2b62ceae4f3c6e1d73d6d9f6bb1b4c62dedbcea489c57aaf40d5662e943b6214',
     'minimize_pipeline': '09314f3e32b60ebc41eff5cdfab5334865a5c12cf59bed10f2ebc3608f56ca84',
     'maximize_pipeline': 'fae424cd742b6df5924805bf789b035d06e68ab12488e188977c70da6fa14682',
+    'closed-form': '8f1e47e30f0e3786094c4a00db00eff23204034eef573caf8f0d49b233a08da9',
 }
 
 
@@ -182,5 +205,5 @@ def test_benchmark_names_resolve():
 
 
 if __name__ == "__main__":
-    for group in [*CLI_GROUPS, "minimize_pipeline", "maximize_pipeline"]:
+    for group in [*CLI_GROUPS, "minimize_pipeline", "maximize_pipeline", "closed-form"]:
         print(f"    {group!r}: {_digest(group)!r},")
