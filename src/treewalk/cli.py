@@ -29,10 +29,9 @@ from .errors import TreewalkError
 from .families import (
     FORMULAS,
     FamilySpec,
-    balanced_clusters,
     balanced_double_broom,
-    balanced_fulcrum,
     balanced_lever,
+    balanced_spec,
     broom_tree,
     closed_form,
     generate,
@@ -212,53 +211,46 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # gen
 # ---------------------------------------------------------------------------
 
-_FAMILY_FLAG = {
-    "path": "path",
-    "star": "star",
-    "lever": "lever",
-    "balanced-lever": "lever",
-    "broom": "broom",
-    "double-broom": "double_broom",
-    "balanced-double-broom": "double_broom",
+# gen family -> (FamilySpec family, flags it needs); path and star default --d
+_GEN_FAMILIES = {
+    "path": ("path", ()),
+    "star": ("star", ()),
+    "lever": ("lever", ("d", "k")),
+    "balanced-lever": ("lever", ("d",)),
+    "broom": ("broom", ("d",)),
+    "double-broom": ("double_broom", ("d", "left", "right")),
+    "balanced-double-broom": ("double_broom", ("d",)),
 }
 
 
 def _gen_tree(args: argparse.Namespace) -> tuple[Tree, FamilySpec]:
-    unread = {"lever": ("left", "right"), "double-broom": ("k",)}.get(args.family, ("k", "left", "right"))
+    family, needs = _GEN_FAMILIES[args.family]
+    unread = [name for name in ("k", "left", "right") if name not in needs]
     _reject_unread(f"gen --family {args.family}", args, *unread)
-    family = _FAMILY_FLAG[args.family]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise TreewalkError(f"family {args.family!r} needs {' and '.join(missing)}")
     n = args.n
-    if family not in ("path", "star") and args.d is None:
-        raise TreewalkError(f"family {args.family!r} needs --d")
-    if args.family == "balanced-lever":
-        return balanced_lever(n, args.d), FamilySpec("lever", n, args.d, k=balanced_fulcrum(args.d))
     d = args.d if args.d is not None else {"path": n - 1, "star": 2}[family]
-    if args.family == "balanced-double-broom":
-        left, right = balanced_clusters(n, d)
+    if args.family.startswith("balanced-"):
+        spec = balanced_spec(family, n, d)
     else:
-        left, right = args.left, args.right
-    spec = FamilySpec(family, n, d, k=args.k, left_leaves=left, right_leaves=right)
-    return generate(spec), spec
+        spec = FamilySpec(family, n, d, k=args.k, left_leaves=args.left, right_leaves=args.right)
+    # balanced_lever gives the path at d = n-1 even where n <= 2 leaves no lever
+    return (balanced_lever(n, d) if args.family == "balanced-lever" else generate(spec)), spec
 
 
 def _predictions(spec: FamilySpec) -> dict:
     """Ledger values applicable to this instance, evaluated exactly: the
     forms its family predicts, when the instance is the balanced one, that
     hold at this (n, d) and parity."""
-    n, d = spec.n, spec.d
-    if spec.family == "lever":
-        balanced = spec.k == balanced_fulcrum(d)
-    elif spec.family == "double_broom":
-        balanced = (spec.left_leaves, spec.right_leaves) == balanced_clusters(n, d)
-    else:
-        balanced = True  # path, star and broom have no free parameter
-    if not balanced:
+    if spec != balanced_spec(spec.family, spec.n, spec.d):
         return {}
     out: dict[str, dict] = {}
     for fid, row in FORMULAS.items():
         if row.predicts == spec.family:
             try:
-                out[fid] = _exact(closed_form(fid, n, d))
+                out[fid] = _exact(closed_form(fid, spec.n, spec.d))
             except TreewalkError:
                 pass
     return out
@@ -320,7 +312,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         if args.formula_id is None or args.n is None:
             raise TreewalkError("formula audits need a formula id and --n range")
         n_lo, n_hi = _parse_range(args.n, "--n")
-        d_lo, d_hi = _parse_range(args.d, "--d") if args.d else (None, None)
+        d_lo, d_hi = _parse_range(args.d, "--d") if args.d is not None else (None, None)
         row = FORMULAS.get(args.formula_id)
         if row is not None:  # an unknown id is audit_formula's error
             unread = ("cap",) if row.needs_d else ("cap", "d")
@@ -356,7 +348,7 @@ def _sweep_diameters(args: argparse.Namespace, d_min: int, trees: str) -> range:
     """The diameters --d selects among d_min..n-1, the ones `trees` of order
     n can have; all of them without --d."""
     n = args.n
-    d_lo, d_hi = _parse_range(args.d, "--d") if args.d else (d_min, n - 1)
+    d_lo, d_hi = _parse_range(args.d, "--d") if args.d is not None else (d_min, n - 1)
     dees = range(max(d_lo, d_min), min(d_hi, n - 1) + 1)
     if not dees:
         raise TreewalkError(
@@ -381,6 +373,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 rows.append((n, d, canonical_form(t).decode("ascii"), q.numerator, q.denominator))
         rows.sort(key=lambda r: (r[0], r[1], r[2]))
     else:
+        if args.family is None:
+            raise TreewalkError("sweep needs --family or --enumerated")
         if args.family not in _SWEEP_FAMILIES:
             raise TreewalkError(
                 f"sweep family must be one of {sorted(_SWEEP_FAMILIES)}, got {args.family!r}"
@@ -449,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_analyze)
 
     pg = sub.add_parser("gen", help="generate a named family instance")
-    pg.add_argument("--family", required=True, choices=sorted(_FAMILY_FLAG))
+    pg.add_argument("--family", required=True, choices=sorted(_GEN_FAMILIES))
     pg.add_argument("--n", type=int, required=True)
     pg.add_argument("--d", type=int, default=None)
     pg.add_argument("--k", type=int, default=None, help="lever fulcrum index")

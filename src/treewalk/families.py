@@ -2,13 +2,16 @@
 
 Generators produce the canonical labeled realization: geodesic vertices
 v0..vd take ids 0..d and every extra leaf takes the next free id, grouped
-by attachment point. The ledger evaluates each printed closed form
-verbatim; forms known to be misprinted keep a `_printed` variant alongside
-a corrected one so audits can separate what the source states from what
-the mathematics gives. `FORMULAS` is the one table of ledger entries: each
-row holds the form, the range and parity it is stated for, the tree it
-describes, its ground truth and the `gen` family that reports it. Only
-`closed_form` checks the range, so each form is just the printed algebra.
+by attachment point. Every lever and double broom is built by `generate`,
+one `_spine_tree` call after `FamilySpec.validate`, the one statement of
+their ranges; `balanced_spec` names each family's balanced instance. The
+ledger evaluates each printed closed form verbatim; forms known to be
+misprinted keep a `_printed` variant alongside a corrected one so audits
+can separate what the source states from what the mathematics gives.
+`FORMULAS` is the one table of ledger entries: each row holds the form,
+the range and parity it is stated for, the tree it describes, its ground
+truth and the `gen` family that reports it. Only `closed_form` checks the
+range, so each form is just the printed algebra.
 """
 
 from __future__ import annotations
@@ -82,23 +85,27 @@ def star_tree(n: int) -> Tree:
 
 def lever_tree(n: int, d: int, k: int) -> Tree:
     """Diameter-d path with the n-d-1 extra vertices pendant at v_k."""
-    if not 2 <= d <= n - 1:
-        raise InvalidFamilyParameters(f"lever needs 2 <= d <= n-1, got n={n}, d={d}")
-    if not 1 <= k <= d - 1:
-        raise InvalidFamilyParameters(f"lever fulcrum k={k} outside 1..{d - 1}")
-    return _spine_tree(n, range(d + 1), [k] * (n - d - 1))
+    return generate(FamilySpec("lever", n, d, k=k))
 
 
-def balanced_fulcrum(d: int) -> int:
-    """Fulcrum index of the balanced lever: the geodesic midpoint floor(d/2)."""
-    return d // 2
+def balanced_spec(family: str, n: int, d: int) -> FamilySpec:
+    """The balanced instance of `family` at (n, d): the lever's fulcrum at the
+    geodesic midpoint floor(d/2), the double broom's n-d-1 extra leaves split
+    as evenly as possible with the odd one on the right. Path, star and broom
+    have no free parameter."""
+    if family == "lever":
+        return FamilySpec(family, n, d, k=d // 2)
+    if family == "double_broom":
+        extra = n - d - 1
+        return FamilySpec(family, n, d, left_leaves=extra // 2 + 1, right_leaves=(extra + 1) // 2 + 1)
+    return FamilySpec(family, n, d)
 
 
 def balanced_lever(n: int, d: int) -> Tree:
-    """Lever with the fulcrum at the geodesic midpoint floor(d/2)."""
+    """Lever with the fulcrum at the geodesic midpoint floor(d/2); the path at d = n-1."""
     if d == n - 1:
         return path_tree(n)
-    return lever_tree(n, d, balanced_fulcrum(d))
+    return generate(balanced_spec("lever", n, d))
 
 
 def broom_tree(n: int, d: int) -> Tree:
@@ -118,36 +125,28 @@ def double_broom_tree(n: int, d: int, left_leaves: int, right_leaves: int) -> Tr
     Cluster counts include the geodesic endpoints v0 and v_d, so
     left + right = n - d + 1.
     """
-    spec = FamilySpec("double_broom", n, d, left_leaves=left_leaves, right_leaves=right_leaves)
-    spec.validate()
-    return _spine_tree(n, range(d + 1), [1] * (left_leaves - 1) + [d - 1] * (right_leaves - 1))
-
-
-def balanced_clusters(n: int, d: int) -> tuple[int, int]:
-    """(left, right) cluster sizes of the balanced double broom: the n-d-1
-    extra leaves split as evenly as possible, the odd one on the right."""
-    extra = n - d - 1
-    return extra // 2 + 1, (extra + 1) // 2 + 1
+    return generate(FamilySpec("double_broom", n, d, left_leaves=left_leaves, right_leaves=right_leaves))
 
 
 def balanced_double_broom(n: int, d: int) -> Tree:
     """Double broom whose end clusters differ in size by at most one."""
-    return double_broom_tree(n, d, *balanced_clusters(n, d))
+    return generate(balanced_spec("double_broom", n, d))
 
 
 def generate(spec: FamilySpec) -> Tree:
-    """Build the canonical labeled tree for a validated FamilySpec."""
+    """Build the canonical labeled tree of a FamilySpec after validating it."""
     spec.validate()
-    f = spec.family
+    f, n, d = spec.family, spec.n, spec.d
     if f == "path":
-        return path_tree(spec.n)
+        return path_tree(n)
     if f == "star":
-        return star_tree(spec.n)
-    if f == "lever":
-        return lever_tree(spec.n, spec.d, spec.k)  # type: ignore[arg-type]
+        return star_tree(n)
     if f == "broom":
-        return broom_tree(spec.n, spec.d)
-    return double_broom_tree(spec.n, spec.d, spec.left_leaves, spec.right_leaves)  # type: ignore[arg-type]
+        return broom_tree(n, d)
+    if f == "lever":
+        return _spine_tree(n, range(d + 1), [spec.k] * (n - d - 1))  # type: ignore[list-item]
+    left, right = spec.left_leaves, spec.right_leaves
+    return _spine_tree(n, range(d + 1), [1] * (left - 1) + [d - 1] * (right - 1))  # type: ignore[operator]
 
 
 def is_double_broom(t: Tree) -> bool:

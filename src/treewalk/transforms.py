@@ -3,8 +3,8 @@
 Single leaf relocation, broomification of a rooted tree, and the two
 three-phase pipelines that push any tree of fixed order and diameter to
 the balanced lever (minimizing the smallest scaled meeting time) or to a
-double broom (maximizing it). Every pipeline emits a TransformTrace whose
-tracked quantity is the minimum joining time of the current tree, checked
+double broom (maximizing it). Every pipeline emits a TransformTrace, which
+reads the minimum joining time of each tree it records and checks it
 monotone step by step.
 """
 
@@ -34,7 +34,7 @@ from .trees import (
     path_between,
     v_split,
 )
-from .walkstats import _hits_into, joining_all, joining_time
+from .walkstats import _hits_into, joining_time
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,11 @@ class TraceStep:
 
 @dataclass
 class TransformTrace:
-    """Ordered record of rewrites with the tracked quantity after each one.
+    """Ordered record of rewrites with the minimum joining time after each one.
 
-    direction is "decreasing" or "increasing"; append() enforces strict
-    monotonicity except on steps explicitly flagged allow_equal (used where
-    the underlying argument only guarantees a non-strict change).
+    direction is "decreasing" or "increasing"; append() reads it off the new
+    tree and enforces strict monotonicity except on steps flagged allow_equal
+    (used where the underlying argument only guarantees a non-strict change).
     """
 
     direction: str
@@ -59,11 +59,17 @@ class TransformTrace:
     initial_canonical: bytes
     steps: list[TraceStep] = field(default_factory=list)
 
+    @classmethod
+    def start(cls, direction: str, tree: Tree) -> "TransformTrace":
+        """An empty trace starting from `tree`."""
+        return cls(direction, min(tree.joining), canonical_form(tree))
+
     @property
     def last_value(self) -> int:
         return self.steps[-1].value if self.steps else self.initial_value
 
-    def append(self, description: str, tree: Tree, value: int, allow_equal: bool = False) -> None:
+    def append(self, description: str, tree: Tree, allow_equal: bool = False) -> None:
+        value = min(tree.joining)
         prev = self.last_value
         if self.direction == "decreasing":
             ok = value <= prev if allow_equal else value < prev
@@ -88,14 +94,6 @@ class TransformTrace:
             json.dumps({**asdict(s), "step": i, "canonical": s.canonical.decode("ascii")}, sort_keys=True)
             for i, s in enumerate(self.steps)
         )
-
-
-def _jmin(t: Tree) -> int:
-    return min(joining_all(t))
-
-
-def _start_trace(direction: str, t: Tree) -> TransformTrace:
-    return TransformTrace(direction, _jmin(t), canonical_form(t))
 
 
 def move_leaf(t: Tree, z: int, y: int, x: int, check: bool = False) -> Tree:
@@ -159,7 +157,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     d, geo = diameter_and_geodesic(t)
     if not 3 <= d <= n - 2:
         raise DiameterOutOfRange(f"pipeline needs 3 <= d <= n-2, got n={n}, d={d}")
-    trace = _start_trace("decreasing", t)
+    trace = TransformTrace.start("decreasing", t)
     cur = t
     ends = (geo[0], geo[-1])
     geo_set = set(geo)
@@ -173,7 +171,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
             break
         y = cur.adjacency[z][0]
         cur = move_leaf(cur, z, y, c)
-        trace.append(f"move leaf {z} from {y} beside barycenter {c}", cur, _jmin(cur))
+        trace.append(f"move leaf {z} from {y} beside barycenter {c}", cur)
         guard += 1
         if guard > 4 * n:
             raise TreewalkError("leaf relocation failed to converge")
@@ -183,9 +181,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
         # phase two: collapse the off-geodesic branch onto its attachment
         attach = next(v for v in path_between(cur, c, ends[0]) if v in geo_set)
         cur = _spine_tree(n, geo, [attach] * (n - d - 1))
-        trace.append(
-            f"collapse off-geodesic branch into leaves at vertex {attach}", cur, _jmin(cur)
-        )
+        trace.append(f"collapse off-geodesic branch into leaves at vertex {attach}", cur)
         c = attach
 
     # phase three: recenter the fulcrum
@@ -193,7 +189,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     if n > d + 1 and abs(2 * k - d) > 1:
         target = geo[d // 2]
         cur = _spine_tree(n, geo, [target] * (n - d - 1))
-        trace.append(f"recenter fulcrum from {c} to {target}", cur, _jmin(cur))
+        trace.append(f"recenter fulcrum from {c} to {target}", cur)
 
     return cur, trace
 
@@ -228,7 +224,7 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     """
     n = t.n
     d, _ = diameter_and_geodesic(t)
-    trace = _start_trace("increasing", t)
+    trace = TransformTrace.start("increasing", t)
     if is_double_broom(t):
         return t, trace
     cur = t
@@ -246,11 +242,7 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
             continue
         keep = [(u, v) for u, v in cur.edges() if u not in comp and v not in comp]
         cur = build_tree(keep + [(ids[a], ids[b]) for a, b in broom.edges()], n)
-        trace.append(
-            f"reshape branch at {c} through {min(comp)} into a broom",
-            cur,
-            _jmin(cur),
-        )
+        trace.append(f"reshape branch at {c} through {min(comp)} into a broom", cur)
         _assert_barycenter(cur, c)
 
     # broomify may change which vertex of a branch touches c, so the parts
@@ -297,7 +289,7 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
         parts[target].add(w)
         if not parts[donor]:
             donors.pop(0)
-        trace.append(description, cur, _jmin(cur), allow_equal=True)
+        trace.append(description, cur, allow_equal=True)
         _assert_barycenter(cur, c)
 
     return _finish(cur, d, trace)

@@ -103,6 +103,13 @@ def test_analyze_target_subset(capsys, p3_file):
     assert list(doc["results"]["per_vertex"]) == ["1"]
 
 
+def test_analyze_target_outside_the_tree_is_a_usage_error(capsys, p3_file):
+    assert main(["--no-timing", "analyze", "--input", p3_file, "--targets", "0,5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: target vertex 5 outside 0..2\n"
+
+
 def test_gen_lever_fig1(tmp_path, capsys):
     out_file = tmp_path / "lever.txt"
     code, out = run(
@@ -255,6 +262,8 @@ def test_audit_usage_error(capsys):
         ["sweep", "--family", "broom", "--n", "6", "--d", "x"],
         ["analyze", "--input", "{p3}", "--targets", "0,x"],
         ["sweep", "--enumerated", "--n", "5", "--d", "1..x"],
+        ["audit", "formula", "jmax_broom", "--n", "4", "--d", ""],
+        ["sweep", "--family", "broom", "--n", "5", "--d", ""],
     ],
 )
 def test_bad_integer_arguments_are_usage_errors(capsys, p3_file, argv):
@@ -287,11 +296,13 @@ def test_bad_integer_arguments_are_usage_errors(capsys, p3_file, argv):
         (["sweep", "--enumerated", "--n", "2", "--d", "2..3"],
          "--d 2..3 selects no diameter of enumerated trees at order 2 (1..1)"),
         (["sweep", "--enumerated", "--n", "5", "--d", "4..2"], "--d range 4..2 is empty: 4 > 2"),
+        (["audit", "thm-global", "--n", "2"], "need n >= 3, got 2"),
     ],
     ids=[
         "sweep-broom-n1", "sweep-broom-n3", "sweep-lever-neg2", "sweep-dbroom-n2", "sweep-d-outside",
         "sweep-d-inverted", "prop-barycenter-n1", "prop-barycenter-n2", "formula-n-inverted",
         "formula-d-inverted", "enumerated-d-outside", "enumerated-n2-d-outside", "enumerated-d-inverted",
+        "thm-global-n2",
     ],
 )
 def test_empty_ranges_are_usage_errors(capsys, argv, message):
@@ -330,6 +341,30 @@ def test_empty_ranges_are_usage_errors(capsys, argv, message):
     ],
 )
 def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv, message):
+    assert main(["--no-timing", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--family", "lever", "--n", "5", "--d", "3"], "family 'lever' needs --k"),
+        (["gen", "--family", "double-broom", "--n", "6", "--d", "3"],
+         "family 'double-broom' needs --left and --right"),
+        (["gen", "--family", "double-broom", "--n", "6", "--d", "3", "--left", "2"],
+         "family 'double-broom' needs --right"),
+        (["gen", "--family", "double-broom", "--n", "6", "--d", "3", "--right", "2"],
+         "family 'double-broom' needs --left"),
+        (["sweep", "--n", "5"], "sweep needs --family or --enumerated"),
+    ],
+    ids=[
+        "gen-lever-k", "gen-double-broom-clusters", "gen-double-broom-right", "gen-double-broom-left",
+        "sweep-mode",
+    ],
+)
+def test_a_missing_flag_is_named(capsys, argv, message):
     assert main(["--no-timing", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -466,6 +501,33 @@ def test_simulate_byte_identical(capsys, p3_file):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "{p3}"],
+        ["gen", "--family", "balanced-lever", "--n", "9", "--d", "4"],
+        ["audit", "thm-min", "--n", "5", "--d", "3"],
+        ["sweep", "--family", "broom", "--n", "6", "--format", "json"],
+        ["simulate", "--input", "{p3}", "--u", "0", "--w", "2", "--walks", "50", "--seed", "3"],
+    ],
+    ids=["analyze", "gen", "audit", "sweep", "simulate"],
+)
+def test_timed_envelope_is_the_untimed_one_plus_timing_ms(capsys, p3_file, argv):
+    argv = [a.replace("{p3}", p3_file) for a in argv]
+
+    def envelope(*flags):
+        code, out = run(capsys, *flags, *argv)
+        assert code == 0
+        # gen prints its edge list before the envelope
+        return json.loads(out[out.index("{"):])
+
+    timed, untimed = envelope(), envelope("--no-timing")
+    assert isinstance(timed.pop("timing_ms"), (int, float))
+    assert untimed["command"] == ["treewalk", "--no-timing", *argv]
+    untimed["command"] = ["treewalk", *argv]
+    assert timed == untimed
 
 
 @pytest.mark.parametrize(

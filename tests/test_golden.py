@@ -78,6 +78,14 @@ def _sweep_commands():
             yield ["sweep", "--enumerated", "--n", str(n), "--quantity", quantity]
 
 
+def _sweep_family_commands():
+    # n from 2 takes in the too-small orders' error lines
+    for family in ("balanced-lever", "balanced-double-broom", "broom"):
+        for n in range(2, 25):
+            for quantity in QUANTITIES:
+                yield ["sweep", "--family", family, "--n", str(n), "--quantity", quantity]
+
+
 def _analyze_commands():
     # relative paths: the command echo is part of the output
     rng = random.Random(5)
@@ -94,6 +102,7 @@ CLI_GROUPS = {
     "audit-theorems": _theorem_commands,
     "audit-formulas": _formula_commands,
     "sweep-enumerated": _sweep_commands,
+    "sweep-families": _sweep_family_commands,
     "analyze": _analyze_commands,
 }
 
@@ -163,6 +172,7 @@ DIGESTS = {
     'audit-theorems': '7a05e7a15a56e681a94f8534c427a73d91cce3415c9553d96415bd1ae1155bac',
     'audit-formulas': '4d5a4564b8a38e086f7c5e3766518e5558e85a806644bae361376b354c8050b3',
     'sweep-enumerated': '2eb4744615044db92e489f2cc3f5584d4ab0181661e6d43c9793c7ba79e519a0',
+    'sweep-families': '042223651312324b007167a455afdfcb0173836a6e543ec69491b155ca0cab6d',
     'analyze': '2b62ceae4f3c6e1d73d6d9f6bb1b4c62dedbcea489c57aaf40d5662e943b6214',
     'minimize_pipeline': '09314f3e32b60ebc41eff5cdfab5334865a5c12cf59bed10f2ebc3608f56ca84',
     'maximize_pipeline': 'fae424cd742b6df5924805bf789b035d06e68ab12488e188977c70da6fa14682',
