@@ -5,13 +5,16 @@ three-phase pipelines that push any tree of fixed order and diameter to
 the balanced lever (minimizing the smallest scaled meeting time) or to a
 double broom (maximizing it). Every pipeline emits a TransformTrace, which
 reads the minimum joining time of each tree it records and checks it
-monotone step by step.
+monotone step by step. A step keeps its tree as the packed parent array of
+the rooted pass that reading built, and builds the tree's canonical code
+only when that is read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import struct
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (
@@ -26,6 +29,7 @@ from .trees import (
     Tree,
     _depths,
     _spine_tree,
+    _tree_from_adjacency,
     bfs_order,
     build_tree,
     canonical_form,
@@ -37,12 +41,42 @@ from .trees import (
 from .walkstats import _hits_into, joining_time
 
 
-@dataclass(frozen=True)
+def _pack_parents(tree: Tree) -> bytes:
+    """The parent array of tree's rooted pass from vertex 0, vertex 0's
+    own entry dropped, as native unsigned ints of the narrowest struct
+    format that holds n-1; that format character is the first byte.
+
+    struct is already loaded wherever treewalk is; the array module is a
+    shared library that would raise every process's peak RSS."""
+    w = "B" if tree.n <= 1 << 8 else "H" if tree.n <= 1 << 16 else "I"
+    return w.encode() + struct.pack(f"{tree.n - 1}{w}", *tree.rooted[1][1:])
+
+
+def _tree_from_parents(packed: bytes) -> Tree:
+    """The labeled tree whose parent array `_pack_parents` packed."""
+    parents = memoryview(packed)[1:].cast(chr(packed[0]))
+    adj: list[list[int]] = [[] for _ in range(len(parents) + 1)]
+    for v, p in enumerate(parents, 1):
+        adj[v].append(p)
+        adj[p].append(v)
+    return _tree_from_adjacency(adj)
+
+
+@dataclass(frozen=True, slots=True)
 class TraceStep:
+    """One rewrite: its description, the minimum joining time after it,
+    and the tree it produced as `_pack_parents` packs it (n bytes up to
+    n = 256, where the canonical code takes 2n). `canonical` rebuilds that
+    tree and codes it on each read."""
+
     description: str
-    canonical: bytes
+    parents: bytes
     value: int
     allow_equal: bool = False
+
+    @property
+    def canonical(self) -> bytes:
+        return canonical_form(_tree_from_parents(self.parents))
 
 
 @dataclass
@@ -83,7 +117,7 @@ class TransformTrace:
         self.steps.append(
             TraceStep(
                 description=description,
-                canonical=canonical_form(tree),
+                parents=_pack_parents(tree),
                 value=value,
                 allow_equal=allow_equal,
             )
@@ -91,7 +125,16 @@ class TransformTrace:
 
     def to_json_lines(self) -> str:
         return "\n".join(
-            json.dumps({**asdict(s), "step": i, "canonical": s.canonical.decode("ascii")}, sort_keys=True)
+            json.dumps(
+                {
+                    "allow_equal": s.allow_equal,
+                    "canonical": s.canonical.decode("ascii"),
+                    "description": s.description,
+                    "step": i,
+                    "value": s.value,
+                },
+                sort_keys=True,
+            )
             for i, s in enumerate(self.steps)
         )
 

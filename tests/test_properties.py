@@ -31,6 +31,10 @@ replaced, on random spines and hubs with n <= 80 and on every formula
 witness with n <= 20. The single-target joining_time, the ground truth of
 the ledger's broom rows, is held at every vertex to joining_all and to the
 definition oracle, on trees with n <= 60 and on every class up to order 9.
+Every rewrite-trace step's canonical code, built when read, is held to the
+code of the tree the step was appended with, on trees with n <= 80 through
+both pipelines, and the step's packed parent array to at most that code's
+length.
 """
 
 import contextlib
@@ -74,6 +78,7 @@ from treewalk.families import (
 )
 from treewalk.oracles import distance_argmin, joining_time_by_definition
 from treewalk.transforms import (
+    TransformTrace,
     _swap_edge,
     broomify,
     maximize_pipeline,
@@ -237,6 +242,34 @@ def test_minimize_pipeline_reaches_the_balanced_lever(t):
     assert trace.last_value == min(joining_all(out))
     last = trace.steps[-1].canonical if trace.steps else trace.initial_canonical
     assert last == canonical_form(out)
+
+
+def _appended_steps(pipeline, t: Tree) -> list:
+    """Each step the pipeline appends to its trace, with the tree it
+    appended, also when the pipeline then raises."""
+    appended = []
+    real = TransformTrace.append
+
+    def spy(self, description, tree, allow_equal=False):
+        real(self, description, tree, allow_equal)
+        appended.append((self.steps[-1], tree))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TransformTrace, "append", spy)
+        try:
+            pipeline(t)
+        except TreewalkError:
+            pass  # a diameter out of range, or maximize's known failure
+    return appended
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(max_n=80))
+def test_every_trace_step_codes_the_tree_it_was_appended_with(t):
+    for pipeline in (minimize_pipeline, maximize_pipeline):
+        for step, tree in _appended_steps(pipeline, t):
+            assert step.canonical == canonical_form(tree)
+            assert len(step.parents) <= len(step.canonical)
 
 
 @PROPERTY_SETTINGS

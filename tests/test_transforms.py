@@ -1,4 +1,7 @@
 import json
+import random
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,13 @@ from treewalk.families import (
     path_tree,
     star_tree,
 )
-from treewalk.transforms import broomify, maximize_pipeline, minimize_pipeline, move_leaf
+from treewalk.transforms import (
+    TransformTrace,
+    broomify,
+    maximize_pipeline,
+    minimize_pipeline,
+    move_leaf,
+)
 from treewalk.trees import (
     build_tree,
     canonical_form,
@@ -211,3 +220,42 @@ def test_trace_json_lines():
     assert len(lines) == len(trace.steps)
     first = json.loads(lines[0])
     assert set(first) == {"step", "description", "value", "canonical", "allow_equal"}
+
+
+def test_trace_keeps_its_positional_three_field_constructor():
+    # the benchmark's self-test builds a trace this way
+    trace = TransformTrace("decreasing", 7, b"")
+    assert (trace.direction, trace.initial_value, trace.initial_canonical) == ("decreasing", 7, b"")
+    assert trace.steps == [] and trace.last_value == 7
+
+
+@pytest.mark.parametrize("n,width", [(1, "B"), (2, "B"), (256, "B"), (257, "H"), (65536, "H"), (65537, "I")])
+def test_a_step_packs_its_tree_in_the_narrowest_width(n, width):
+    rng = random.Random(n)
+    t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n) if n > 1 else path_tree(1)
+    trace = TransformTrace("decreasing", min(t.joining) + 1, b"")
+    trace.append("record", t)
+    packed = trace.steps[0].parents
+    assert packed[:1] == width.encode()
+    assert len(packed) == 1 + struct.calcsize(width) * (n - 1)
+    assert transforms._tree_from_parents(packed).adjacency == t.adjacency
+
+
+def test_pipelines_code_only_their_starting_tree(monkeypatch):
+    callers = []
+    real = transforms.canonical_form
+
+    def spy(t):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(t)
+
+    monkeypatch.setattr(transforms, "canonical_form", spy)
+    _, down = minimize_pipeline(prufer_decode([3, 3, 7, 0, 9, 1, 1, 4, 4, 12, 2], 13))
+    spider = build_tree([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)], 7)
+    high, up = maximize_pipeline(spider)
+    assert down.steps and up.steps
+    assert callers == ["start"] * 2
+    assert not any(hasattr(s, "__dict__") for s in down.steps + up.steps)
+    # a read codes the step's tree then
+    assert up.steps[-1].canonical == canonical_form(high)
+    assert callers[2:] == ["canonical"]
