@@ -15,9 +15,15 @@ vertex 0 (`Tree.rooted`) and the joining time of every vertex
 Then the two traversals (BFS distances and BFS order), diameter with a
 witness geodesic read off the rooted pass and one more BFS, vertex
 splits, Prufer decoding, and centroid-rooted canonical forms (equal byte
-codes iff the trees are isomorphic). A canonical form takes one bottom-up
-pass for both centroids and drops each code once its parent's is built,
-so it holds O(n) bytes at any moment.
+codes iff the trees are isomorphic), the AHU rooted-tree code (Aho,
+Hopcroft and Ullman, 1974). A canonical form reads the stored rooted pass
+and walks no tree of its own: one bottom-up pass gives the codes at both
+centroids, with parents reversed only on the path from vertex 0 to the
+root. A vertex with one child carries its child's code and a count of
+pending wraps, so a single-child chain is written once, and each code is
+dropped once taken: a form copies O(n) bytes on a path and holds O(n)
+bytes at any moment. Statistics of one vertex check its id first
+(`check_vertex`).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, filterfalse
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -97,6 +104,12 @@ class Tree:
 def _tree_from_adjacency(adj: Sequence[Sequence[int]]) -> Tree:
     """Wrap an adjacency structure without re-validating; internal use."""
     return Tree(len(adj), tuple(tuple(sorted(nbrs)) for nbrs in adj))
+
+
+def check_vertex(t: Tree, v: int) -> None:
+    """Raise VertexOutOfRange unless v names a vertex of t."""
+    if not 0 <= v < t.n:
+        raise VertexOutOfRange(f"vertex {v} outside 0..{t.n - 1}")
 
 
 def build_tree(edges: Sequence[tuple[int, int]], n: int) -> Tree:
@@ -270,6 +283,7 @@ def v_split(t: Tree, v: int) -> SplitResult:
 
     Parts are ordered by the split vertex's sorted neighbor list.
     """
+    check_vertex(t, v)
     if t.degree(v) < 2:
         raise SplitAtLeaf(f"vertex {v} has degree {t.degree(v)}; need >= 2 to split")
     order, parent = bfs_order(t, v)
@@ -345,36 +359,80 @@ def _wrap(kids: list[bytes]) -> bytes:
 
 
 def _child_codes(t: Tree, root: int, keep: int = -1) -> tuple[list[bytes], list[bytes]]:
-    """One bottom-up pass of the rooted code from `root`.
+    """One bottom-up pass of the rooted code from `root`, read off the
+    tree's rooted pass from vertex 0.
 
     A vertex's code is "1", its children's codes in sorted order, then "0";
     a leaf's is "10". Returns the sorted codes of root's children other
     than `keep`, and those of keep's children (none when keep is -1;
-    otherwise keep is a neighbor of root). Each code is dropped once its
-    parent's is built, so the codes alive at any moment belong to disjoint
-    subtrees and hold at most 2n bytes in all.
+    otherwise keep is a child of root in the pass from 0).
+
+    Off the path from root up to vertex 0 a vertex has the same children
+    in both rootings, so those vertices go in reverse BFS order; then the
+    path goes from 0 back down toward root, each vertex's parent now its
+    neighbor toward root. Either way a vertex comes after its children and
+    before its parent, so its children are exactly its neighbors that hold
+    a code. A vertex with one child keeps that child's code and one more
+    pending wrap; the wraps are written once, by the first ancestor with
+    two or more children (which must sort) or by `_take` at the end, so a
+    path copies O(n) bytes. Each code and count is dropped once taken, so
+    the codes alive at any moment belong to disjoint subtrees and hold at
+    most 2n bytes in all.
     """
-    order, parent = bfs_order(t, root)
+    order, parent, _ = t.rooted
+    path = [root]
+    while path[-1]:
+        path.append(parent[path[-1]])
+    # the reverse BFS order leaves out the path and keep, marked one byte
+    # per vertex: a set of a long path's vertices outweighs its codes
+    skip = bytearray(t.n)
+    for v in path:
+        skip[v] = 1
+    if keep >= 0:
+        skip[keep] = 1
+    # then the path runs from 0 down to the root's neighbor on it
+    path.reverse()
+    path.pop()
     adj = t.adjacency
     code: list[Optional[bytes]] = [None] * t.n
+    wraps = [0] * t.n
+    for u in chain(filterfalse(skip.__getitem__, reversed(order)), path):
+        nbrs = adj[u]
+        if len(nbrs) == 1:
+            code[u] = b"10"
+        elif len(nbrs) == 2:
+            w, c = nbrs
+            if code[c] is None:
+                c = w
+            code[u] = code[c]
+            wraps[u] = wraps[c] + 1
+            code[c] = None
+            wraps[c] = 0
+        else:
+            code[u] = _wrap(_take(nbrs, code, wraps))
+    return _take(adj[root], code, wraps), (_take(adj[keep], code, wraps) if keep >= 0 else [])
 
-    def take(u: int, p: int) -> list[bytes]:
-        kids = []
-        for w in adj[u]:
-            if w != p:
-                kids.append(code[w])
-                code[w] = None
-        kids.sort()
-        return kids
 
-    for u in reversed(order):
-        if u != root and u != keep:
-            code[u] = b"10" if len(adj[u]) == 1 else _wrap(take(u, parent[u]))
-    return take(root, keep), (take(keep, root) if keep >= 0 else [])
+def _take(nbrs: Sequence[int], code: list[Optional[bytes]], wraps: list[int]) -> list[bytes]:
+    """The sorted codes held by `nbrs`, each written out with its pending
+    wraps; both are dropped."""
+    kids = []
+    for w in nbrs:
+        c = code[w]
+        if c is not None:
+            k = wraps[w]
+            if k:
+                c = b"".join((b"1" * k, c, b"0" * k))
+                wraps[w] = 0
+            kids.append(c)
+            code[w] = None
+    kids.sort()
+    return kids
 
 
 def rooted_canonical_form(t: Tree, root: int) -> bytes:
     """Canonical byte code of (t, root); equal codes iff rooted-isomorphic."""
+    check_vertex(t, root)
     return _wrap(_child_codes(t, root)[0])
 
 
@@ -382,8 +440,8 @@ def canonical_form(t: Tree) -> bytes:
     """Canonical byte code rooted at the centroid; with two centroids the
     lexicographically smaller rooted code wins.
 
-    Both rootings come from one pass rooted at the first centroid: every
-    code off the edge between the two centroids is the same in either
+    Both rootings come from one pass rooted at the centroid nearer vertex 0:
+    every code off the edge between the two centroids is the same in either
     rooting, so each root's code is its own side's children plus the other
     side wrapped as one more child.
     """
@@ -391,6 +449,8 @@ def canonical_form(t: Tree) -> bytes:
     if len(cs) == 1:
         return rooted_canonical_form(t, cs[0])
     a, b = cs
+    if t.rooted[1][a] == b:
+        a, b = b, a
     side_a, side_b = _child_codes(t, a, b)
     return min(_wrap(sorted([*side_a, _wrap(side_b)])), _wrap(sorted([*side_b, _wrap(side_a)])))
 
@@ -500,6 +560,4 @@ def _parse_lines(text: str) -> Tree:
 
 def format_edge_list(t: Tree) -> str:
     """Serialize to the edge-list text format (LF-terminated)."""
-    out = [str(t.n)]
-    out.extend(f"{u} {v}" for u, v in t.edges())
-    return "\n".join(out) + "\n"
+    return "".join([f"{t.n}\n", *(f"{u} {v}\n" for u, v in t.edges())])

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import TooFewVertices
 from .oracles import distance_argmin
-from .trees import Tree, centroids, subtree_sizes
+from .trees import Tree, centroids, check_vertex, subtree_sizes
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ def hitting_profile(t: Tree) -> HittingProfile:
 
 def joining_time(t: Tree, w: int) -> int:
     """Scaled meeting time J(w) = sum_u deg(u) H(u,w); an integer."""
+    check_vertex(t, w)
     return sum(len(a) * h for a, h in zip(t.adjacency, _hits_into(t, w)))
 
 

@@ -15,7 +15,10 @@ seen-set loop it replaced. On trees with n <= 200, T_bestmeet lies between
 the balanced lever's and the balanced double broom's closed forms, with
 equality only on those two shapes. The one-pass canonical forms are held,
 at the centroids and at every root, to the per-root concatenation loop
-they replaced, on trees with n <= 80 and on every class up to order 12.
+they replaced, on trees with n <= 80, on every class up to order 12, and
+on Prufer trees with n <= 40 whose edges are subdivided into chains of up
+to 7 edges and then relabeled at random, so that vertex 0 lies far from
+the centroids.
 diameter_and_geodesic and v_split are held the same way to the double BFS
 and the per-neighbor seen-set loops they replaced, on trees with n <= 80
 and at every vertex of every class up to order 10. Kemeny's constant is
@@ -737,6 +740,57 @@ def test_explicit_canonical_examples_cover_both_centroid_counts():
     assert _concatenated_rooted_form(_UNEVEN_BICENTROID, a) != _concatenated_rooted_form(
         _UNEVEN_BICENTROID, b
     )
+
+
+@st.composite
+def subdivided_trees(draw, max_n: int = 40) -> Tree:
+    """A Prufer tree with each edge subdivided by 0..6 extra vertices, then
+    relabeled at random: long single-child chains, with vertex 0 anywhere,
+    often far from the centroids."""
+    t = draw(prufer_trees(max_n))
+    edges, n = [], t.n
+    for u, v in t.edges():
+        for _ in range(draw(st.integers(0, 6))):
+            edges.append((u, n))
+            u, n = n, n + 1
+        edges.append((u, v))
+    perm = draw(st.permutations(range(n)))
+    return build_tree([(perm[u], perm[v]) for u, v in edges], n)
+
+
+def _path_through(ids: list[int]) -> Tree:
+    return build_tree(list(zip(ids, ids[1:])), len(ids))
+
+
+# legs of 1, 2 and 3 edges around centre 5; vertex 0 ends the longest leg
+_SPIDER = build_tree([(5, 2), (2, 4), (4, 0), (5, 1), (1, 6), (5, 3)], 7)
+# paths with vertex 0 at one end and the other ids shuffled: one centroid, two
+_PATH_9 = _path_through([0, 7, 3, 5, 1, 8, 2, 6, 4])
+_PATH_10 = _path_through([0, 9, 4, 7, 2, 5, 8, 1, 6, 3])
+# a handle 0-8-2-6-9 ending at hub 3 with leaves 1, 4, 5 and 7: the
+# centroids 9 and 3 sit at the far end from vertex 0
+_FAR_BROOM = build_tree([(0, 8), (8, 2), (2, 6), (6, 9), (9, 3), (3, 1), (3, 4), (3, 5), (3, 7)], 10)
+
+
+@PROPERTY_SETTINGS
+@given(subdivided_trees())
+@example(_SPIDER)
+@example(_PATH_9)
+@example(_PATH_10)
+@example(_FAR_BROOM)
+def test_canonical_forms_match_the_concatenation_loop_on_long_chains(t):
+    _assert_forms_match_concatenation(t)
+
+
+def test_chain_examples_put_the_centroids_away_from_vertex_0():
+    # each explicit example makes the forms flip parents along a path from
+    # vertex 0 to a centroid, at both centroid counts
+    assert centroids(_SPIDER) == [5]
+    assert centroids(_PATH_9) == [1]
+    assert centroids(_PATH_10) == [2, 5]
+    assert centroids(_FAR_BROOM) == [3, 9]
+    for t in (_SPIDER, _PATH_9, _PATH_10):
+        assert t.degree(0) == 1
 
 
 @pytest.mark.parametrize("n", range(2, 13))

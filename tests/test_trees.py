@@ -25,6 +25,7 @@ from treewalk.trees import (
     format_edge_list,
     parse_edge_list,
     prufer_decode,
+    rooted_canonical_form,
     v_split,
 )
 
@@ -134,6 +135,43 @@ def test_split_double_broom_at_barycenter():
     assert sorted(p.size for p in res.parts) == [5, 5]
 
 
+@pytest.mark.parametrize("v", [-1, 4, 5])
+def test_rooted_canonical_form_rejects_a_vertex_out_of_range(v):
+    # -1 used to raise TypeError and 4 IndexError
+    with pytest.raises(VertexOutOfRange, match=rf"vertex {v} outside 0\.\.3"):
+        rooted_canonical_form(path_tree(4), v)
+
+
+@pytest.mark.parametrize("v", [-1, 5])
+def test_split_rejects_a_vertex_out_of_range(v):
+    # -1 used to report the degree of vertex n-1
+    with pytest.raises(VertexOutOfRange, match=rf"vertex {v} outside 0\.\.4"):
+        v_split(star_tree(5), v)
+
+
+def test_forms_read_the_stored_rooted_pass_without_another_traversal(monkeypatch):
+    # both forms, one centroid or two, far from vertex 0 or at it, read the pass
+    # from vertex 0 stored on the tree and walk no BFS of their own
+    shapes = [
+        build_tree([(0, 4), (4, 2), (2, 5), (5, 1), (5, 3), (3, 6), (5, 7)], 8),
+        build_tree([(0, 6), (6, 2), (2, 7), (7, 3), (3, 1), (3, 4), (3, 5)], 8),
+        star_tree(6),
+    ]
+    expected = [(canonical_form(t), [rooted_canonical_form(t, r) for r in range(t.n)]) for t in shapes]
+    fresh = [build_tree(list(t.edges()), t.n) for t in shapes]
+    for t in fresh:
+        t.rooted
+
+    def refuse(*args):
+        raise AssertionError("a canonical form walked the tree again")
+
+    monkeypatch.setattr(trees, "bfs_order", refuse)
+    monkeypatch.setattr(trees, "subtree_sizes", refuse)
+    for t, (form, rooted) in zip(fresh, expected):
+        assert canonical_form(t) == form
+        assert [rooted_canonical_form(t, r) for r in range(t.n)] == rooted
+
+
 def test_split_at_leaf_rejected():
     with pytest.raises(SplitAtLeaf):
         v_split(path_tree(3), 0)
@@ -196,8 +234,10 @@ def test_canonical_invariant_under_relabeling():
 
 
 def test_canonical_form_of_a_long_path_stays_in_linear_memory():
-    # each child's code is dropped once its parent's is built; keeping every
-    # vertex's code to the end costs about 200 MB on this path, n**2/2 bytes
+    # a vertex with one child carries that child's code and a count of
+    # pending wraps, so this path's code is written once, at the centroids;
+    # wrapping at every vertex and keeping every code to the end costs
+    # about 200 MB here, n**2/2 bytes
     p = path_tree(20000)
     tracemalloc.start()
     try:

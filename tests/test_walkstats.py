@@ -8,6 +8,7 @@ import pytest
 
 from treewalk import oracles, trees
 from treewalk.enumeration import tree_classes
+from treewalk.errors import VertexOutOfRange
 from treewalk.families import (
     balanced_double_broom,
     broom_tree,
@@ -109,6 +110,14 @@ def test_joining_time_examples():
     assert joining_all(P3) == [10, 2, 10]
     assert joining_time(star_tree(4), 1) == 3
     assert joining_time(path_tree(9), 4) == 168
+
+
+@pytest.mark.parametrize("w", [-1, 4, 7])
+def test_joining_and_meeting_time_reject_a_vertex_out_of_range(w):
+    # -1 used to return 116, which is no vertex's J (J(3) = 35)
+    for statistic in (joining_time, meeting_time):
+        with pytest.raises(VertexOutOfRange, match=rf"vertex {w} outside 0\.\.3"):
+            statistic(P4, w)
 
 
 def test_joining_all_matches_definition():
