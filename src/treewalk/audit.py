@@ -20,7 +20,7 @@ from .errors import CapExceeded, OutOfStatedRange, ParityMismatch, TreewalkError
 from .families import FORMULAS, bestmeet_dbroom_case, closed_form
 from .oracles import joining_time_by_linear_solve
 from .trees import Tree, canonical_form
-from .walkstats import check_barycenter_equivalences, joining_all, t_bestmeet
+from .walkstats import QUANTITIES, check_barycenter_equivalences, joining_all
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -104,7 +104,7 @@ def _audit_extremal(
             params=params,
             witnesses=[
                 Witness.of(winner, best, f"actual {role}"),
-                Witness.of(expected, t_bestmeet(expected)[0], family),
+                Witness.of(expected, QUANTITIES["t_bestmeet"](expected), family),
             ],
             notes=f"{role} is not the {family}",
         )

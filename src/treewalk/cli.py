@@ -21,7 +21,7 @@ from decimal import Context
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from . import audit as audit_mod
 from .enumeration import DEFAULT_CAP, tree_classes
@@ -29,16 +29,18 @@ from .errors import TreewalkError
 from .families import (
     FORMULAS,
     FamilySpec,
-    balanced_double_broom,
+    _broom,
+    _dbroom,
+    _lever,
     balanced_lever,
     balanced_spec,
-    broom_tree,
     closed_form,
     generate,
 )
 from .simulate import simulate_hitting
 from .trees import Tree, canonical_form, diameter_and_geodesic, format_edge_list, parse_edge_list
 from .walkstats import (
+    QUANTITIES,
     barycenter,
     joining_all,
     kemeny,
@@ -327,20 +329,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+# sweep family -> the ledger's witness of it, which looks its generator up
+# at call time, so a rebound one is seen
 _SWEEP_FAMILIES = {
-    "balanced-lever": balanced_lever,
-    "balanced-double-broom": balanced_double_broom,
-    "broom": broom_tree,
-}
-
-
-# Each entry looks its statistic up at call time, so a rebound one is seen.
-_SWEEP_QUANTITIES: dict[str, Callable[[Tree], Fraction]] = {
-    "t_bestmeet": lambda t: t_bestmeet(t)[0],
-    "t_meet": lambda t: t_meet(t)[0],
-    "kemeny": lambda t: kemeny(t),
-    "j_min": lambda t: Fraction(min(joining_all(t))),
-    "j_max": lambda t: Fraction(max(joining_all(t))),
+    "balanced-lever": _lever,
+    "balanced-double-broom": _dbroom,
+    "broom": _broom,
 }
 
 
@@ -360,7 +354,7 @@ def _sweep_diameters(args: argparse.Namespace, d_min: int, trees: str) -> range:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     started = time.time()
     rows: list[tuple[int, int, str, int, int]] = []
-    quantity = _SWEEP_QUANTITIES[args.quantity]
+    quantity = QUANTITIES[args.quantity]
     if args.enumerated:
         _reject_unread("sweep --enumerated", args, "family")
         n = args.n
@@ -466,11 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--enumerated", action="store_true")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--d", default=None, help="diameter or lo..hi range")
-    ps.add_argument(
-        "--quantity",
-        default="t_bestmeet",
-        choices=list(_SWEEP_QUANTITIES),
-    )
+    ps.add_argument("--quantity", default=next(iter(QUANTITIES)), choices=list(QUANTITIES))
     ps.add_argument("--format", default="csv", choices=["csv", "json"])
     ps.set_defaults(func=_cmd_sweep)
 

@@ -11,7 +11,8 @@ can separate what the source states from what the mathematics gives.
 `FORMULAS` is the one table of ledger entries: each row holds the form,
 the range and parity it is stated for, the tree it describes, its ground
 truth and the `gen` family that reports it. Only `closed_form` checks the
-range, so each form is just the printed algebra.
+range, so each form is just the printed algebra. Most ground truths read
+a `walkstats.QUANTITIES` entry off the generated tree, as `sweep` does.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch
-from .trees import Tree, _spine_tree, bfs_distances
-from .walkstats import joining_all, joining_time, t_bestmeet, t_meet
+from .trees import Tree, _depths, _spine_tree, bfs_order
+from .walkstats import QUANTITIES, joining_time
 
 FAMILY_NAMES = ("path", "star", "lever", "broom", "double_broom")
 
@@ -168,10 +169,11 @@ def _rooted_broom(t: Tree, root: int) -> tuple[int, bool]:
     depth r with the root at the far handle end, from one BFS: exactly one
     vertex at each depth 1..r-1 (depth-1 stars and plain paths included).
     The depth-r vertices are then leaves on the one depth-(r-1) vertex."""
-    dist = bfs_distances(t, root)
-    r = max(dist)
+    order, parent = bfs_order(t, root)
+    depth = _depths(order, parent)
+    r = depth[order[-1]]
     width = [0] * (r + 1)
-    for dv in dist:
+    for dv in depth:
         width[dv] += 1
     return r, all(w == 1 for w in width[1:r])
 
@@ -331,22 +333,6 @@ def _delta_minus_path(n: int) -> Fraction:
 # Ground truths are statistics of generated trees, never of the forms above.
 
 
-def _jmin(t: Tree) -> Fraction:
-    return Fraction(min(joining_all(t)))
-
-
-def _jmax(t: Tree) -> Fraction:
-    return Fraction(max(joining_all(t)))
-
-
-def _tmeet(t: Tree) -> Fraction:
-    return t_meet(t)[0]
-
-
-def _bestmeet(t: Tree) -> Fraction:
-    return t_bestmeet(t)[0]
-
-
 def _broom_j(n: int, d: int, known: dict) -> Fraction:
     """Joining time at the handle end of the broom, its maximum.
 
@@ -359,14 +345,23 @@ def _broom_j(n: int, d: int, known: dict) -> Fraction:
     return known[n, d]
 
 
+def _path_jmax(n: int, known: dict) -> Fraction:
+    """J_max of the path on n vertices, memoized as _broom_j is but under
+    ("path", n), which no broom key (n, d) equals."""
+    if ("path", n) not in known:
+        known["path", n] = QUANTITIES["j_max"](path_tree(n))
+    return known["path", n]
+
+
 def _broom_step(dn: int, dd: int) -> Callable[[int, Optional[int], dict], Fraction]:
     """Truth of a broom difference row: J(broom(n+dn, d+dd)) - J(broom(n, d))."""
     return lambda n, d, known: _broom_j(n + dn, d + dd, known) - _broom_j(n, d, known)
 
 
-# Witnesses and _broom_j look their generator up at call time, so a rebound
-# generator (a tracer, a test) is seen by every row. No memo outlives the
-# audit that made it, so a generator rebound between audits is seen too.
+# Witnesses and the memoized truths look their generator up at call time, so
+# a rebound generator (a tracer, a test) is seen by every row. No memo
+# outlives the audit that made it, so a generator rebound between audits is
+# seen too.
 
 
 def _path(n: int, d: Optional[int]) -> Tree:
@@ -416,7 +411,7 @@ class Formula:
     domain: the range and parity case it is stated for; only closed_form checks it.
     witness(n, d): the tree the form describes, or None.
     truth(n, d, known): the exact value the form is audited against; known
-    is the calling audit's memo, which only the broom rows read.
+    is the calling audit's memo, read by the broom and delta_minus_path rows.
     predicts: the FamilySpec family whose balanced `gen` instances report it.
     """
 
@@ -435,47 +430,47 @@ def _measured(
     form: Callable[..., Fraction],
     domain: Domain,
     witness: Callable[[int, Optional[int]], Tree],
-    stat: Callable[[Tree], Fraction],
+    quantity: str,
     predicts: Optional[str] = None,
 ) -> Formula:
-    """Row whose ground truth is a statistic of its witness tree."""
-    return Formula(form, domain, witness, lambda n, d, known: stat(witness(n, d)), predicts)
+    """Row whose ground truth is QUANTITIES[quantity] of its witness tree."""
+    return Formula(form, domain, witness, lambda n, d, known: QUANTITIES[quantity](witness(n, d)), predicts)
 
 
 FORMULAS: dict[str, Formula] = {
-    "jmax_path": _measured(_jmax_path, Domain(), _path, _jmax, "path"),
-    "jmax_path_expanded_printed": _measured(_jmax_path_expanded_printed, Domain(), _path, _jmax),
-    "tmeet_path": _measured(_tmeet_path, Domain(), _path, _tmeet, "path"),
-    "tmeet_star": _measured(_tmeet_star, Domain(), _star, _tmeet, "star"),
-    "jmax_star_printed": _measured(_jmax_star_printed, Domain(), _star, _jmax, "star"),
-    "jmax_star_corrected": _measured(_jmax_star_corrected, Domain(), _star, _jmax, "star"),
-    "jmin_path_odd": _measured(_jmin_path_odd, Domain(n_odd=True), _path, _jmin, "path"),
-    "jmin_path_even": _measured(_jmin_path_even, Domain(n_odd=False), _path, _jmin, "path"),
+    "jmax_path": _measured(_jmax_path, Domain(), _path, "j_max", "path"),
+    "jmax_path_expanded_printed": _measured(_jmax_path_expanded_printed, Domain(), _path, "j_max"),
+    "tmeet_path": _measured(_tmeet_path, Domain(), _path, "t_meet", "path"),
+    "tmeet_star": _measured(_tmeet_star, Domain(), _star, "t_meet", "star"),
+    "jmax_star_printed": _measured(_jmax_star_printed, Domain(), _star, "j_max", "star"),
+    "jmax_star_corrected": _measured(_jmax_star_corrected, Domain(), _star, "j_max", "star"),
+    "jmin_path_odd": _measured(_jmin_path_odd, Domain(n_odd=True), _path, "j_min", "path"),
+    "jmin_path_even": _measured(_jmin_path_even, Domain(n_odd=False), _path, "j_min", "path"),
     "jmin_dnd_max": Formula(
         _jmin_dnd_max,
         Domain(n_min=3),
         lambda n, d: None,
-        lambda n, d, known: max(_jmin(balanced_double_broom(n, dd)) for dd in range(2, n)),
+        lambda n, d, known: max(QUANTITIES["j_min"](balanced_double_broom(n, dd)) for dd in range(2, n)),
     ),
-    "bestmeet_pn": _measured(_bestmeet_pn, Domain(), _path, _bestmeet, "path"),
-    "bestmeet_bn_printed": _measured(_bestmeet_bn_printed, Domain(n_min=5, n_odd=True), _short_broom, _bestmeet),
-    "bestmeet_bn_corrected": _measured(_bestmeet_bn_corrected, Domain(n_min=5, n_odd=True), _short_broom, _bestmeet),
+    "bestmeet_pn": _measured(_bestmeet_pn, Domain(), _path, "t_bestmeet", "path"),
+    "bestmeet_bn_printed": _measured(_bestmeet_bn_printed, Domain(n_min=5, n_odd=True), _short_broom, "t_bestmeet"),
+    "bestmeet_bn_corrected": _measured(_bestmeet_bn_corrected, Domain(n_min=5, n_odd=True), _short_broom, "t_bestmeet"),
     "delta_minus_path": Formula(
-        _delta_minus_path, Domain(), _path, lambda n, d, known: _jmax(path_tree(n - 1)) - _jmax(path_tree(n))
+        _delta_minus_path, Domain(), _path, lambda n, d, known: _path_jmax(n - 1, known) - _path_jmax(n, known)
     ),
-    "jmin_lever_odd": _measured(_jmin_lever_odd, Domain(span=(2, 1), d_odd=True), _lever, _jmin, "lever"),
-    "jmin_lever_even": _measured(_jmin_lever_even, Domain(span=(2, 1), d_odd=False), _lever, _jmin, "lever"),
-    "bestmeet_lever": _measured(_bestmeet_lever, Domain(span=(2, 1)), _lever, _bestmeet, "lever"),
+    "jmin_lever_odd": _measured(_jmin_lever_odd, Domain(span=(2, 1), d_odd=True), _lever, "j_min", "lever"),
+    "jmin_lever_even": _measured(_jmin_lever_even, Domain(span=(2, 1), d_odd=False), _lever, "j_min", "lever"),
+    "bestmeet_lever": _measured(_bestmeet_lever, Domain(span=(2, 1)), _lever, "t_bestmeet", "lever"),
     "jmax_broom": Formula(_jmax_broom, Domain(span=(1, 1)), _broom, _broom_j, "broom"),  # type: ignore[arg-type]
-    "jmin_dbroom_oo": _measured(_jmin_dbroom_oo, _OO, _dbroom, _jmin, "double_broom"),
-    "jmin_dbroom_oe": _measured(_jmin_dbroom_oe, _OE, _dbroom, _jmin, "double_broom"),
-    "jmin_dbroom_eo": _measured(_jmin_dbroom_eo, _EO, _dbroom, _jmin, "double_broom"),
-    "jmin_dbroom_ee": _measured(_jmin_dbroom_ee, _EE, _dbroom, _jmin, "double_broom"),
-    "bestmeet_dbroom_oo": _measured(_bestmeet_dbroom_oo, _OO, _dbroom, _bestmeet, "double_broom"),
-    "bestmeet_dbroom_oe": _measured(_bestmeet_dbroom_oe, _OE, _dbroom, _bestmeet, "double_broom"),
-    "bestmeet_dbroom_oe_printed": _measured(_bestmeet_dbroom_oe_printed, _OE, _dbroom, _bestmeet),
-    "bestmeet_dbroom_eo": _measured(_bestmeet_dbroom_eo, _EO, _dbroom, _bestmeet, "double_broom"),
-    "bestmeet_dbroom_ee": _measured(_bestmeet_dbroom_ee, _EE, _dbroom, _bestmeet, "double_broom"),
+    "jmin_dbroom_oo": _measured(_jmin_dbroom_oo, _OO, _dbroom, "j_min", "double_broom"),
+    "jmin_dbroom_oe": _measured(_jmin_dbroom_oe, _OE, _dbroom, "j_min", "double_broom"),
+    "jmin_dbroom_eo": _measured(_jmin_dbroom_eo, _EO, _dbroom, "j_min", "double_broom"),
+    "jmin_dbroom_ee": _measured(_jmin_dbroom_ee, _EE, _dbroom, "j_min", "double_broom"),
+    "bestmeet_dbroom_oo": _measured(_bestmeet_dbroom_oo, _OO, _dbroom, "t_bestmeet", "double_broom"),
+    "bestmeet_dbroom_oe": _measured(_bestmeet_dbroom_oe, _OE, _dbroom, "t_bestmeet", "double_broom"),
+    "bestmeet_dbroom_oe_printed": _measured(_bestmeet_dbroom_oe_printed, _OE, _dbroom, "t_bestmeet"),
+    "bestmeet_dbroom_eo": _measured(_bestmeet_dbroom_eo, _EO, _dbroom, "t_bestmeet", "double_broom"),
+    "bestmeet_dbroom_ee": _measured(_bestmeet_dbroom_ee, _EE, _dbroom, "t_bestmeet", "double_broom"),
     "big_delta_plus": Formula(_big_delta_plus, Domain(span=(1, 1)), _broom, _broom_step(1, 1)),
     "delta_plus": Formula(_delta_plus, Domain(span=(1, 1)), _broom, _broom_step(1, 0)),
     "delta_minus_broom": Formula(_delta_minus_broom, Domain(span=(2, 2)), _broom, _broom_step(-1, 0)),

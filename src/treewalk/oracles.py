@@ -7,8 +7,7 @@ distance sums over path overlaps for single hitting times, and plain
 distance sums for the barycenter. The solve is naive dense
 elimination, independent of the fast paths. The only traversal the
 oracles import is `trees.bfs_distances`, which no fast statistic calls:
-those rest on `trees.bfs_order`. Outside this module only
-`families._rooted_broom`, which no oracle checks, reads `bfs_distances`.
+those rest on `trees.bfs_order`.
 """
 
 from __future__ import annotations

@@ -11,13 +11,16 @@ vertex 0; both are stored on the tree (`Tree.joining`, `Tree.rooted`), so
 `joining_all`, `t_meet`, `t_bestmeet`, `kemeny` and `barycenter` on one
 tree run each pass once. The single-target `joining_time` accumulates
 from its own target and stays an independent check on that identity.
+`QUANTITIES` is the one table of named whole-tree quantities and how each
+is read off a tree; `sweep --quantity` and the ledger's ground truths
+both read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import TooFewVertices
 from .oracles import distance_argmin
@@ -112,6 +115,16 @@ def kemeny(t: Tree) -> Fraction:
     """Kemeny's constant: the stationary average of the meeting times."""
     total = sum(len(a) * j for a, j in zip(t.adjacency, joining_all(t)))
     return Fraction(total, _two_edges(t) ** 2)
+
+
+# Each entry looks its statistic up at call time, so a rebound one is seen.
+QUANTITIES: dict[str, Callable[[Tree], Fraction]] = {
+    "t_bestmeet": lambda t: t_bestmeet(t)[0],
+    "t_meet": lambda t: t_meet(t)[0],
+    "kemeny": lambda t: kemeny(t),
+    "j_min": lambda t: Fraction(min(joining_all(t))),
+    "j_max": lambda t: Fraction(max(joining_all(t))),
+}
 
 
 @dataclass(frozen=True)

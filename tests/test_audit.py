@@ -227,6 +227,27 @@ def test_formula_audit_keeps_no_broom_between_calls(monkeypatch):
     assert set(built.values()) == {1}
 
 
+def test_delta_minus_path_audit_builds_each_path_once(monkeypatch):
+    # row n's path(n - 1) is row n - 1's path(n): one audit builds it once
+    built: collections.Counter = collections.Counter()
+    real = families_mod.path_tree
+
+    def counting(n):
+        built[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(families_mod, "path_tree", counting)
+    rep = audit_formula("delta_minus_path", 3, 60)
+    assert rep.as_dict() == {
+        "claim": "formula:delta_minus_path",
+        "status": VERIFIED,
+        "params": {"formula": "delta_minus_path", "n": "3..60"},
+        "witnesses": [],
+        "notes": "58 instances match exactly",
+    }
+    assert built == {n: 1 for n in range(2, 61)}
+
+
 def test_formula_out_of_range_window():
     rep = audit_formula("bestmeet_bn_printed", 2, 4)
     assert rep.status == OUT_OF_RANGE

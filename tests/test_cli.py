@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import treewalk
-from treewalk import trees, walkstats
+from treewalk import families, trees, walkstats
 from treewalk.cli import _exact, main
-from treewalk.families import closed_form
+from treewalk.families import FORMULAS, bestmeet_dbroom_case, closed_form, jmin_dbroom_case
 from treewalk.trees import format_edge_list, parse_edge_list, prufer_decode
 from treewalk.families import path_tree
 
@@ -444,6 +444,48 @@ def test_sweep_double_broom_rows_match_formulas(capsys):
         n_s, d_s, _, num, den = ln.split(",")
         n, d = int(n_s), int(d_s)
         assert Fraction(int(num), int(den)) == closed_form(bestmeet_dbroom_case(n, d), n, d)
+
+
+def _swept(capsys, family: str, n: int, quantity: str) -> dict[int, Fraction]:
+    code, out = run(capsys, "sweep", "--family", family, "--n", str(n), "--quantity", quantity)
+    assert code == 0
+    rows = (ln.split(",") for ln in out.strip().splitlines()[1:])
+    return {int(d): Fraction(int(num), int(den)) for _, d, _, num, den in rows}
+
+
+def test_sweep_rows_equal_the_ledger_truths_of_the_same_trees(capsys):
+    # both read walkstats.QUANTITIES, except the broom's j_max truth, which is
+    # the single-target joining_time at the handle end: two routes, one number
+    cases = (
+        ("balanced-lever", "t_bestmeet", lambda n, d: "bestmeet_lever"),
+        ("balanced-double-broom", "t_bestmeet", bestmeet_dbroom_case),
+        ("balanced-double-broom", "j_min", jmin_dbroom_case),
+        ("broom", "j_max", lambda n, d: "jmax_broom"),
+    )
+    cells = 0
+    for n in range(4, 31):
+        for family, quantity, fid in cases:
+            for d, value in _swept(capsys, family, n, quantity).items():
+                assert value == FORMULAS[fid(n, d)].truth(n, d, {}), (family, quantity, n, d)
+                cells += 1
+    assert cells == 1593
+
+
+def test_sweep_family_builds_through_the_rebound_generator(capsys, monkeypatch):
+    built = []
+    real = families.broom_tree
+    monkeypatch.setattr(families, "broom_tree", lambda n, d: built.append((n, d)) or real(n, d))
+    assert main(["--no-timing", "sweep", "--family", "broom", "--n", "9"]) == 0
+    assert built == [(9, d) for d in range(3, 9)]
+
+
+def test_sweep_names_its_quantities_in_table_order(capsys):
+    assert main(["--no-timing", "sweep", "--family", "broom", "--n", "9", "--quantity", "j"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "invalid choice: 'j' (choose from 't_bestmeet', 't_meet', 'kemeny', 'j_min', 'j_max')\n"
+    )
 
 
 def test_sweep_enumerated_classes(capsys):

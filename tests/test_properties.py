@@ -3,7 +3,9 @@
 The whole-tree statistics read one cached rooted pass and one cached J
 vector; these checks hold them to the single-target joining_time, to the
 definitions of t_meet, t_bestmeet and Kemeny's constant, to the
-distance-sum oracle, and to the caches' keying. The rewrite pipelines and
+distance-sum oracle, and to the caches' keying. Every walkstats.QUANTITIES
+entry is held, on trees with n <= 30, to the same quantity read off the
+first-step linear solve at each vertex. The rewrite pipelines and
 move_leaf are held to their stated postconditions on the same trees.
 `analyze`'s templated per_vertex block is held, on trees with n <= 300, to
 the json.dumps rendering of the per-vertex dict it replaced; the chunk-edge
@@ -79,7 +81,7 @@ from treewalk.families import (
     path_tree,
     star_tree,
 )
-from treewalk.oracles import distance_argmin, joining_time_by_definition
+from treewalk.oracles import distance_argmin, joining_time_by_definition, joining_time_by_linear_solve
 from treewalk.transforms import (
     TransformTrace,
     _swap_edge,
@@ -108,6 +110,7 @@ from treewalk.trees import (
     v_split,
 )
 from treewalk.walkstats import (
+    QUANTITIES,
     barycenter,
     joining_all,
     joining_time,
@@ -174,6 +177,21 @@ def test_meeting_statistics_match_definitions(t):
     assert t_bestmeet_set(t) == (Fraction(lo, two_e), argmin)
     stationary = sum(Fraction(t.degree(v), two_e) * Fraction(js[v], two_e) for v in range(t.n))
     assert kemeny(t) == stationary
+
+
+# the linear solve costs O(n^3) per target: smaller trees, fewer draws
+@settings(max_examples=50, deadline=None)
+@given(prufer_trees(max_n=30))
+def test_every_named_quantity_matches_the_linear_solve(t):
+    js = [joining_time_by_linear_solve(t, w) for w in range(t.n)]
+    two_e = 2 * (t.n - 1)
+    assert {name: read(t) for name, read in QUANTITIES.items()} == {
+        "t_bestmeet": Fraction(min(js), two_e),
+        "t_meet": Fraction(max(js), two_e),
+        "kemeny": Fraction(sum(t.degree(v) * js[v] for v in range(t.n)), two_e**2),
+        "j_min": Fraction(min(js)),
+        "j_max": Fraction(max(js)),
+    }
 
 
 @PROPERTY_SETTINGS

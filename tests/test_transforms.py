@@ -103,15 +103,15 @@ def test_broomify_fixed_point():
 
 def test_broomify_runs_one_bfs(monkeypatch):
     roots = []
-    real = families.bfs_distances
+    real = families.bfs_order
 
     def counted(t, root):
         roots.append(root)
         return real(t, root)
 
-    monkeypatch.setattr(families, "bfs_distances", counted)
-    # and wherever transforms might bind its own
-    monkeypatch.setattr(transforms, "bfs_distances", counted, raising=False)
+    monkeypatch.setattr(families, "bfs_order", counted)
+    # and transforms' own binding, which broomify must not need
+    monkeypatch.setattr(transforms, "bfs_order", counted)
     for t, z in ((path_tree(4), 1), (broom_tree(5, 3), 3)):
         roots.clear()
         broomify(t, z)
