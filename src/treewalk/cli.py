@@ -17,9 +17,11 @@ import hashlib
 import json
 import sys
 import time
-from decimal import Context
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import floordiv
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -49,14 +51,16 @@ from .walkstats import (
 )
 
 
-# Rendering divides in this private context, never in the thread's decimal
-# context; the flags it accumulates are never read. Cheaper per call than
-# localcontext(), which matters at one call per vertex in analyze.
-_DECIMAL12 = Context(prec=12)
+# Decimals are divided and rendered in this private context, never in the
+# thread's decimal context, whose precision, rounding or exponent case
+# (capitals) a caller may have changed; the flags it accumulates are never
+# read. Cheaper per call than localcontext(), which matters at one call per
+# vertex in analyze.
+_DECIMAL12 = Context(prec=12, rounding=ROUND_HALF_EVEN, capitals=1)
 
 
 def _decimal_str(fr: Fraction) -> str:
-    return str(_DECIMAL12.divide(fr.numerator, fr.denominator))
+    return _DECIMAL12.to_sci_string(_DECIMAL12.divide(fr.numerator, fr.denominator))
 
 
 def _exact(fr: Fraction) -> dict:
@@ -147,33 +151,39 @@ def _write_per_vertex(out: TextIO, js: Sequence[int], targets: list[int], two_ed
     """Write the per_vertex value to `out` exactly as json.dumps(sort_keys=True,
     indent=2) renders {str(v): {"joining_time": J(v), "meeting_time":
     _exact(J(v)/2|E|)}} at its depth in the envelope, filled from one fixed
-    template per vertex and written _CHUNK entries at a time."""
+    template per vertex and written _CHUNK entries at a time. Each chunk's
+    gcds, reduced fractions and decimals are computed by C-level maps."""
     order = sorted(targets, key=str)  # sort_keys order: "10" < "9"
     out.write("{\n")
     for start in range(0, len(order), _CHUNK):
-        entries = []
-        for v in order[start:start + _CHUNK]:
-            j = js[v]
-            g = gcd(j, two_edges)
-            num, den = j // g, two_edges // g
-            entries.append(
-                f'      "{v}": {{\n'
-                f'        "joining_time": {j},\n'
-                f'        "meeting_time": {{\n'
-                f'          "decimal": "{_DECIMAL12.divide(num, den)}",\n'
-                f'          "den": {den},\n'
-                f'          "num": {num}\n'
-                f"        }}\n"
-                f"      }}"
-            )
+        vs = order[start:start + _CHUNK]
+        jv = list(map(js.__getitem__, vs))
+        gs = list(map(gcd, jv, repeat(two_edges)))
+        nums = list(map(floordiv, jv, gs))
+        dens = list(map(floordiv, repeat(two_edges), gs))
+        decs = map(_DECIMAL12.to_sci_string, map(_DECIMAL12.divide, nums, dens))
+        entries = [
+            f'      "{v}": {{\n'
+            f'        "joining_time": {j},\n'
+            f'        "meeting_time": {{\n'
+            f'          "decimal": "{dec}",\n'
+            f'          "den": {den},\n'
+            f'          "num": {num}\n'
+            f"        }}\n"
+            f"      }}"
+            for v, j, dec, den, num in zip(vs, jv, decs, dens, nums)
+        ]
         if start:
             out.write(",\n")
         out.write(",\n".join(entries))
     out.write("\n    }")
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    started = time.time()
+def _analysis(args: argparse.Namespace) -> tuple[dict, str, list[int], list[int], int]:
+    """The analyze payload (per_vertex left as a placeholder), the input
+    digest, the sorted targets, J at every vertex and 2|E|. The tree and
+    its text are dropped on return, before the per_vertex block is written,
+    so analyze's peak does not hold them and the block's chunks at once."""
     text, t = _load_tree(args.input)
     if args.targets == "all":
         targets = list(range(t.n))
@@ -200,11 +210,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.dot:
         Path(args.dot).write_text(_dot(t), encoding="utf-8")
         payload["dot_file"] = args.dot
-    env = _envelope(args, payload, _digest(text), started)
+    return payload, _digest(text), targets, js, 2 * (t.n - 1)
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    started = time.time()
+    payload, digest, targets, js, two_edges = _analysis(args)
+    env = _envelope(args, payload, digest, started)
     head, _, tail = json.dumps(env, sort_keys=True, indent=2).partition(_PER_VERTEX_SLOT)
     out = sys.stdout  # looked up now, so redirect_stdout captures the output
     out.write(head + _PER_VERTEX_KEY)
-    _write_per_vertex(out, js, targets, 2 * (t.n - 1))
+    _write_per_vertex(out, js, targets, two_edges)
     out.write(tail + "\n")
     return 0
 

@@ -13,9 +13,9 @@ vertex 0 (`Tree.rooted`) and the joining time of every vertex
 (`Tree.joining`), each computed on first use and freed with the tree.
 
 Then the two traversals (BFS distances and BFS order), diameter with a
-witness geodesic read off the rooted pass and one more BFS, vertex
-splits, Prufer decoding, and centroid-rooted canonical forms (equal byte
-codes iff the trees are isomorphic), the AHU rooted-tree code (Aho,
+witness geodesic read off the rooted pass with no traversal of its own,
+vertex splits, Prufer decoding, and centroid-rooted canonical forms (equal
+byte codes iff the trees are isomorphic), the AHU rooted-tree code (Aho,
 Hopcroft and Ullman, 1974). A canonical form reads the stored rooted pass
 and walks no tree of its own: one bottom-up pass gives the codes at both
 centroids, with parents reversed only on the path from vertex 0 to the
@@ -240,23 +240,41 @@ def _depths(order: Sequence[int], parent: Sequence[int]) -> list[int]:
 
 
 def diameter_and_geodesic(t: Tree) -> tuple[int, list[int]]:
-    """Diameter and one witness path, found by double BFS; the first sweep
-    is the tree's rooted pass from vertex 0.
+    """Diameter and one witness path, read off the tree's rooted pass from
+    vertex 0 with no traversal of its own.
 
-    Ties break toward the smallest vertex id; the returned path runs from
-    its smaller endpoint to its larger one.
+    One end a is the smallest id at the greatest depth. Its ancestors get
+    their distance from a by climbing from a; every other vertex, in BFS
+    order, gets its parent's distance + 1, since the path from it to a
+    leaves through its parent. The other end b is the smallest id at the
+    greatest distance, and the path climbs from a and from b to their
+    lowest common ancestor. Ties break toward the smallest vertex id; the
+    returned path runs from its smaller endpoint to its larger one.
     """
     order, parent, _ = t.rooted
     depth = _depths(order, parent)
     a = depth.index(depth[order[-1]])
-    order, parent = bfs_order(t, a)
-    depth = _depths(order, parent)
-    d = depth[order[-1]]
-    b = depth.index(d)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    return d, path if b < a else path[::-1]
+    # up[i] is a's ancestor i edges above it
+    dist = [-1] * t.n
+    up = []
+    u = a
+    while u >= 0:
+        dist[u] = len(up)
+        up.append(u)
+        u = parent[u]
+    for u in order:
+        if dist[u] < 0:
+            dist[u] = dist[parent[u]] + 1
+    d = max(dist)
+    b = dist.index(d)
+    # the common ancestor c is up[d - k], k edges above b, where
+    # d = depth[a] + depth[b] - 2 depth[c]
+    k = (d + depth[b] - depth[a]) // 2
+    down = [b]
+    for _ in range(k):
+        down.append(parent[down[-1]])
+    path = up[: d - k] + down[::-1]
+    return d, path if a < b else path[::-1]
 
 
 @dataclass(frozen=True)

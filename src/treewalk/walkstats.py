@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from operator import mul
+from typing import Callable
 
 from .errors import TooFewVertices
 from .oracles import distance_argmin
@@ -83,37 +84,35 @@ def meeting_time(t: Tree, w: int) -> Fraction:
     return Fraction(joining_time(t, w), _two_edges(t))
 
 
-def _extreme(js: Sequence[int], want_max: bool) -> tuple[int, int, list[int]]:
-    best = max(js) if want_max else min(js)
-    tied = [v for v, val in enumerate(js) if val == best]
-    return best, tied[0], tied
-
-
 def t_meet(t: Tree) -> tuple[Fraction, int]:
     """Maximum meeting time over targets, with the smallest argmax id."""
-    best, witness, _ = _extreme(joining_all(t), want_max=True)
-    return Fraction(best, _two_edges(t)), witness
+    js = joining_all(t)
+    best = max(js)
+    return Fraction(best, _two_edges(t)), js.index(best)
 
 
 def t_meet_set(t: Tree) -> tuple[Fraction, list[int]]:
-    best, _, tied = _extreme(joining_all(t), want_max=True)
-    return Fraction(best, _two_edges(t)), tied
+    js = joining_all(t)
+    best = max(js)
+    return Fraction(best, _two_edges(t)), [v for v, j in enumerate(js) if j == best]
 
 
 def t_bestmeet(t: Tree) -> tuple[Fraction, int]:
     """Minimum meeting time over targets, with the smallest argmin id."""
-    best, witness, _ = _extreme(joining_all(t), want_max=False)
-    return Fraction(best, _two_edges(t)), witness
+    js = joining_all(t)
+    best = min(js)
+    return Fraction(best, _two_edges(t)), js.index(best)
 
 
 def t_bestmeet_set(t: Tree) -> tuple[Fraction, list[int]]:
-    best, _, tied = _extreme(joining_all(t), want_max=False)
-    return Fraction(best, _two_edges(t)), tied
+    js = joining_all(t)
+    best = min(js)
+    return Fraction(best, _two_edges(t)), [v for v, j in enumerate(js) if j == best]
 
 
 def kemeny(t: Tree) -> Fraction:
     """Kemeny's constant: the stationary average of the meeting times."""
-    total = sum(len(a) * j for a, j in zip(t.adjacency, joining_all(t)))
+    total = sum(map(mul, map(len, t.adjacency), joining_all(t)))
     return Fraction(total, _two_edges(t) ** 2)
 
 

@@ -9,13 +9,14 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import treewalk
-from treewalk import families, trees, walkstats
+from treewalk import cli, families, trees, walkstats
 from treewalk.cli import _exact, main
 from treewalk.families import FORMULAS, bestmeet_dbroom_case, closed_form, jmin_dbroom_case
 from treewalk.trees import format_edge_list, parse_edge_list, prufer_decode
@@ -416,6 +417,34 @@ def test_decimal_context_unchanged(capsys):
     assert decimal.getcontext().prec == before
 
 
+def test_decimals_do_not_follow_the_callers_decimal_context(tmp_path, p3_file):
+    # the thread's context picks the exponent's case in str(Decimal) and in
+    # formatting; the CLI renders in its own context, so the bytes stay put
+    def outputs(capitals: int) -> list[str]:
+        texts = []
+        with decimal.localcontext() as ctx:
+            ctx.capitals = capitals
+            for argv in (
+                ["gen", "--family", "path", "--n", "12000", "--output", str(tmp_path / "p.txt")],
+                ["analyze", "--input", p3_file],
+            ):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["--no-timing", *argv]) == 0
+                texts.append(out.getvalue())
+            # no analyze of a tree this test can afford reaches a meeting
+            # time of 1e12, where the exponent shows, so call its writer
+            out = io.StringIO()
+            cli._write_per_vertex(out, [3 * 10**15], [0], 2)
+            texts.append(out.getvalue())
+        return texts
+
+    upper = outputs(1)
+    assert outputs(0) == upper
+    assert '"decimal": "2.30342404400E+12"' in upper[0]
+    assert '"decimal": "1.50000000000E+15"' in upper[2]
+
+
 def test_sweep_lever_rows_match_formulas(capsys):
     code, out = run(
         capsys,
@@ -673,6 +702,31 @@ def test_analyze_writes_per_vertex_in_bounded_chunks(tmp_path):
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert len(text) > 1_800_000
     assert max(out.lengths) < 1_000_000
+
+
+def test_analyze_frees_its_tree_before_writing_per_vertex(tmp_path, capsys, monkeypatch):
+    rng = random.Random(8)
+    f = tmp_path / "t.txt"
+    f.write_text(format_edge_list(prufer_decode([rng.randrange(300) for _ in range(298)], 300)))
+    parsed = []
+    written = []
+    real_parse, real_write = cli.parse_edge_list, cli._write_per_vertex
+
+    def parse(text):
+        t = real_parse(text)
+        parsed.append(weakref.ref(t))
+        return t
+
+    def write(*args):
+        written.append([ref() is None for ref in parsed])
+        return real_write(*args)
+
+    monkeypatch.setattr(cli, "parse_edge_list", parse)
+    monkeypatch.setattr(cli, "_write_per_vertex", write)
+    assert main(["--no-timing", "analyze", "--input", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["n"] == 300
+    # one tree was parsed, and it was gone when the per_vertex block began
+    assert written == [[True]]
 
 
 def test_unknown_subcommand_usage(capsys):

@@ -23,8 +23,11 @@ to 7 edges and then relabeled at random, so that vertex 0 lies far from
 the centroids.
 diameter_and_geodesic and v_split are held the same way to the double BFS
 and the per-neighbor seen-set loops they replaced, on trees with n <= 80
-and at every vertex of every class up to order 10. Kemeny's constant is
-held to the Wiener index: K = 2W/(n-1) - (2n-1)/2. parse_edge_list, numpy
+and at every vertex of every class up to order 10; the diameter, read off
+the rooted pass alone, is also held to the double BFS on relabeled Prufer
+trees with n <= 400 and on shapes where the ends tie or the geodesic
+climbs to vertex 0 or to a vertex below it. Kemeny's constant is held to
+the Wiener index: K = 2W/(n-1) - (2n-1)/2. parse_edge_list, numpy
 pass first, is held to the line parser on edge lists of trees with n <= 200,
 re-spaced with blanks and tabs and sometimes damaged by one edit: the same
 tree, or the same error class and message. is_double_broom and
@@ -887,6 +890,44 @@ def test_traversals_match_the_replaced_loops(t):
 def test_traversals_match_the_replaced_loops_on_every_class(n):
     for t in enumerate_trees(n):
         _assert_traversals_match_references(t)
+
+
+@st.composite
+def relabeled_prufer_trees(draw, max_n: int = 400) -> Tree:
+    """A Prufer tree with its ids permuted at random, so vertex 0 and the
+    smallest ids land anywhere on or off the diameter."""
+    t = draw(prufer_trees(max_n))
+    perm = draw(st.permutations(range(t.n)))
+    return build_tree([(perm[u], perm[v]) for u, v in t.edges()], t.n)
+
+
+# three legs of two edges around 4, vertex 0 ending one: the deepest ends 5
+# and 6 tie for a, and then 0 and 6 tie for b at the greatest distance
+_EQUAL_SPIDER = build_tree([(4, 1), (1, 0), (4, 2), (2, 5), (4, 3), (3, 6)], 7)
+# a = 3 lies below vertex 0 and b = 4 on another branch of it, so the
+# geodesic climbs to 0 from both ends
+_FORK_AT_0 = build_tree([(0, 1), (1, 2), (2, 3), (0, 5), (5, 4)], 6)
+# a = 4 and b = 7 hang on two branches of 1, a vertex below 0, so the
+# common ancestor the geodesic climbs to is neither an end nor vertex 0
+_FORK_BELOW_0 = build_tree([(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7), (0, 8)], 9)
+
+
+@PROPERTY_SETTINGS
+@given(relabeled_prufer_trees())
+@example(path_tree(1))
+@example(path_tree(2))
+@example(star_tree(9))
+@example(_EQUAL_SPIDER)
+@example(_FORK_AT_0)
+@example(_FORK_BELOW_0)
+def test_diameter_matches_the_double_bfs(t):
+    assert diameter_and_geodesic(t) == _double_bfs_diameter(t), t
+
+
+def test_explicit_diameter_examples_tie_and_fork():
+    assert diameter_and_geodesic(_EQUAL_SPIDER) == (4, [0, 1, 4, 2, 5])
+    assert diameter_and_geodesic(_FORK_AT_0) == (5, [3, 2, 1, 0, 5, 4])
+    assert diameter_and_geodesic(_FORK_BELOW_0) == (6, [4, 3, 2, 1, 5, 6, 7])
 
 
 def _assert_kemeny_is_wiener(t: Tree) -> None:

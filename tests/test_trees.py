@@ -93,16 +93,17 @@ def test_diameter_balanced_double_broom():
     assert d == 5 and len(geo) == 6
 
 
-def test_diameter_runs_one_bfs_on_the_rooted_pass(monkeypatch):
+def test_diameter_runs_no_traversal_on_the_rooted_pass(monkeypatch):
     t = prufer_decode([3, 3, 7, 0, 9, 1, 1, 4], 10)
     t.rooted  # analyze and sweep have built it before they ask
-    roots = []
-    real = trees.bfs_order
-    monkeypatch.setattr(trees, "bfs_order", lambda t, root: roots.append(root) or real(t, root))
-    monkeypatch.setattr(trees, "bfs_distances", None)
-    d, geo = diameter_and_geodesic(t)
-    # the one BFS runs from the far end that the rooted pass found
-    assert len(roots) == 1 and roots[0] in (geo[0], geo[-1])
+
+    def no_traversal(*args):
+        raise AssertionError("diameter_and_geodesic walked the tree")
+
+    for name in ("bfs_order", "bfs_distances", "subtree_sizes"):
+        monkeypatch.setattr(trees, name, no_traversal)
+    # the far end 6 hangs off vertex 0, so the path climbs to 0 from both ends
+    assert diameter_and_geodesic(t) == (7, [2, 3, 7, 1, 4, 9, 0, 6])
 
 
 def test_split_path_center():
