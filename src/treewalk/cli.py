@@ -6,8 +6,8 @@ an advisory 12-significant-digit decimal rendering; identical inputs and
 seeds produce byte-identical output once --no-timing is passed. A flag
 that the chosen claim, family or mode does not read is a usage error.
 
-Exit codes: 0 success/verified, 1 usage or input error, 2 audit
-discrepancy or refutation.
+Exit codes: 0 success/verified, 1 usage or input error, 2 every audit
+status but verified (refuted, discrepancy-in-paper, out-of-range).
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ three-phase pipelines that push any tree of fixed order and diameter to
 the balanced lever (minimizing the smallest scaled meeting time) or to a
 double broom (maximizing it). Every pipeline emits a TransformTrace, which
 reads the minimum joining time of each tree it records and checks it
-monotone step by step. A step keeps its tree as the packed parent array of
-the rooted pass that reading built, and builds the tree's canonical code
-only when that is read.
+monotone step by step. Each step builds and roots its tree once; the trace
+keeps that pass's parent array, packed, and codes the tree only when read.
+Maximize roots its tree at the barycenter once, after its first phase.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (
     DiameterOutOfRange,
@@ -34,6 +34,7 @@ from .trees import (
     build_tree,
     canonical_form,
     centroids,
+    check_vertex,
     diameter_and_geodesic,
     path_between,
     v_split,
@@ -146,6 +147,8 @@ def move_leaf(t: Tree, z: int, y: int, x: int, check: bool = False) -> Tree:
     that the joining time to x strictly dropped (x == y returns the tree
     unchanged and waives the strict part).
     """
+    for v in (z, y, x):
+        check_vertex(t, v)
     if t.degree(z) != 1:
         raise NotALeaf(f"vertex {z} has degree {t.degree(z)}")
     if t.adjacency[z][0] != y:
@@ -172,6 +175,7 @@ def broomify(t: Tree, z: int) -> Tree:
     """The unique maximizer of the joining time to z among trees of the same
     order and the same eccentricity of z: a broom with z at the far end of
     the handle. Returns t itself when it already has that shape."""
+    check_vertex(t, z)
     r, broom = _rooted_broom(t, z)
     if broom:
         return t
@@ -205,21 +209,22 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     ends = (geo[0], geo[-1])
     geo_set = set(geo)
 
-    # phase one: every leaf beside the barycenter
+    # phase one: every leaf beside the barycenter. A leaf moved beside c
+    # leaves every component of t - c at most n/2, and any other vertex that
+    # is a centroid afterwards was one before, so c stays the least centroid.
+    c = min(centroids(cur))
     guard = 0
     while True:
-        c = min(centroids(cur))
         z = _moveable_leaf(cur, c, ends)
         if z is None:
             break
         y = cur.adjacency[z][0]
-        cur = move_leaf(cur, z, y, c)
+        cur = _swap_edge(cur, z, y, c)
         trace.append(f"move leaf {z} from {y} beside barycenter {c}", cur)
         guard += 1
         if guard > 4 * n:
             raise TreewalkError("leaf relocation failed to converge")
 
-    c = min(centroids(cur))
     if c not in geo_set:
         # phase two: collapse the off-geodesic branch onto its attachment
         attach = next(v for v in path_between(cur, c, ends[0]) if v in geo_set)
@@ -237,22 +242,6 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     return cur, trace
 
 
-def _branch_geometry(t: Tree, c: int) -> Callable[[set[int]], tuple[int, int, int]]:
-    """Root t at c once. The returned function gives (depth r, deepest
-    leaf, holder of the deepest leaves) for a broom-shaped branch hanging
-    off c; the path from c to any vertex of a branch stays in the branch,
-    so depths in the whole tree are depths in the branch."""
-    order, parent = bfs_order(t, c)
-    depth = _depths(order, parent)
-
-    def geometry(part: set[int]) -> tuple[int, int, int]:
-        r = max(depth[v] for v in part)
-        deepest = min(v for v in part if depth[v] == r)
-        return r, deepest, parent[deepest]
-
-    return geometry
-
-
 def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     """Three-phase rewrite of a non-double-broom into a double broom whose
     minimum joining time is strictly larger; diameter never ends up above
@@ -263,7 +252,9 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     handles of the two best branches until they span the diameter; phase
     three empties the remaining branches into their bristle clusters.
     Individual phase two/three moves are only guaranteed non-decreasing,
-    and the barycenter certificate is re-checked after every move.
+    and the barycenter certificate is re-checked after every move. The
+    tree is rooted at c once, after phase one: each later move relocates a
+    leaf, so the loop rewrites only that leaf's parent and depth.
     """
     n = t.n
     d, _ = diameter_and_geodesic(t)
@@ -294,7 +285,16 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     if len(parts) <= 2:
         return _finish(cur, d, trace)
 
-    geometry = _branch_geometry(cur, c)
+    # geometry(part): depth r, deepest leaf and that leaf's holder of a branch
+    # off c. A path from c into a branch stays in it: depths from c are its own.
+    order, parent = bfs_order(cur, c)
+    depth = _depths(order, parent)
+
+    def geometry(part: set[int]) -> tuple[int, int, int]:
+        r = max(depth[v] for v in part)
+        deepest = min(v for v in part if depth[v] == r)
+        return r, deepest, parent[deepest]
+
     ranked = sorted(
         range(len(parts)), key=lambda i: (-_delta_plus(len(parts[i]) + 1, geometry(parts[i])[0]), i)
     )
@@ -313,8 +313,6 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     # handles span the diameter they keep spanning it.
     extending = True
     while donors:
-        # every geometry read of a step is on the same cur, rooted once
-        geometry = _branch_geometry(cur, c)
         if extending:
             extending = geometry(parts[g1])[0] + geometry(parts[g2])[0] < d
         target = acceptor()
@@ -328,6 +326,7 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
             attach = t_holder if rt > 1 else c
             description = f"add leaf {w} to the cluster of branch {target}"
         cur = _swap_edge(cur, w, holder, attach)
+        parent[w], depth[w] = attach, depth[attach] + 1
         parts[donor].discard(w)
         parts[target].add(w)
         if not parts[donor]:

@@ -212,6 +212,8 @@ def bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
 
 def path_between(t: Tree, u: int, v: int) -> list[int]:
     """The unique u..v path, endpoints included."""
+    check_vertex(t, u)
+    check_vertex(t, v)
     _, parent = bfs_order(t, u)
     path = [v]
     while path[-1] != u:

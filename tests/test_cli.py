@@ -236,6 +236,15 @@ def test_audit_exit_codes(capsys):
     assert vals == [(5, 1), (10, 1)]
 
 
+def test_an_out_of_range_formula_audit_exits_2(capsys):
+    # every status but verified exits 2, out-of-range included
+    code, out = run(
+        capsys, "--no-timing", "audit", "formula", "bestmeet_bn_printed", "--n", "2..4"
+    )
+    assert code == 2
+    assert json.loads(out)["results"]["status"] == "out-of-range"
+
+
 def test_audit_formula_with_d_range(capsys):
     code, out = run(
         capsys, "--no-timing", "audit", "formula", "jmax_broom", "--n", "4..20", "--d", "2..10"

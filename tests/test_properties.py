@@ -42,7 +42,8 @@ definition oracle, on trees with n <= 60 and on every class up to order 9.
 Every rewrite-trace step's canonical code, built when read, is held to the
 code of the tree the step was appended with, on trees with n <= 80 through
 both pipelines, and the step's packed parent array to at most that code's
-length.
+length. On trees with n <= 60 and 3 <= d <= n-2, every leaf minimize moves
+beside the barycenter leaves the least centroid of the input in place.
 """
 
 import contextlib
@@ -285,6 +286,20 @@ def _appended_steps(pipeline, t: Tree) -> list:
         except TreewalkError:
             pass  # a diameter out of range, or maximize's known failure
     return appended
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees())
+def test_minimize_phase_one_keeps_the_least_centroid(t):
+    # minimize finds its barycenter once; every leaf it moves beside it must
+    # leave the least centroid where it was on the input
+    d, _ = diameter_and_geodesic(t)
+    assume(3 <= d <= t.n - 2)
+    c = min(centroids(t))
+    for step, tree in _appended_steps(minimize_pipeline, t):
+        if step.description.startswith("move leaf"):
+            assert step.description.endswith(f"beside barycenter {c}")
+            assert min(centroids(tree)) == c
 
 
 @PROPERTY_SETTINGS

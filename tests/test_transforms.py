@@ -8,7 +8,13 @@ import pytest
 
 from treewalk import families, transforms
 from treewalk.enumeration import tree_classes
-from treewalk.errors import DiameterOutOfRange, NotALeaf, SelfAttach, WrongNeighbor
+from treewalk.errors import (
+    DiameterOutOfRange,
+    NotALeaf,
+    SelfAttach,
+    VertexOutOfRange,
+    WrongNeighbor,
+)
 from treewalk.families import (
     balanced_double_broom,
     balanced_lever,
@@ -27,6 +33,7 @@ from treewalk.transforms import (
 from treewalk.trees import (
     build_tree,
     canonical_form,
+    centroids,
     diameter_and_geodesic,
     prufer_decode,
     rooted_canonical_form,
@@ -259,3 +266,66 @@ def test_pipelines_code_only_their_starting_tree(monkeypatch):
     # a read codes the step's tree then
     assert up.steps[-1].canonical == canonical_form(high)
     assert callers[2:] == ["canonical"]
+
+
+@pytest.mark.parametrize(
+    "rewrite,v",
+    [
+        (lambda t: broomify(t, -1), -1),
+        (lambda t: broomify(t, 9), 9),
+        (lambda t: move_leaf(t, -1, 3, 0), -1),
+        (lambda t: move_leaf(t, 4, 3, -2), -2),
+        (lambda t: move_leaf(t, 4, 3, 9), 9),
+    ],
+    ids=["broomify-neg", "broomify-high", "move-leaf-z-neg", "move-leaf-x-neg", "move-leaf-x-high"],
+)
+def test_rewrites_reject_a_vertex_out_of_range(rewrite, v):
+    # negative ids used to build a tree that names them, 9 a bare IndexError
+    with pytest.raises(VertexOutOfRange, match=rf"vertex {v} outside 0\.\.4"):
+        rewrite(path_tree(5))
+
+
+def test_maximize_roots_its_tree_at_the_barycenter_once(monkeypatch):
+    roots = []
+    real = transforms.bfs_order
+
+    def counted(t, root):
+        roots.append(root)
+        return real(t, root)
+
+    monkeypatch.setattr(transforms, "bfs_order", counted)
+    lever = balanced_lever(20, 6)
+    _, trace = maximize_pipeline(lever)
+    assert sum(s.description.startswith("add leaf") for s in trace.steps) == 13
+    assert roots == [min(centroids(lever))]
+
+
+def _lever_bound_tree():
+    # two leaves to move beside the barycenter in phase one
+    return prufer_decode([3, 3, 7, 0, 9, 1, 1, 4, 4, 12, 2], 13)
+
+
+def test_minimize_finds_its_barycenter_once(monkeypatch):
+    calls = []
+    real = transforms.centroids
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(transforms, "centroids", counted)
+    _, trace = minimize_pipeline(_lever_bound_tree())
+    assert sum(s.description.startswith("move leaf") for s in trace.steps) == 2
+    assert len(calls) == 1
+
+
+def test_minimize_moves_leaves_without_the_validating_entry_point(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("move_leaf re-validates the pipeline's own leaf")
+
+    monkeypatch.setattr(transforms, "move_leaf", refuse)
+    t = _lever_bound_tree()
+    out, trace = minimize_pipeline(t)
+    assert any(s.description.startswith("move leaf") for s in trace.steps)
+    d, _ = diameter_and_geodesic(t)
+    assert canonical_form(out) == canonical_form(balanced_lever(t.n, d))

@@ -150,6 +150,13 @@ def test_split_rejects_a_vertex_out_of_range(v):
         v_split(star_tree(5), v)
 
 
+@pytest.mark.parametrize("u,v,bad", [(0, -1, -1), (0, 9, 9), (-1, 0, -1)])
+def test_path_between_rejects_a_vertex_out_of_range(u, v, bad):
+    # -1 as the end used to end the path, -1 as the start to loop forever, 9 an IndexError
+    with pytest.raises(VertexOutOfRange, match=rf"vertex {bad} outside 0\.\.4"):
+        trees.path_between(path_tree(5), u, v)
+
+
 def test_forms_read_the_stored_rooted_pass_without_another_traversal(monkeypatch):
     # both forms, one centroid or two, far from vertex 0 or at it, read the pass
     # from vertex 0 stored on the tree and walk no BFS of their own
