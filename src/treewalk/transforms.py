@@ -5,17 +5,20 @@ three-phase pipelines that push any tree of fixed order and diameter to
 the balanced lever (minimizing the smallest scaled meeting time) or to a
 double broom (maximizing it). Every pipeline emits a TransformTrace, which
 reads the minimum joining time of each tree it records and checks it
-monotone step by step. Each step builds and roots its tree once; the trace
-keeps that pass's parent array, packed, and codes the tree only when read.
-Maximize roots its tree at the barycenter once, after its first phase.
+monotone step by step. Each step builds and roots its tree once and reads
+everything else off that pass: the minimum joining time from its subtree
+sizes, maximize's barycenter check from the sizes at the barycenter's
+neighbors, and the trace's packed parent array, whose tree is coded only
+when read. Minimize lists its moveable leaves once; maximize roots its tree
+at the barycenter once, after its first phase.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import (
     DiameterOutOfRange,
@@ -51,6 +54,17 @@ def _pack_parents(tree: Tree) -> bytes:
     shared library that would raise every process's peak RSS."""
     w = "B" if tree.n <= 1 << 8 else "H" if tree.n <= 1 << 16 else "I"
     return w.encode() + struct.pack(f"{tree.n - 1}{w}", *tree.rooted[1][1:])
+
+
+def _least_joining(tree: Tree) -> int:
+    """J_min of tree, from its rooted pass's subtree sizes alone.
+
+    At a centroid every edge's far side is its smaller one, so J_min sums
+    (2 min(s, n-s) - 1)^2 over the edges; `enumeration._least_joining`
+    derives the identity. The rerooting pass (`Tree.joining`) is not run,
+    and a conditional stands in for min(), a call per edge."""
+    n = tree.n
+    return sum([(2 * s - 1 if 2 * s <= n else 2 * (n - s) - 1) ** 2 for s in tree.rooted[2][1:]])
 
 
 def _tree_from_parents(packed: bytes) -> Tree:
@@ -97,14 +111,14 @@ class TransformTrace:
     @classmethod
     def start(cls, direction: str, tree: Tree) -> "TransformTrace":
         """An empty trace starting from `tree`."""
-        return cls(direction, min(tree.joining), canonical_form(tree))
+        return cls(direction, _least_joining(tree), canonical_form(tree))
 
     @property
     def last_value(self) -> int:
         return self.steps[-1].value if self.steps else self.initial_value
 
     def append(self, description: str, tree: Tree, allow_equal: bool = False) -> None:
-        value = min(tree.joining)
+        value = _least_joining(tree)
         prev = self.last_value
         if self.direction == "decreasing":
             ok = value <= prev if allow_equal else value < prev
@@ -183,13 +197,6 @@ def broomify(t: Tree, z: int) -> Tree:
     return _spine_tree(t.n, handle, [handle[-1]] * (t.n - r))
 
 
-def _moveable_leaf(t: Tree, c: int, banned: tuple[int, int]) -> Optional[int]:
-    for v in range(t.n):
-        if t.degree(v) == 1 and v not in banned and v != c and t.adjacency[v][0] != c:
-            return v
-    return None
-
-
 def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     """Three-phase rewrite to the balanced lever of the same order and
     diameter; the minimum joining time strictly drops at every step.
@@ -209,17 +216,25 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     ends = (geo[0], geo[-1])
     geo_set = set(geo)
 
-    # phase one: every leaf beside the barycenter. A leaf moved beside c
-    # leaves every component of t - c at most n/2, and any other vertex that
-    # is a centroid afterwards was one before, so c stays the least centroid.
+    # phase one: every leaf beside the barycenter, the smallest id first. A
+    # leaf moved beside c leaves every component of t - c at most n/2, and
+    # any other vertex that is a centroid afterwards was one before, so c
+    # stays the least centroid. Moving z off y changes only z, y and c, and
+    # of those only y can turn into a moveable leaf.
     c = min(centroids(cur))
+
+    def moveable(v: int) -> bool:
+        adj = cur.adjacency[v]
+        return len(adj) == 1 and v not in ends and v != c and adj[0] != c
+
+    leaves = [v for v in range(n) if moveable(v)]
     guard = 0
-    while True:
-        z = _moveable_leaf(cur, c, ends)
-        if z is None:
-            break
+    while leaves:
+        z = heapq.heappop(leaves)
         y = cur.adjacency[z][0]
         cur = _swap_edge(cur, z, y, c)
+        if moveable(y):
+            heapq.heappush(leaves, y)
         trace.append(f"move leaf {z} from {y} beside barycenter {c}", cur)
         guard += 1
         if guard > 4 * n:
@@ -347,7 +362,13 @@ def _swap_edge(t: Tree, w: int, old: int, new: int) -> Tree:
 
 
 def _assert_barycenter(t: Tree, c: int) -> None:
-    if c not in centroids(t):
+    """Raise unless c is a centroid of t, from the sizes of t's rooted pass
+    at c's neighbors: a child w's component of t - c holds size[w]
+    vertices, the parent's n - size[c]."""
+    _, parent, size = t.rooted
+    n = t.n
+    heavy = max(size[w] if parent[w] == c else n - size[c] for w in t.adjacency[c])
+    if 2 * heavy > n:
         raise TreewalkError(f"vertex {c} stopped being a barycenter mid-pipeline")
 
 

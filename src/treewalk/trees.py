@@ -22,8 +22,8 @@ centroids, with parents reversed only on the path from vertex 0 to the
 root. A vertex with one child carries its child's code and a count of
 pending wraps, so a single-child chain is written once, and each code is
 dropped once taken: a form copies O(n) bytes on a path and holds O(n)
-bytes at any moment. Statistics of one vertex check its id first
-(`check_vertex`).
+bytes at any moment. Statistics of one vertex, and the traversals from
+one, check its id first (`check_vertex`).
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ def _spine_tree(n: int, spine: Sequence[int], hubs: Sequence[int]) -> Tree:
 
 def bfs_distances(t: Tree, src: int) -> list[int]:
     """Distances in edges from one source vertex."""
+    check_vertex(t, src)
     dist = [-1] * t.n
     dist[src] = 0
     queue = deque([src])
@@ -197,6 +198,7 @@ def distances(t: Tree) -> tuple[tuple[int, ...], ...]:
 
 def bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
     """BFS visit order and parent array (parent[root] = -1)."""
+    check_vertex(t, root)
     parent = [-1] * t.n
     parent[root] = root
     order = [root]
@@ -212,7 +214,6 @@ def bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
 
 def path_between(t: Tree, u: int, v: int) -> list[int]:
     """The unique u..v path, endpoints included."""
-    check_vertex(t, u)
     check_vertex(t, v)
     _, parent = bfs_order(t, u)
     path = [v]

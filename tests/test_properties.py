@@ -39,6 +39,11 @@ replaced, on random spines and hubs with n <= 80 and on every formula
 witness with n <= 20. The single-target joining_time, the ground truth of
 the ledger's broom rows, is held at every vertex to joining_all and to the
 definition oracle, on trees with n <= 60 and on every class up to order 9.
+Every rewrite-trace value, read off the recorded tree's subtree sizes, is
+held to the least entry of joining_all on trees with n <= 60 through both
+pipelines, with the rerooting pass shown not to have run before that read;
+the barycenter check the maximize pipeline repeats after each move is held
+to centroids at every vertex of the same trees.
 Every rewrite-trace step's canonical code, built when read, is held to the
 code of the tree the step was appended with, on trees with n <= 80 through
 both pipelines, and the step's packed parent array to at most that code's
@@ -88,6 +93,7 @@ from treewalk.families import (
 from treewalk.oracles import distance_argmin, joining_time_by_definition, joining_time_by_linear_solve
 from treewalk.transforms import (
     TransformTrace,
+    _assert_barycenter,
     _swap_edge,
     broomify,
     maximize_pipeline,
@@ -309,6 +315,32 @@ def test_every_trace_step_codes_the_tree_it_was_appended_with(t):
         for step, tree in _appended_steps(pipeline, t):
             assert step.canonical == canonical_form(tree)
             assert len(step.parents) <= len(step.canonical)
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees())
+def test_trace_values_match_the_rerooting_pass_without_running_it(t):
+    # the trace reads J_min off each tree's subtree sizes; the rerooting
+    # pass must not have run on any recorded tree before it is read here
+    start = TransformTrace.start("increasing", t)
+    assert "joining" not in t.__dict__
+    assert start.initial_value == min(joining_all(t))
+    for pipeline in (minimize_pipeline, maximize_pipeline):
+        for step, tree in _appended_steps(pipeline, t):
+            assert "joining" not in tree.__dict__
+            assert step.value == min(joining_all(tree))
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees())
+def test_barycenter_check_matches_the_centroids(t):
+    cs = centroids(t)
+    for v in range(t.n):
+        if v in cs:
+            _assert_barycenter(t, v)
+        else:
+            with pytest.raises(TreewalkError, match=f"vertex {v} stopped being a barycenter"):
+                _assert_barycenter(t, v)
 
 
 @PROPERTY_SETTINGS

@@ -319,6 +319,36 @@ def test_minimize_finds_its_barycenter_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_maximize_finds_its_barycenter_once(monkeypatch):
+    # the check after each move reads the sizes at the barycenter's
+    # neighbors instead of running centroids again
+    calls = []
+    real = transforms.centroids
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(transforms, "centroids", counted)
+    _, trace = maximize_pipeline(balanced_lever(20, 6))
+    assert len(trace.steps) > 1
+    assert len(calls) == 1
+
+
+def test_minimize_moves_a_freed_neighbor_next():
+    # moving leaf 8 off 0 leaves 0 a leaf on 5, off the geodesic 4..6: the
+    # listed leaves must take it in, ahead of any larger id
+    t = build_tree([(0, 5), (0, 8), (1, 2), (1, 9), (2, 5), (2, 7), (3, 6), (3, 7), (4, 9)], 10)
+    assert diameter_and_geodesic(t)[0] == 6 and centroids(t) == [2]
+    _, trace = minimize_pipeline(t)
+    assert trace.initial_value == 105
+    moves = [(s.description, s.value) for s in trace.steps if s.description.startswith("move leaf")]
+    assert moves == [
+        ("move leaf 8 from 0 beside barycenter 2", 81),
+        ("move leaf 0 from 5 beside barycenter 2", 73),
+    ]
+
+
 def test_minimize_moves_leaves_without_the_validating_entry_point(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("move_leaf re-validates the pipeline's own leaf")

@@ -157,6 +157,14 @@ def test_path_between_rejects_a_vertex_out_of_range(u, v, bad):
         trees.path_between(path_tree(5), u, v)
 
 
+@pytest.mark.parametrize("root", [-1, 5, 9])
+@pytest.mark.parametrize("traversal", [trees.bfs_order, trees.bfs_distances, trees.subtree_sizes])
+def test_traversals_reject_a_root_out_of_range(traversal, root):
+    # -1 used to return an order with a parent cycle, 9 a bare IndexError
+    with pytest.raises(VertexOutOfRange, match=rf"vertex {root} outside 0\.\.4"):
+        traversal(path_tree(5), root)
+
+
 def test_forms_read_the_stored_rooted_pass_without_another_traversal(monkeypatch):
     # both forms, one centroid or two, far from vertex 0 or at it, read the pass
     # from vertex 0 stored on the tree and walk no BFS of their own
