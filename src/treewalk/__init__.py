@@ -7,12 +7,14 @@ from .audit import (
     REFUTED,
     VERIFIED,
     AuditReport,
+    BarycenterEquivalenceReport,
     Witness,
     audit_formula,
     audit_proposition_barycenter,
     audit_theorem_global,
     audit_theorem_max,
     audit_theorem_min,
+    check_barycenter_equivalences,
 )
 from .enumeration import DEFAULT_CAP, enumerate_trees, tree_classes
 from .families import (
@@ -31,6 +33,7 @@ from .families import (
     path_tree,
     star_tree,
 )
+from .oracles import distances
 from .simulate import WalkSample, simulate_hitting
 from .transforms import (
     TraceStep,
@@ -47,7 +50,6 @@ from .trees import (
     build_tree,
     canonical_form,
     diameter_and_geodesic,
-    distances,
     format_edge_list,
     parse_edge_list,
     prufer_decode,
@@ -55,11 +57,9 @@ from .trees import (
     v_split,
 )
 from .walkstats import (
-    BarycenterEquivalenceReport,
     BarycenterResult,
     HittingProfile,
     barycenter,
-    check_barycenter_equivalences,
     hitting_profile,
     joining_all,
     joining_time,

@@ -7,6 +7,10 @@ from the enumeration, and extremal-value witnesses are re-derived through
 two independent oracles (subtree-accumulation joining times and
 first-step linear solves) before a report is allowed to contradict a
 printed statement.
+
+This is the one module that sets a fast route beside an oracle: the
+proposition's four-way barycenter check lives here, above its audit,
+and no fast module imports `oracles`.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from typing import Callable, Optional
 from .enumeration import DEFAULT_CAP, ENUMERATION_CEILING, extremal_table, tree_classes
 from .errors import CapExceeded, OutOfStatedRange, ParityMismatch, TreewalkError, UnknownClaim
 from .families import FORMULAS, bestmeet_dbroom_case, closed_form
-from .oracles import joining_time_by_linear_solve
+from .oracles import distance_argmin, joining_time_by_linear_solve
 from .trees import Tree, canonical_form
-from .walkstats import QUANTITIES, check_barycenter_equivalences, joining_all
+from . import walkstats
+from .walkstats import QUANTITIES, joining_all
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -255,6 +260,47 @@ def audit_formula(
         params=params,
         notes=f"{checked} instances match exactly",
     )
+
+
+@dataclass(frozen=True)
+class BarycenterEquivalenceReport:
+    """Vertex sets computed by the four equivalent barycenter criteria."""
+
+    distance_argmin: tuple[int, ...]
+    hitting_dominated: tuple[int, ...]
+    joining_argmin: tuple[int, ...]
+    component_bounded: tuple[int, ...]
+
+    @property
+    def agreed(self) -> bool:
+        return (
+            self.distance_argmin
+            == self.hitting_dominated
+            == self.joining_argmin
+            == self.component_bounded
+        )
+
+
+def check_barycenter_equivalences(t: Tree) -> BarycenterEquivalenceReport:
+    """Evaluate all four barycenter criteria on every vertex; the report's
+    `agreed` says whether the four vertex sets coincide."""
+    # the fast criteria are read through the module at call time, so a
+    # statistic rebound on walkstats (as a fault-injecting test does) is seen
+    n = t.n
+    set_a = tuple(distance_argmin(t))
+
+    profile = walkstats.hitting_profile(t).matrix
+    set_b = tuple(
+        c for c in range(n) if all(profile[v][c] <= profile[c][v] for v in range(n))
+    )
+
+    js = walkstats.joining_all(t)
+    best_j = min(js)
+    set_c = tuple(v for v in range(n) if js[v] == best_j)
+
+    set_d = walkstats.barycenter(t).centers
+
+    return BarycenterEquivalenceReport(set_a, set_b, set_c, set_d)
 
 
 def audit_proposition_barycenter(n_cap: int, cap: int = DEFAULT_CAP) -> AuditReport:

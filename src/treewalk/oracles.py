@@ -5,16 +5,42 @@ walkstats implementations: exact Gaussian elimination on the first-step
 system, per-edge component counting for the edge-decomposition route,
 distance sums over path overlaps for single hitting times, and plain
 distance sums for the barycenter. The solve is naive dense
-elimination, independent of the fast paths. The only traversal the
-oracles import is `trees.bfs_distances`, which no fast statistic calls:
-those rest on `trees.bfs_order`.
+elimination, independent of the fast paths. The oracles own their
+traversal, the reference BFS `bfs_distances` (with the all-pairs
+`distances` table on it), which no fast statistic calls: those rest on
+`trees.bfs_order`. From the package this module imports only `Tree` and
+`check_vertex`, and only `audit` sets an oracle beside a fast route.
+Every oracle checks each vertex id it takes before anything else.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
-from .trees import Tree, bfs_distances
+from .trees import Tree, check_vertex
+
+
+def bfs_distances(t: Tree, src: int) -> list[int]:
+    """Distances in edges from one source vertex."""
+    check_vertex(t, src)
+    dist = [-1] * t.n
+    dist[src] = 0
+    queue = deque([src])
+    adj = t.adjacency
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                queue.append(v)
+    return dist
+
+
+def distances(t: Tree) -> tuple[tuple[int, ...], ...]:
+    """All-pairs distance table via n breadth-first traversals."""
+    return tuple(tuple(bfs_distances(t, s)) for s in range(t.n))
 
 
 def _first_step_solve(t: Tree, w: int) -> tuple[list[int], int]:
@@ -28,6 +54,7 @@ def _first_step_solve(t: Tree, w: int) -> tuple[list[int], int]:
     since every entry is a minor of the system up to sign, and at the end
     every diagonal entry equals the last pivot.
     """
+    check_vertex(t, w)
     n = t.n
     unknowns = [u for u in range(n) if u != w]
     index = {u: i for i, u in enumerate(unknowns)}
@@ -74,6 +101,7 @@ def path_overlap(t: Tree, u: int, v: int, w: int) -> int:
 
     Equals (d(u,w) + d(v,w) - d(u,v)) / 2, always an integer on trees.
     """
+    check_vertex(t, v)
     du = bfs_distances(t, u)
     dw = bfs_distances(t, w)
     return (du[w] + dw[v] - du[v]) // 2
@@ -83,6 +111,8 @@ def hitting_time(t: Tree, u: int, w: int) -> int:
     """Expected steps from u to w: sum over v of overlap(u,v;w) * deg(v),
     from two BFS distance rows. walkstats accumulates the same numbers
     along subtree sizes instead."""
+    check_vertex(t, u)
+    check_vertex(t, w)
     if u == w:
         return 0
     du = bfs_distances(t, u)
@@ -114,6 +144,7 @@ def hitting_time_by_edge_decomposition(t: Tree, u: int, w: int) -> int:
     """Sum per-edge costs 2*m_a + 1 along the u..w path, where m_a counts
     the edges on a's side of the edge being crossed. The path runs downhill
     in the distances to w: each step goes to the one neighbor nearer w."""
+    check_vertex(t, u)
     dist = bfs_distances(t, w)
     total = 0
     a = u

@@ -30,6 +30,7 @@ from .errors import (
 from .families import _delta_plus, _rooted_broom, is_double_broom
 from .trees import (
     Tree,
+    _components,
     _depths,
     _spine_tree,
     _tree_from_adjacency,
@@ -362,13 +363,9 @@ def _swap_edge(t: Tree, w: int, old: int, new: int) -> Tree:
 
 
 def _assert_barycenter(t: Tree, c: int) -> None:
-    """Raise unless c is a centroid of t, from the sizes of t's rooted pass
-    at c's neighbors: a child w's component of t - c holds size[w]
-    vertices, the parent's n - size[c]."""
-    _, parent, size = t.rooted
-    n = t.n
-    heavy = max(size[w] if parent[w] == c else n - size[c] for w in t.adjacency[c])
-    if 2 * heavy > n:
+    """Raise unless c is a centroid of t: no component of t - c holds more
+    than n/2 vertices."""
+    if 2 * max(_components(t, c)) > t.n:
         raise TreewalkError(f"vertex {c} stopped being a barycenter mid-pipeline")
 
 

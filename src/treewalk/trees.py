@@ -12,24 +12,25 @@ A `Tree` keeps what is derived from it on itself: the rooted pass from
 vertex 0 (`Tree.rooted`) and the joining time of every vertex
 (`Tree.joining`), each computed on first use and freed with the tree.
 
-Then the two traversals (BFS distances and BFS order), diameter with a
-witness geodesic read off the rooted pass with no traversal of its own,
-vertex splits, Prufer decoding, and centroid-rooted canonical forms (equal
-byte codes iff the trees are isomorphic), the AHU rooted-tree code (Aho,
-Hopcroft and Ullman, 1974). A canonical form reads the stored rooted pass
+Then the one traversal, BFS order, with subtree sizes built on it (the
+oracles' reference BFS lives in `oracles.py`, apart from what it checks),
+the component sizes at a vertex, diameter with a witness geodesic read
+off the rooted pass with no traversal of its own, vertex splits, Prufer
+decoding, and centroid-rooted canonical forms (equal byte codes iff the
+trees are isomorphic), the AHU rooted-tree code (Aho, Hopcroft and
+Ullman, 1974). A canonical form reads the stored rooted pass
 and walks no tree of its own: one bottom-up pass gives the codes at both
 centroids, with parents reversed only on the path from vertex 0 to the
 root. A vertex with one child carries its child's code and a count of
 pending wraps, so a single-child chain is written once, and each code is
 dropped once taken: a form copies O(n) bytes on a path and holds O(n)
-bytes at any moment. Statistics of one vertex, and the traversals from
+bytes at any moment. Statistics of one vertex, and the traversal from
 one, check its id first (`check_vertex`).
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, filterfalse
@@ -172,28 +173,6 @@ def _spine_tree(n: int, spine: Sequence[int], hubs: Sequence[int]) -> Tree:
         nbrs.sort()
         adj[v] = tuple(nbrs)
     return Tree(n, tuple(adj))
-
-
-def bfs_distances(t: Tree, src: int) -> list[int]:
-    """Distances in edges from one source vertex."""
-    check_vertex(t, src)
-    dist = [-1] * t.n
-    dist[src] = 0
-    queue = deque([src])
-    adj = t.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
-    return dist
-
-
-def distances(t: Tree) -> tuple[tuple[int, ...], ...]:
-    """All-pairs distance table via n breadth-first traversals."""
-    return tuple(tuple(bfs_distances(t, s)) for s in range(t.n))
 
 
 def bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
@@ -357,6 +336,14 @@ def prufer_decode(code: Sequence[int], n: int) -> Tree:
     adj[leaf].append(n - 1)
     adj[n - 1].append(leaf)
     return _tree_from_adjacency(adj)
+
+
+def _components(t: Tree, v: int) -> list[int]:
+    """Vertex count of each component of t - v, one per neighbor of v in
+    adjacency order, read off the stored rooted pass: a child w's component
+    holds size[w] vertices, the parent's n - size[v]."""
+    _, parent, size = t.rooted
+    return [size[w] if parent[w] == v else t.n - size[v] for w in t.adjacency[v]]
 
 
 def centroids(t: Tree) -> list[int]:

@@ -14,6 +14,11 @@ from its own target and stays an independent check on that identity.
 `QUANTITIES` is the one table of named whole-tree quantities and how each
 is read off a tree; `sweep --quantity` and the ledger's ground truths
 both read it.
+
+Nothing here imports an oracle. The proposition's four-way barycenter
+check, which sets `barycenter`, `hitting_profile` and `joining_all`
+beside the oracles' distance sums, lives in `audit`, above the audit
+that runs it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from operator import mul
 from typing import Callable
 
 from .errors import TooFewVertices
-from .oracles import distance_argmin
-from .trees import Tree, centroids, check_vertex, subtree_sizes
+from .trees import Tree, _components, centroids, check_vertex, subtree_sizes
 
 
 @dataclass(frozen=True)
@@ -139,50 +143,5 @@ class BarycenterResult:
 def barycenter(t: Tree) -> BarycenterResult:
     """The centroids, each with its component sizes in descending order."""
     centers = tuple(centroids(t))
-    _, parent, size = t.rooted
-
-    def parts(c: int) -> list[int]:
-        # one per neighbor of c: a child's subtree, or the rest through c's parent
-        return [t.n - size[c] if w == parent[c] else size[w] for w in t.adjacency[c]]
-
-    witnesses = tuple(tuple(sorted(parts(c), reverse=True)) for c in centers)
+    witnesses = tuple(tuple(sorted(_components(t, c), reverse=True)) for c in centers)
     return BarycenterResult(centers=centers, component_bound_witness=witnesses)
-
-
-@dataclass(frozen=True)
-class BarycenterEquivalenceReport:
-    """Vertex sets computed by the four equivalent barycenter criteria."""
-
-    distance_argmin: tuple[int, ...]
-    hitting_dominated: tuple[int, ...]
-    joining_argmin: tuple[int, ...]
-    component_bounded: tuple[int, ...]
-
-    @property
-    def agreed(self) -> bool:
-        return (
-            self.distance_argmin
-            == self.hitting_dominated
-            == self.joining_argmin
-            == self.component_bounded
-        )
-
-
-def check_barycenter_equivalences(t: Tree) -> BarycenterEquivalenceReport:
-    """Evaluate all four barycenter criteria on every vertex; the report's
-    `agreed` says whether the four vertex sets coincide."""
-    n = t.n
-    set_a = tuple(distance_argmin(t))
-
-    profile = hitting_profile(t).matrix
-    set_b = tuple(
-        c for c in range(n) if all(profile[v][c] <= profile[c][v] for v in range(n))
-    )
-
-    js = joining_all(t)
-    best_j = min(js)
-    set_c = tuple(v for v in range(n) if js[v] == best_j)
-
-    set_d = barycenter(t).centers
-
-    return BarycenterEquivalenceReport(set_a, set_b, set_c, set_d)

@@ -16,6 +16,7 @@ from treewalk.audit import (
     audit_theorem_global,
     audit_theorem_max,
     audit_theorem_min,
+    check_barycenter_equivalences,
 )
 from treewalk.cli import main as cli_main
 from treewalk.enumeration import tree_classes
@@ -31,6 +32,7 @@ from treewalk.families import (
     path_tree,
 )
 from treewalk.oracles import (
+    distances,
     hitting_matrix_by_linear_solve,
     hitting_time,
     hitting_time_by_edge_decomposition,
@@ -41,7 +43,6 @@ from treewalk.transforms import maximize_pipeline, minimize_pipeline, move_leaf
 from treewalk.trees import (
     canonical_form,
     diameter_and_geodesic,
-    distances,
     format_edge_list,
     prufer_decode,
     rooted_canonical_form,
@@ -49,7 +50,6 @@ from treewalk.trees import (
 )
 from treewalk.walkstats import (
     barycenter,
-    check_barycenter_equivalences,
     hitting_profile,
     joining_all,
     joining_time,

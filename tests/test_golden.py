@@ -214,6 +214,53 @@ def test_benchmark_names_resolve():
     assert [name for name in sorted(names) if not hasattr(treewalk, name)] == []
 
 
+def _resolve(dotted: str) -> object:
+    """The object a dotted treewalk name reaches, importing submodules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, attr in enumerate(parts[1:], start=1):
+        if not hasattr(obj, attr):
+            importlib.import_module(".".join(parts[: i + 1]))
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _attribute_chain(node: ast.Attribute) -> str:
+    """`a.b.c` for an attribute read on a plain name, else ""."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(attrs)]) if isinstance(node, ast.Name) else ""
+
+
+def test_benchmark_imports_resolve():
+    # every `from treewalk... import name` and every treewalk.<a>.<b> chain the
+    # benchmark's modules hold, such as the Monte Carlo check's oracle and the
+    # selftest's dotted reads, still reaches something
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(_perfbench_source(path.name)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "treewalk":
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(a.name for a in node.names if a.name.split(".")[0] == "treewalk")
+            elif isinstance(node, ast.Attribute):
+                chain = _attribute_chain(node)
+                if chain.split(".")[0] == "treewalk":
+                    names.add(chain)
+    assert "treewalk.oracles.hitting_time_by_edge_decomposition" in names
+    assert "treewalk.enumeration.tree_classes.cache_clear" in names
+    assert "treewalk.walkstats.joining_all" in names
+    unresolved = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (AttributeError, ImportError):
+            unresolved.append(name)
+    assert unresolved == []
+
+
 if __name__ == "__main__":
     for group in [*CLI_GROUPS, "minimize_pipeline", "maximize_pipeline", "closed-form"]:
         print(f"    {group!r}: {_digest(group)!r},")

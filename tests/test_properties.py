@@ -90,7 +90,13 @@ from treewalk.families import (
     path_tree,
     star_tree,
 )
-from treewalk.oracles import distance_argmin, joining_time_by_definition, joining_time_by_linear_solve
+from treewalk.oracles import (
+    bfs_distances,
+    distance_argmin,
+    distances,
+    joining_time_by_definition,
+    joining_time_by_linear_solve,
+)
 from treewalk.transforms import (
     TransformTrace,
     _assert_barycenter,
@@ -105,13 +111,11 @@ from treewalk.trees import (
     SplitResult,
     Tree,
     _tree_from_adjacency,
-    bfs_distances,
     bfs_order,
     build_tree,
     canonical_form,
     centroids,
     diameter_and_geodesic,
-    distances,
     format_edge_list,
     parse_edge_list,
     path_between,

@@ -130,7 +130,7 @@ def test_broomify_rooted_extremality(n):
     # group all rooted classes by eccentricity; the broom rooted at its far
     # handle end must uniquely dominate each group
     by_ecc: dict[int, dict[bytes, int]] = {}
-    from treewalk.trees import bfs_distances
+    from treewalk.oracles import bfs_distances
 
     for t in tree_classes(n):
         for z in range(n):

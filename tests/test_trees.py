@@ -15,19 +15,19 @@ from treewalk.errors import (
     TreewalkError,
     VertexOutOfRange,
 )
-from treewalk import trees
+from treewalk import oracles, trees
 from treewalk.families import balanced_double_broom, broom_tree, path_tree, star_tree
 from treewalk.trees import (
     build_tree,
     canonical_form,
     diameter_and_geodesic,
-    distances,
     format_edge_list,
     parse_edge_list,
     prufer_decode,
     rooted_canonical_form,
     v_split,
 )
+from treewalk.oracles import distances
 
 
 def test_build_smallest_tree():
@@ -100,8 +100,9 @@ def test_diameter_runs_no_traversal_on_the_rooted_pass(monkeypatch):
     def no_traversal(*args):
         raise AssertionError("diameter_and_geodesic walked the tree")
 
-    for name in ("bfs_order", "bfs_distances", "subtree_sizes"):
+    for name in ("bfs_order", "subtree_sizes"):
         monkeypatch.setattr(trees, name, no_traversal)
+    monkeypatch.setattr(oracles, "bfs_distances", no_traversal)
     # the far end 6 hangs off vertex 0, so the path climbs to 0 from both ends
     assert diameter_and_geodesic(t) == (7, [2, 3, 7, 1, 4, 9, 0, 6])
 
@@ -158,7 +159,7 @@ def test_path_between_rejects_a_vertex_out_of_range(u, v, bad):
 
 
 @pytest.mark.parametrize("root", [-1, 5, 9])
-@pytest.mark.parametrize("traversal", [trees.bfs_order, trees.bfs_distances, trees.subtree_sizes])
+@pytest.mark.parametrize("traversal", [trees.bfs_order, oracles.bfs_distances, trees.subtree_sizes])
 def test_traversals_reject_a_root_out_of_range(traversal, root):
     # -1 used to return an order with a parent cycle, 9 a bare IndexError
     with pytest.raises(VertexOutOfRange, match=rf"vertex {root} outside 0\.\.4"):

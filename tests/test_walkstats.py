@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from treewalk import oracles, trees
+from treewalk.audit import check_barycenter_equivalences
 from treewalk.enumeration import tree_classes
 from treewalk.errors import VertexOutOfRange
 from treewalk.families import (
@@ -17,6 +18,7 @@ from treewalk.families import (
 )
 from treewalk.oracles import (
     distance_argmin,
+    distances,
     hitting_matrix_by_linear_solve,
     hitting_time,
     hitting_time_by_edge_decomposition,
@@ -26,7 +28,6 @@ from treewalk.oracles import (
 from treewalk.trees import (
     build_tree,
     diameter_and_geodesic,
-    distances,
     format_edge_list,
     parse_edge_list,
     prufer_decode,
@@ -34,7 +35,6 @@ from treewalk.trees import (
 )
 from treewalk.walkstats import (
     barycenter,
-    check_barycenter_equivalences,
     hitting_profile,
     joining_all,
     joining_time,
@@ -248,7 +248,9 @@ def test_oracles_do_not_traverse_with_bfs_order(monkeypatch):
     # every fast statistic walks the tree with bfs_order; an oracle that
     # did too would share a fault with what it checks
     checked = {
+        "bfs_distances",
         "distance_argmin",
+        "distances",
         "hitting_matrix_by_linear_solve",
         "hitting_row_by_linear_solve",
         "hitting_time",
@@ -277,12 +279,15 @@ def test_oracles_do_not_traverse_with_bfs_order(monkeypatch):
     for t, prof, js, centers, paths in cases:
         n = t.n
         assert oracles.distance_argmin(t) == list(centers)
+        dist = oracles.distances(t)
         assert oracles.hitting_matrix_by_linear_solve(t) == [list(row) for row in prof]
         for w in range(n):
             assert oracles.hitting_row_by_linear_solve(t, w) == [prof[u][w] for u in range(n)]
             assert oracles.joining_time_by_definition(t, w) == js[w]
             assert oracles.joining_time_by_linear_solve(t, w) == js[w]
+            from_w = oracles.bfs_distances(t, w)
             for u in range(n):
+                assert dist[u][w] == from_w[u] == len(paths[u][w]) - 1
                 assert oracles.hitting_time(t, u, w) == prof[u][w]
                 assert oracles.hitting_time_by_edge_decomposition(t, u, w) == prof[u][w]
                 for v in range(n):
