@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from .errors import CapExceeded
 from .trees import Tree, _tree_from_adjacency, canonical_form
@@ -109,23 +109,14 @@ def _tree_from_levels(seq: list[int]) -> Tree:
     return _tree_from_adjacency(adj)
 
 
-def enumerate_trees(
-    n: int,
-    d_filter: Optional[int] = None,
-    *,
-    cap: int = DEFAULT_CAP,
-) -> Iterator[Tree]:
+def enumerate_trees(n: int, *, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
     """Yield one representative per isomorphism class of trees of order n.
 
-    Representatives come out in increasing canonical-code order, optionally
-    restricted to diameter d_filter. Raises CapExceeded above the cap.
+    Representatives come out in increasing canonical-code order. Raises
+    CapExceeded above the cap.
     """
     _check_order(n, cap)
-    trees = [
-        _tree_from_levels(seq)
-        for seq, d in _free_level_sequences(n)
-        if d_filter is None or d == d_filter
-    ]
+    trees = [_tree_from_levels(seq) for seq, _ in _free_level_sequences(n)]
     # each key is taken on a throwaway copy, so the yielded trees do not keep
     # the rooted passes that canonical_form stores on the tree it reads
     yield from sorted(trees, key=lambda t: canonical_form(Tree(t.n, t.adjacency)))

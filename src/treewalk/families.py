@@ -13,6 +13,9 @@ the range and parity it is stated for, the tree it describes, its ground
 truth and the `gen` family that reports it. Only `closed_form` checks the
 range, so each form is just the printed algebra. Most ground truths read
 a `walkstats.QUANTITIES` entry off the generated tree, as `sweep` does.
+The shape tests read their definitions: `is_double_broom` the degrees,
+and `_rooted_broom` the distances from its root, read off the tree's
+stored rooted pass with no traversal of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch
-from .trees import Tree, _depths, _spine_tree, bfs_order
+from .trees import Tree, _distances, _spine_tree
 from .walkstats import QUANTITIES, joining_time
 
 FAMILY_NAMES = ("path", "star", "lever", "broom", "double_broom")
@@ -166,12 +169,12 @@ def is_double_broom(t: Tree) -> bool:
 
 def _rooted_broom(t: Tree, root: int) -> tuple[int, bool]:
     """The eccentricity r of root, and whether (t, root) is a broom of
-    depth r with the root at the far handle end, from one BFS: exactly one
-    vertex at each depth 1..r-1 (depth-1 stars and plain paths included).
-    The depth-r vertices are then leaves on the one depth-(r-1) vertex."""
-    order, parent = bfs_order(t, root)
-    depth = _depths(order, parent)
-    r = depth[order[-1]]
+    depth r with the root at the far handle end, from the distances to
+    root: exactly one vertex at each depth 1..r-1 (depth-1 stars and plain
+    paths included). The depth-r vertices are then leaves on the one
+    depth-(r-1) vertex."""
+    depth = _distances(t, root)
+    r = max(depth)
     width = [0] * (r + 1)
     for dv in depth:
         width[dv] += 1

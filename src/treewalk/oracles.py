@@ -7,8 +7,8 @@ distance sums over path overlaps for single hitting times, and plain
 distance sums for the barycenter. The solve is naive dense
 elimination, independent of the fast paths. The oracles own their
 traversal, the reference BFS `bfs_distances` (with the all-pairs
-`distances` table on it), which no fast statistic calls: those rest on
-`trees.bfs_order`. From the package this module imports only `Tree` and
+`distances` table on it), which no fast statistic calls: those read the
+rooted pass that `trees.bfs_order` builds. From the package this module imports only `Tree` and
 `check_vertex`, and only `audit` sets an oracle beside a fast route.
 Every oracle checks each vertex id it takes before anything else.
 """

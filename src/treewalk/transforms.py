@@ -9,8 +9,9 @@ monotone step by step. Each step builds and roots its tree once and reads
 everything else off that pass: the minimum joining time from its subtree
 sizes, maximize's barycenter check from the sizes at the barycenter's
 neighbors, and the trace's packed parent array, whose tree is coded only
-when read. Minimize lists its moveable leaves once; maximize roots its tree
-at the barycenter once, after its first phase.
+when read. Minimize lists its moveable leaves once; maximize reads its
+tree's distances from the barycenter once, off the stored rooted pass,
+after its first phase, which leaves two-vertex branches as they are.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .families import _delta_plus, _rooted_broom, is_double_broom
 from .trees import (
     Tree,
     _components,
-    _depths,
+    _distances,
     _spine_tree,
     _tree_from_adjacency,
-    bfs_order,
     build_tree,
     canonical_form,
     centroids,
@@ -269,8 +269,8 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     three empties the remaining branches into their bristle clusters.
     Individual phase two/three moves are only guaranteed non-decreasing,
     and the barycenter certificate is re-checked after every move. The
-    tree is rooted at c once, after phase one: each later move relocates a
-    leaf, so the loop rewrites only that leaf's parent and depth.
+    distances from c are read once, after phase one: each later move
+    relocates a leaf, so the loop rewrites only that leaf's depth.
     """
     n = t.n
     d, _ = diameter_and_geodesic(t)
@@ -287,6 +287,9 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
         ids = part.to_parent
         comp = set(ids) - {c}
         owner.update((v, comp) for v in comp)
+        # a lone leaf is already a broom; rooting it would cost a pass
+        if part.size == 2:
+            continue
         broom = broomify(part.tree, part.center)
         if broom is part.tree:
             continue
@@ -301,15 +304,15 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     if len(parts) <= 2:
         return _finish(cur, d, trace)
 
-    # geometry(part): depth r, deepest leaf and that leaf's holder of a branch
-    # off c. A path from c into a branch stays in it: depths from c are its own.
-    order, parent = bfs_order(cur, c)
-    depth = _depths(order, parent)
+    # geometry(part): depth r, deepest leaf and that leaf's one neighbor, its
+    # holder, in a branch off c. A path from c into a branch stays in it:
+    # depths from c are its own.
+    depth = _distances(cur, c)
 
     def geometry(part: set[int]) -> tuple[int, int, int]:
         r = max(depth[v] for v in part)
         deepest = min(v for v in part if depth[v] == r)
-        return r, deepest, parent[deepest]
+        return r, deepest, cur.adjacency[deepest][0]
 
     ranked = sorted(
         range(len(parts)), key=lambda i: (-_delta_plus(len(parts[i]) + 1, geometry(parts[i])[0]), i)
@@ -334,15 +337,15 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
         target = acceptor()
         donor = donors[0]
         _, w, holder = geometry(parts[donor])
-        rt, deep, t_holder = geometry(parts[target])
+        _, deep, t_holder = geometry(parts[target])
         if extending:
             attach = deep
             description = f"extend handle of branch {target} with leaf {w}"
         else:
-            attach = t_holder if rt > 1 else c
+            attach = t_holder
             description = f"add leaf {w} to the cluster of branch {target}"
         cur = _swap_edge(cur, w, holder, attach)
-        parent[w], depth[w] = attach, depth[attach] + 1
+        depth[w] = depth[attach] + 1
         parts[donor].discard(w)
         parts[target].add(w)
         if not parts[donor]:

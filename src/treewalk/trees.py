@@ -12,19 +12,22 @@ A `Tree` keeps what is derived from it on itself: the rooted pass from
 vertex 0 (`Tree.rooted`) and the joining time of every vertex
 (`Tree.joining`), each computed on first use and freed with the tree.
 
-Then the one traversal, BFS order, with subtree sizes built on it (the
-oracles' reference BFS lives in `oracles.py`, apart from what it checks),
-the component sizes at a vertex, diameter with a witness geodesic read
-off the rooted pass with no traversal of its own, vertex splits, Prufer
-decoding, and centroid-rooted canonical forms (equal byte codes iff the
-trees are isomorphic), the AHU rooted-tree code (Aho, Hopcroft and
-Ullman, 1974). A canonical form reads the stored rooted pass
-and walks no tree of its own: one bottom-up pass gives the codes at both
-centroids, with parents reversed only on the path from vertex 0 to the
-root. A vertex with one child carries its child's code and a count of
-pending wraps, so a single-child chain is written once, and each code is
-dropped once taken: a form copies O(n) bytes on a path and holds O(n)
-bytes at any moment. Statistics of one vertex, and the traversal from
+Then the one traversal, BFS order, with subtree sizes built on it; only
+the rooted pass and `walkstats._hits_into` run them (the oracles'
+reference BFS lives in `oracles.py`, apart from what it checks). Every
+other rooting at a vertex reads the stored pass: `_climb` lists a
+vertex's ancestors up to vertex 0, and `_distances` gives its distance
+to every vertex. On them stand the path between two vertices, the
+diameter with a witness geodesic, and vertex splits; then the component
+sizes at a vertex, Prufer decoding, and centroid-rooted canonical forms
+(equal byte codes iff the trees are isomorphic), the AHU rooted-tree code
+(Aho, Hopcroft and Ullman, 1974). A canonical form reads the stored
+rooted pass and walks no tree of its own: one bottom-up pass gives the
+codes at both centroids, with parents reversed only on the path from
+vertex 0 to the root. A vertex with one child carries its child's code
+and a count of pending wraps, so a single-child chain is written once,
+and each code is dropped once taken: a form copies O(n) bytes on a path
+and holds O(n) bytes at any moment. Statistics of one vertex, and the traversal from
 one, check its id first (`check_vertex`).
 """
 
@@ -191,17 +194,6 @@ def bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def path_between(t: Tree, u: int, v: int) -> list[int]:
-    """The unique u..v path, endpoints included."""
-    check_vertex(t, v)
-    _, parent = bfs_order(t, u)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def subtree_sizes(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
     """BFS order, parent array and subtree sizes rooted at `root`."""
     order, parent = bfs_order(t, root)
@@ -213,50 +205,58 @@ def subtree_sizes(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
     return order, parent, size
 
 
-def _depths(order: Sequence[int], parent: Sequence[int]) -> list[int]:
-    """Depth of every vertex, read along a BFS order and its parent array."""
-    depth = [0] * len(order)
-    for u in order[1:]:
-        depth[u] = depth[parent[u]] + 1
-    return depth
+def _climb(t: Tree, v: int) -> list[int]:
+    """v and its ancestors in the rooted pass from vertex 0, ending at 0."""
+    parent = t.rooted[1]
+    up = [v]
+    while up[-1]:
+        up.append(parent[up[-1]])
+    return up
+
+
+def _distances(t: Tree, v: int) -> list[int]:
+    """Distance from v to every vertex, read off the rooted pass from
+    vertex 0: v's ancestors get theirs by the climb from v; every other
+    vertex, in BFS order, gets its parent's + 1, since the path from it to
+    v leaves through its parent."""
+    order, parent, _ = t.rooted
+    dist = [-1] * t.n
+    for i, u in enumerate(_climb(t, v)):
+        dist[u] = i
+    for u in order:
+        if dist[u] < 0:
+            dist[u] = dist[parent[u]] + 1
+    return dist
+
+
+def path_between(t: Tree, u: int, v: int) -> list[int]:
+    """The unique u..v path, endpoints included: the climbs from u and
+    from v in the rooted pass, joined at their lowest common ancestor."""
+    check_vertex(t, v)
+    check_vertex(t, u)
+    up, down = _climb(t, u), _climb(t, v)
+    # both climbs end at vertex 0; the shared part runs down to the ancestor
+    while up and down and up[-1] == down[-1]:
+        top = up.pop()
+        down.pop()
+    return [*up, top, *reversed(down)]
 
 
 def diameter_and_geodesic(t: Tree) -> tuple[int, list[int]]:
     """Diameter and one witness path, read off the tree's rooted pass from
     vertex 0 with no traversal of its own.
 
-    One end a is the smallest id at the greatest depth. Its ancestors get
-    their distance from a by climbing from a; every other vertex, in BFS
-    order, gets its parent's distance + 1, since the path from it to a
-    leaves through its parent. The other end b is the smallest id at the
-    greatest distance, and the path climbs from a and from b to their
-    lowest common ancestor. Ties break toward the smallest vertex id; the
-    returned path runs from its smaller endpoint to its larger one.
+    One end a is the smallest id at the greatest distance from vertex 0;
+    the other end b is the smallest id at the greatest distance from a.
+    Ties break toward the smallest vertex id; the returned path runs from
+    its smaller endpoint to its larger one.
     """
-    order, parent, _ = t.rooted
-    depth = _depths(order, parent)
-    a = depth.index(depth[order[-1]])
-    # up[i] is a's ancestor i edges above it
-    dist = [-1] * t.n
-    up = []
-    u = a
-    while u >= 0:
-        dist[u] = len(up)
-        up.append(u)
-        u = parent[u]
-    for u in order:
-        if dist[u] < 0:
-            dist[u] = dist[parent[u]] + 1
+    depth = _distances(t, 0)
+    a = depth.index(max(depth))
+    dist = _distances(t, a)
     d = max(dist)
     b = dist.index(d)
-    # the common ancestor c is up[d - k], k edges above b, where
-    # d = depth[a] + depth[b] - 2 depth[c]
-    k = (d + depth[b] - depth[a]) // 2
-    down = [b]
-    for _ in range(k):
-        down.append(parent[down[-1]])
-    path = up[: d - k] + down[::-1]
-    return d, path if a < b else path[::-1]
+    return d, path_between(t, min(a, b), max(a, b))
 
 
 @dataclass(frozen=True)
@@ -286,14 +286,17 @@ def v_split(t: Tree, v: int) -> SplitResult:
     check_vertex(t, v)
     if t.degree(v) < 2:
         raise SplitAtLeaf(f"vertex {v} has degree {t.degree(v)}; need >= 2 to split")
-    order, parent = bfs_order(t, v)
-    # every other vertex joins the part of the neighbor of v it hangs under
+    order, parent, _ = t.rooted
+    # every other vertex joins the part of the neighbor of v it hangs under:
+    # in the pass from vertex 0 a child of v heads its own part, and vertex
+    # 0, like the rest outside v's subtree, lies in the part of v's parent
     members = {w: [v] for w in t.adjacency[v]}
     branch = [v] * t.n
-    for u in order[1:]:
-        p = parent[u]
-        branch[u] = u if p == v else branch[p]
-        members[branch[u]].append(u)
+    for u in order:
+        if u != v:
+            p = parent[u]
+            branch[u] = u if p == v else branch[p] if u else parent[v]
+            members[branch[u]].append(u)
     parts = []
     for w in t.adjacency[v]:
         local_ids = sorted(members[w])
@@ -387,10 +390,8 @@ def _child_codes(t: Tree, root: int, keep: int = -1) -> tuple[list[bytes], list[
     the codes alive at any moment belong to disjoint subtrees and hold at
     most 2n bytes in all.
     """
-    order, parent, _ = t.rooted
-    path = [root]
-    while path[-1]:
-        path.append(parent[path[-1]])
+    order = t.rooted[0]
+    path = _climb(t, root)
     # the reverse BFS order leaves out the path and keep, marked one byte
     # per vertex: a set of a long path's vertices outweighs its codes
     skip = bytearray(t.n)

@@ -38,7 +38,7 @@ def test_deterministic_order():
 
 
 def test_diameter_filter_path_only():
-    only = list(enumerate_trees(7, d_filter=6))
+    only = [t for t in enumerate_trees(7) if diameter_and_geodesic(t)[0] == 6]
     assert len(only) == 1
     d, _ = diameter_and_geodesic(only[0])
     assert d == 6
@@ -52,7 +52,7 @@ def test_diameter_filter_partition():
     total = sum(len(_with_diameter(7, d)) for d in range(2, 7))
     assert total == len(tree_classes(7))
     for d in range(2, 10):
-        filtered = [canonical_form(t) for t in enumerate_trees(10, d_filter=d)]
+        filtered = [canonical_form(t) for t in enumerate_trees(10) if diameter_and_geodesic(t)[0] == d]
         assert filtered == [canonical_form(t) for t in _with_diameter(10, d)]
 
 

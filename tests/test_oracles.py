@@ -1,8 +1,9 @@
 """The first-step linear solve against the Fraction Gauss-Jordan loop it
 replaced, kept here verbatim as a reference only: every class of orders
 2..9 at every target, and random Prufer trees with n <= 40 at a random
-target. Then the oracles' id checks, and the layering that keeps them
-apart from the fast paths, read from the package's source."""
+target. Then the oracles' id checks, the layering that keeps them apart
+from the fast paths, and the one that leaves the package's one BFS to the
+rooted passes, both read from the package's source."""
 
 import ast
 from fractions import Fraction
@@ -139,3 +140,37 @@ def test_only_the_adjudicator_sets_an_oracle_beside_a_fast_route():
     assert imports["oracles.py"] == [("trees", ["Tree", "check_vertex"])]
     importers = sorted(name for name, found in imports.items() if any(m == "oracles" for m, _ in found))
     assert importers == ["__init__.py", "audit.py"]
+
+
+def _readers(name: str) -> set[tuple[str, str]]:
+    """(file, enclosing def's qualified name) for every read of `name` in
+    src/treewalk, as a bare name or an attribute; "" is module level."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str, file: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."), file)
+                continue
+            if getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
+                found.add((file, scope))
+            visit(child, scope, file)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "", path.name)
+    return found
+
+
+def test_only_the_rooted_pass_traverses_a_tree():
+    # every fast rooting, distance and path reads the stored pass from vertex
+    # 0; the one BFS builds that pass and the definition route's own
+    assert _readers("bfs_order") == {("trees.py", "subtree_sizes")}
+    assert _readers("subtree_sizes") == {("trees.py", "Tree.rooted"), ("walkstats.py", "_hits_into")}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_depths" not in defined, path.name
+    imports = {path.name: _package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    for name in ("families.py", "transforms.py"):
+        taken = {n for _, names in imports[name] for n in names}
+        assert not taken & {"bfs_order", "subtree_sizes", "_depths"}, name

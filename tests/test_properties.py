@@ -26,8 +26,11 @@ and the per-neighbor seen-set loops they replaced, on trees with n <= 80
 and at every vertex of every class up to order 10; the diameter, read off
 the rooted pass alone, is also held to the double BFS on relabeled Prufer
 trees with n <= 400 and on shapes where the ends tie or the geodesic
-climbs to vertex 0 or to a vertex below it. Kemeny's constant is held to
-the Wiener index: K = 2W/(n-1) - (2n-1)/2. parse_edge_list, numpy
+climbs to vertex 0 or to a vertex below it. The readers of the stored
+rooted pass, `_distances` and `path_between`, are held at every vertex
+and every pair to a BFS from the vertex they start at, on trees with
+n <= 200. Kemeny's constant is held to the Wiener index:
+K = 2W/(n-1) - (2n-1)/2. parse_edge_list, numpy
 pass first, is held to the line parser on edge lists of trees with n <= 200,
 re-spaced with blanks and tabs and sometimes damaged by one edit: the same
 tree, or the same error class and message. is_double_broom and
@@ -979,6 +982,33 @@ def test_explicit_diameter_examples_tie_and_fork():
     assert diameter_and_geodesic(_EQUAL_SPIDER) == (4, [0, 1, 4, 2, 5])
     assert diameter_and_geodesic(_FORK_AT_0) == (5, [3, 2, 1, 0, 5, 4])
     assert diameter_and_geodesic(_FORK_BELOW_0) == (6, [4, 3, 2, 1, 5, 6, 7])
+
+
+def _bfs_parent_paths(t: Tree, u: int) -> list[list[int]]:
+    # path_between as it read with its own BFS from u, its climb kept
+    # verbatim as a reference; the one BFS serves every end v
+    _, parent = bfs_order(t, u)
+    paths = []
+    for v in range(t.n):
+        path = [v]
+        while path[-1] != u:
+            path.append(parent[path[-1]])
+        path.reverse()
+        paths.append(path)
+    return paths
+
+
+@settings(max_examples=50, deadline=None)
+@given(prufer_trees(max_n=200))
+@example(path_tree(1))
+@example(_FORK_BELOW_0)
+def test_stored_pass_readers_match_the_bfs(t):
+    # the distances and paths read off the rooted pass from vertex 0, held
+    # to a BFS from the vertex they start at
+    for v in range(t.n):
+        assert trees._distances(t, v) == bfs_distances(t, v), (t, v)
+    for u in range(t.n):
+        assert [path_between(t, u, v) for v in range(t.n)] == _bfs_parent_paths(t, u), (t, u)
 
 
 def _assert_kemeny_is_wiener(t: Tree) -> None:

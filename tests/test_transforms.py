@@ -110,15 +110,15 @@ def test_broomify_fixed_point():
 
 def test_broomify_runs_one_bfs(monkeypatch):
     roots = []
-    real = families.bfs_order
+    real = families._distances
 
     def counted(t, root):
         roots.append(root)
         return real(t, root)
 
-    monkeypatch.setattr(families, "bfs_order", counted)
+    monkeypatch.setattr(families, "_distances", counted)
     # and transforms' own binding, which broomify must not need
-    monkeypatch.setattr(transforms, "bfs_order", counted)
+    monkeypatch.setattr(transforms, "_distances", counted)
     for t, z in ((path_tree(4), 1), (broom_tree(5, 3), 3)):
         roots.clear()
         broomify(t, z)
@@ -287,17 +287,30 @@ def test_rewrites_reject_a_vertex_out_of_range(rewrite, v):
 
 def test_maximize_roots_its_tree_at_the_barycenter_once(monkeypatch):
     roots = []
-    real = transforms.bfs_order
+    real = transforms._distances
 
     def counted(t, root):
         roots.append(root)
         return real(t, root)
 
-    monkeypatch.setattr(transforms, "bfs_order", counted)
+    monkeypatch.setattr(transforms, "_distances", counted)
     lever = balanced_lever(20, 6)
     _, trace = maximize_pipeline(lever)
     assert sum(s.description.startswith("add leaf") for s in trace.steps) == 13
     assert roots == [min(centroids(lever))]
+
+
+def test_maximize_reads_a_moved_leaf_at_its_new_depth():
+    # leaf 12 lengthens branch 2's handle and is then its deepest leaf, so the
+    # next bristle joins 12's holder; read at 12's old depth, 12 is passed
+    # over and the pipeline ends on no double broom
+    t = prufer_decode([13, 0, 0, 1, 1, 6, 10, 9, 3, 6, 11, 14, 5], 15)
+    out, trace = maximize_pipeline(t)
+    assert [s.description for s in trace.steps[1:3]] == [
+        "extend handle of branch 2 with leaf 12",
+        "add leaf 10 to the cluster of branch 2",
+    ]
+    assert is_double_broom(out) and diameter_and_geodesic(out)[0] == 9
 
 
 def _lever_bound_tree():
