@@ -11,6 +11,13 @@ printed statement.
 This is the one module that sets a fast route beside an oracle: the
 proposition's four-way barycenter check lives here, above its audit,
 and no fast module imports `oracles`.
+
+A formula audit skips each cell its row's `Domain.fault` refuses, the
+cells `closed_form` would raise on, without raising, and evaluates the
+printed form at the others. Its J_min and T_bestmeet ground truths read
+J_min off each witness's rooted pass; the theorem audits'
+`_cross_checked_jmin` still reads the rerooting pass, whose argmin the
+linear solve checks.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .enumeration import DEFAULT_CAP, ENUMERATION_CEILING, extremal_table, tree_classes
-from .errors import CapExceeded, OutOfStatedRange, ParityMismatch, TreewalkError, UnknownClaim
+from .errors import CapExceeded, OutOfStatedRange, TreewalkError, UnknownClaim
 from .families import FORMULAS, bestmeet_dbroom_case, closed_form
 from .oracles import distance_argmin, joining_time_by_linear_solve
 from .trees import Tree, canonical_form
@@ -228,10 +235,10 @@ def audit_formula(
         else:
             dees = [None]
         for d in dees:
-            try:
-                stated = closed_form(fid, n, d)
-            except (ParityMismatch, OutOfStatedRange):
+            # the cells closed_form would refuse, skipped without raising
+            if row.domain.fault(n, d) is not None:
                 continue
+            stated = row.form(n, d) if needs_d else row.form(n)
             truth = row.truth(n, d, known)
             checked += 1
             if stated != truth:

@@ -10,8 +10,10 @@ misprinted keep a `_printed` variant alongside a corrected one so audits
 can separate what the source states from what the mathematics gives.
 `FORMULAS` is the one table of ledger entries: each row holds the form,
 the range and parity it is stated for, the tree it describes, its ground
-truth and the `gen` family that reports it. Only `closed_form` checks the
-range, so each form is just the printed algebra. Most ground truths read
+truth and the `gen` family that reports it. `Domain.fault` is the one
+statement of a row's range: `closed_form` raises what it names, and the
+formula audit skips the cells it refuses, so each form is just the
+printed algebra. Most ground truths read
 a `walkstats.QUANTITIES` entry off the generated tree, as `sweep` does.
 The shape tests read their definitions: `is_double_broom` the degrees,
 and `_rooted_broom` the distances from its root, read off the tree's
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch
+from .errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch, TreewalkError
 from .trees import Tree, _distances, _spine_tree
 from .walkstats import QUANTITIES, joining_time
 
@@ -401,6 +403,26 @@ class Domain:
     n_odd: Optional[bool] = None
     d_odd: Optional[bool] = None
 
+    def fault(self, n: int, d: Optional[int]) -> Optional[tuple[type[TreewalkError], str]]:
+        """None when (n, d) lies in the domain, else the first failed check:
+        the error class closed_form raises and its message as a template
+        over fid, n, d and the domain, dom. An n-only form ignores d.
+
+        The template is formatted only when raised, so a caller that just
+        skips the cell, as audit_formula does, builds no message."""
+        span = self.span
+        if span is not None and d is None:
+            return OutOfStatedRange, "formula {fid!r} needs a diameter argument"
+        if n < self.n_min:
+            return OutOfStatedRange, "formula {fid!r} needs n >= {dom.n_min}, got n={n}"
+        if span is not None and not span[0] <= d <= n - span[1]:  # type: ignore[operator]
+            return OutOfStatedRange, "formula {fid!r} needs {dom.span[0]} <= d <= n-{dom.span[1]}, got n={n}, d={d}"
+        if self.n_odd is not None and n % 2 != self.n_odd:
+            return ParityMismatch, "formula {fid!r} needs " + ("odd" if self.n_odd else "even") + " n, got n={n}"
+        if self.d_odd is not None and d % 2 != self.d_odd:  # type: ignore[operator]
+            return ParityMismatch, "formula {fid!r} needs " + ("odd" if self.d_odd else "even") + " d, got d={d}"
+        return None
+
 
 # the balanced double broom's four n/d parity cases, each for 2 <= d <= n-1
 _OO, _OE, _EO, _EE = (Domain(span=(2, 1), n_odd=a, d_odd=b) for a in (True, False) for b in (True, False))
@@ -411,7 +433,7 @@ class Formula:
     """One ledger entry.
 
     form: the printed closed form, called as form(n) or form(n, d).
-    domain: the range and parity case it is stated for; only closed_form checks it.
+    domain: the range and parity case it is stated for, checked by Domain.fault.
     witness(n, d): the tree the form describes, or None.
     truth(n, d, known): the exact value the form is audited against; known
     is the calling audit's memo, read by the broom and delta_minus_path rows.
@@ -484,24 +506,19 @@ FORMULA_IDS = tuple(sorted(FORMULAS, key=lambda fid: (FORMULAS[fid].needs_d, fid
 
 
 def closed_form(fid: str, n: int, d: Optional[int] = None) -> Fraction:
-    """Evaluate one ledger formula exactly at (n, d), the one check of its
-    row's domain: OutOfStatedRange for an unknown id, a missing d or an (n, d)
-    out of range, ParityMismatch for the other parity case; n-only forms ignore d."""
+    """Evaluate one ledger formula exactly at (n, d), raising what its row's
+    `Domain.fault` names: OutOfStatedRange for an unknown id, a missing d or
+    an (n, d) out of range, ParityMismatch for the other parity case; n-only
+    forms ignore d."""
     row = FORMULAS.get(fid)
     if row is None:
         raise OutOfStatedRange(f"unknown formula id {fid!r}")
     dom = row.domain
-    if dom.span is not None and d is None:
-        raise OutOfStatedRange(f"formula {fid!r} needs a diameter argument")
-    if n < dom.n_min:
-        raise OutOfStatedRange(f"formula {fid!r} needs n >= {dom.n_min}, got n={n}")
-    if dom.span is not None and not dom.span[0] <= d <= n - dom.span[1]:  # type: ignore[operator]
-        raise OutOfStatedRange(f"formula {fid!r} needs {dom.span[0]} <= d <= n-{dom.span[1]}, got n={n}, d={d}")
-    if dom.n_odd is not None and n % 2 != dom.n_odd:
-        raise ParityMismatch(f"formula {fid!r} needs {'odd' if dom.n_odd else 'even'} n, got n={n}")
-    if dom.d_odd is not None and d % 2 != dom.d_odd:  # type: ignore[operator]
-        raise ParityMismatch(f"formula {fid!r} needs {'odd' if dom.d_odd else 'even'} d, got d={d}")
-    return row.form(n) if dom.span is None else row.form(n, d)
+    fault = dom.fault(n, d)
+    if fault is not None:
+        error, message = fault
+        raise error(message.format(fid=fid, n=n, d=d, dom=dom))
+    return row.form(n, d) if row.needs_d else row.form(n)
 
 
 def jmin_dbroom_case(n: int, d: int) -> str:

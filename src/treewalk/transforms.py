@@ -7,9 +7,9 @@ double broom (maximizing it). Every pipeline emits a TransformTrace, which
 reads the minimum joining time of each tree it records and checks it
 monotone step by step. Each step builds and roots its tree once and reads
 everything else off that pass: the minimum joining time from its subtree
-sizes, maximize's barycenter check from the sizes at the barycenter's
-neighbors, and the trace's packed parent array, whose tree is coded only
-when read. Minimize lists its moveable leaves once; maximize reads its
+sizes, by walkstats' one J_min reader; maximize's barycenter check from
+the sizes at the barycenter's neighbors; and the trace's packed parent
+array, whose tree is coded only when read. Minimize lists its moveable leaves once; maximize reads its
 tree's distances from the barycenter once, off the stored rooted pass,
 after its first phase, which leaves two-vertex branches as they are.
 """
@@ -43,7 +43,7 @@ from .trees import (
     path_between,
     v_split,
 )
-from .walkstats import _hits_into, joining_time
+from .walkstats import _hits_into, _least_joining, joining_time
 
 
 def _pack_parents(tree: Tree) -> bytes:
@@ -55,17 +55,6 @@ def _pack_parents(tree: Tree) -> bytes:
     shared library that would raise every process's peak RSS."""
     w = "B" if tree.n <= 1 << 8 else "H" if tree.n <= 1 << 16 else "I"
     return w.encode() + struct.pack(f"{tree.n - 1}{w}", *tree.rooted[1][1:])
-
-
-def _least_joining(tree: Tree) -> int:
-    """J_min of tree, from its rooted pass's subtree sizes alone.
-
-    At a centroid every edge's far side is its smaller one, so J_min sums
-    (2 min(s, n-s) - 1)^2 over the edges; `enumeration._least_joining`
-    derives the identity. The rerooting pass (`Tree.joining`) is not run,
-    and a conditional stands in for min(), a call per edge."""
-    n = tree.n
-    return sum([(2 * s - 1 if 2 * s <= n else 2 * (n - s) - 1) ** 2 for s in tree.rooted[2][1:]])
 
 
 def _tree_from_parents(packed: bytes) -> Tree:

@@ -11,9 +11,13 @@ vertex 0; both are stored on the tree (`Tree.joining`, `Tree.rooted`), so
 `joining_all`, `t_meet`, `t_bestmeet`, `kemeny` and `barycenter` on one
 tree run each pass once. The single-target `joining_time` accumulates
 from its own target and stays an independent check on that identity.
-`QUANTITIES` is the one table of named whole-tree quantities and how each
-is read off a tree; `sweep --quantity` and the ledger's ground truths
-both read it.
+`_least_joining` is the one reader of J_min off a tree: one term per edge
+of the rooted pass's subtree sizes, with no rerooting pass. The rewrite
+traces read it, and so do the J_min and T_bestmeet entries of
+`QUANTITIES`, the one table of named whole-tree quantities and how each
+is read off a tree, which `sweep --quantity` and the ledger's ground
+truths read. What needs the argmin, as `t_bestmeet` does, reads the
+rerooting pass.
 
 Nothing here imports an oracle. The proposition's four-way barycenter
 check, which sets `barycenter`, `hitting_profile` and `joining_all`
@@ -76,6 +80,17 @@ def joining_all(t: Tree) -> list[int]:
     return list(t.joining)
 
 
+def _least_joining(t: Tree) -> int:
+    """J_min of t, from its rooted pass's subtree sizes alone.
+
+    At a centroid every edge's far side is its smaller one, so J_min sums
+    (2 min(s, n-s) - 1)^2 over the edges; `enumeration._least_joining`
+    derives the identity. The rerooting pass (`Tree.joining`) is not run,
+    and a conditional stands in for min(), a call per edge."""
+    n = t.n
+    return sum([(2 * s - 1 if 2 * s <= n else 2 * (n - s) - 1) ** 2 for s in t.rooted[2][1:]])
+
+
 def _two_edges(t: Tree) -> int:
     """2|E|, the denominator of every meeting time."""
     if t.n < 2:
@@ -122,10 +137,10 @@ def kemeny(t: Tree) -> Fraction:
 
 # Each entry looks its statistic up at call time, so a rebound one is seen.
 QUANTITIES: dict[str, Callable[[Tree], Fraction]] = {
-    "t_bestmeet": lambda t: t_bestmeet(t)[0],
+    "t_bestmeet": lambda t: Fraction(_least_joining(t), _two_edges(t)),
     "t_meet": lambda t: t_meet(t)[0],
     "kemeny": lambda t: kemeny(t),
-    "j_min": lambda t: Fraction(min(joining_all(t))),
+    "j_min": lambda t: Fraction(_least_joining(t)),
     "j_max": lambda t: Fraction(max(joining_all(t))),
 }
 

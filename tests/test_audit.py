@@ -10,6 +10,7 @@ import pytest
 import treewalk.audit as audit_mod
 import treewalk.families as families_mod
 import treewalk.simulate as simulate_mod
+import treewalk.trees as trees_mod
 import treewalk.walkstats as walkstats_mod
 from treewalk.audit import (
     DISCREPANCY,
@@ -23,9 +24,9 @@ from treewalk.audit import (
     audit_theorem_min,
 )
 from treewalk.enumeration import extremal_table, tree_classes
-from treewalk.errors import CapExceeded, UnknownClaim
+from treewalk.errors import CapExceeded, OutOfStatedRange, ParityMismatch, TreewalkError, UnknownClaim
 from treewalk.cli import main
-from treewalk.families import FORMULA_IDS, FORMULAS, broom_tree, path_tree
+from treewalk.families import FORMULA_IDS, FORMULAS, broom_tree, closed_form, path_tree
 from treewalk.oracles import hitting_time
 from treewalk.simulate import simulate_hitting
 from treewalk.trees import canonical_form, diameter_and_geodesic
@@ -246,6 +247,59 @@ def test_delta_minus_path_audit_builds_each_path_once(monkeypatch):
         "notes": "58 instances match exactly",
     }
     assert built == {n: 1 for n in range(2, 61)}
+
+
+def test_jmin_ledger_rows_run_no_rerooting_pass(monkeypatch):
+    # the J_min and T_bestmeet ground truths read J_min off each tree's
+    # rooted pass; none of them runs the rerooting pass, Tree.joining
+    calls = []
+    prop = vars(trees_mod.Tree)["joining"]
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda t: calls.append(t.n) or real(t))
+    fids = ("bestmeet_lever", "jmin_dbroom_oo", "jmin_dnd_max")
+    assert [audit_formula(fid, 3, 30).status for fid in fids] == [VERIFIED, VERIFIED, DISCREPANCY]
+    assert calls == []
+
+
+def _refusal(fid, n, d):
+    """The class and message of closed_form's refusal at (n, d), or None:
+    its domain checks as written before Domain stated them, kept as the
+    reference for both."""
+    dom = FORMULAS[fid].domain
+    if dom.span is not None and d is None:
+        return OutOfStatedRange, f"formula {fid!r} needs a diameter argument"
+    if n < dom.n_min:
+        return OutOfStatedRange, f"formula {fid!r} needs n >= {dom.n_min}, got n={n}"
+    if dom.span is not None and not dom.span[0] <= d <= n - dom.span[1]:
+        return OutOfStatedRange, f"formula {fid!r} needs {dom.span[0]} <= d <= n-{dom.span[1]}, got n={n}, d={d}"
+    if dom.n_odd is not None and n % 2 != dom.n_odd:
+        return ParityMismatch, f"formula {fid!r} needs {'odd' if dom.n_odd else 'even'} n, got n={n}"
+    if dom.d_odd is not None and d % 2 != dom.d_odd:
+        return ParityMismatch, f"formula {fid!r} needs {'odd' if dom.d_odd else 'even'} d, got d={d}"
+    return None
+
+
+@pytest.mark.parametrize("fid", FORMULA_IDS)
+def test_formula_audit_screens_exactly_the_cells_closed_form_refuses(fid):
+    # audit_formula skips a cell when Domain.fault names one, without
+    # raising; closed_form raises that fault with its class and message
+    domain = FORMULAS[fid].domain
+    for n in range(31):
+        for d in [None, *range(-1, n + 2)]:
+            refusal = _refusal(fid, n, d)
+            assert (domain.fault(n, d) is None) == (refusal is None), (n, d)
+            if refusal is None:
+                assert isinstance(closed_form(fid, n, d), (int, Fraction))
+                continue
+            with pytest.raises(TreewalkError) as caught:
+                closed_form(fid, n, d)
+            assert (type(caught.value), str(caught.value)) == refusal, (n, d)
+    # the audit over 3..30 checks exactly the cells of its window that
+    # closed_form evaluates (a misprint's audit stops at its first failure)
+    window = [(n, d) for n in range(3, 31) for d in (range(1, n) if domain.span else [None])]
+    rep = audit_formula(fid, 3, 30)
+    if rep.status == VERIFIED:
+        assert rep.notes == f"{sum(_refusal(fid, n, d) is None for n, d in window)} instances match exactly"
 
 
 def test_formula_out_of_range_window():

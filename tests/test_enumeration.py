@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from treewalk import enumeration
@@ -49,11 +51,17 @@ def _with_diameter(n, d):
 
 
 def test_diameter_filter_partition():
-    total = sum(len(_with_diameter(7, d)) for d in range(2, 7))
-    assert total == len(tree_classes(7))
-    for d in range(2, 10):
-        filtered = [canonical_form(t) for t in enumerate_trees(10) if diameter_and_geodesic(t)[0] == d]
-        assert filtered == [canonical_form(t) for t in _with_diameter(10, d)]
+    # two independent diameter routes: the table's, from the level
+    # sequences' heights, and diameter_and_geodesic's two farthest-vertex
+    # sweeps over each built class
+    for n in range(3, 11):
+        by_table = {d: row.classes for d, row in extremal_table(n).items()}
+        by_walk = Counter(diameter_and_geodesic(t)[0] for t in tree_classes(n))
+        assert by_table == by_walk, n
+        assert sum(by_table.values()) == KNOWN_CLASS_COUNTS[n]
+    assert {d: row.classes for d, row in extremal_table(10).items()} == {
+        2: 1, 3: 4, 4: 21, 5: 32, 6: 29, 7: 14, 8: 4, 9: 1,
+    }
 
 
 def test_cap_enforced():

@@ -5,7 +5,9 @@ vector; these checks hold them to the single-target joining_time, to the
 definitions of t_meet, t_bestmeet and Kemeny's constant, to the
 distance-sum oracle, and to the caches' keying. Every walkstats.QUANTITIES
 entry is held, on trees with n <= 30, to the same quantity read off the
-first-step linear solve at each vertex. The rewrite pipelines and
+first-step linear solve at each vertex; on trees with n <= 200, the J_min
+reader and the T_bestmeet entry, read before the rerooting pass has run,
+are held to the least entry of joining_all and to t_bestmeet. The rewrite pipelines and
 move_leaf are held to their stated postconditions on the same trees.
 `analyze`'s templated per_vertex block is held, on trees with n <= 300, to
 the json.dumps rendering of the per-vertex dict it replaced; the chunk-edge
@@ -128,6 +130,7 @@ from treewalk.trees import (
 )
 from treewalk.walkstats import (
     QUANTITIES,
+    _least_joining,
     barycenter,
     joining_all,
     joining_time,
@@ -153,9 +156,16 @@ def _reference(t: Tree) -> list[int]:
 
 
 @PROPERTY_SETTINGS
-@given(prufer_trees())
+@given(prufer_trees(max_n=200))
 def test_joining_all_matches_single_target(t):
-    assert joining_all(t) == _reference(t)
+    # the J_min reader and the T_bestmeet entry read the subtree sizes
+    # before the rerooting pass has run on t
+    least, bestmeet = _least_joining(t), QUANTITIES["t_bestmeet"](t)
+    assert "joining" not in t.__dict__
+    js = joining_all(t)
+    assert js == _reference(t)
+    assert least == min(js)
+    assert bestmeet == t_bestmeet(t)[0]
 
 
 def _assert_joining_time_matches_definition(t: Tree) -> None:
