@@ -151,27 +151,28 @@ def _write_per_vertex(out: TextIO, js: Sequence[int], targets: list[int], two_ed
     """Write the per_vertex value to `out` exactly as json.dumps(sort_keys=True,
     indent=2) renders {str(v): {"joining_time": J(v), "meeting_time":
     _exact(J(v)/2|E|)}} at its depth in the envelope, filled from one fixed
-    template per vertex and written _CHUNK entries at a time. Each chunk's
-    gcds, reduced fractions and decimals are computed by C-level maps."""
+    template per vertex and written _CHUNK entries at a time. Every J is
+    congruent mod 4(n-1) (`Tree.joining`), so one gcd reduces every
+    fraction, and the template holds the one denominator's line. Each
+    chunk's numerators and decimals are computed by C-level maps."""
     order = sorted(targets, key=str)  # sort_keys order: "10" < "9"
+    g = gcd(js[0], two_edges)
+    den = two_edges // g
+    den_line = f'",\n          "den": {den},\n          "num": '
     out.write("{\n")
     for start in range(0, len(order), _CHUNK):
         vs = order[start:start + _CHUNK]
         jv = list(map(js.__getitem__, vs))
-        gs = list(map(gcd, jv, repeat(two_edges)))
-        nums = list(map(floordiv, jv, gs))
-        dens = list(map(floordiv, repeat(two_edges), gs))
-        decs = map(_DECIMAL12.to_sci_string, map(_DECIMAL12.divide, nums, dens))
+        nums = list(map(floordiv, jv, repeat(g)))
+        decs = map(_DECIMAL12.to_sci_string, map(_DECIMAL12.divide, nums, repeat(den)))
         entries = [
             f'      "{v}": {{\n'
             f'        "joining_time": {j},\n'
             f'        "meeting_time": {{\n'
-            f'          "decimal": "{dec}",\n'
-            f'          "den": {den},\n'
-            f'          "num": {num}\n'
+            f'          "decimal": "{dec}{den_line}{num}\n'
             f"        }}\n"
             f"      }}"
-            for v, j, dec, den, num in zip(vs, jv, decs, dens, nums)
+            for v, j, dec, num in zip(vs, jv, decs, nums)
         ]
         if start:
             out.write(",\n")

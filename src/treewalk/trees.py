@@ -19,16 +19,17 @@ other rooting at a vertex reads the stored pass: `_climb` lists a
 vertex's ancestors up to vertex 0, and `_distances` gives its distance
 to every vertex. On them stand the path between two vertices, the
 diameter with a witness geodesic, and vertex splits; then the component
-sizes at a vertex, Prufer decoding, and centroid-rooted canonical forms
-(equal byte codes iff the trees are isomorphic), the AHU rooted-tree code
-(Aho, Hopcroft and Ullman, 1974). A canonical form reads the stored
-rooted pass and walks no tree of its own: one bottom-up pass gives the
-codes at both centroids, with parents reversed only on the path from
-vertex 0 to the root. A vertex with one child carries its child's code
-and a count of pending wraps, so a single-child chain is written once,
-and each code is dropped once taken: a form copies O(n) bytes on a path
-and holds O(n) bytes at any moment. Statistics of one vertex, and the traversal from
-one, check its id first (`check_vertex`).
+sizes at a vertex, Prufer decoding, the centroids (a descent from vertex
+0 that reads only its own vertices and their neighbors), and centroid-rooted
+canonical forms (equal byte codes iff the trees are isomorphic), the AHU
+rooted-tree code (Aho, Hopcroft and Ullman, 1974). A canonical form
+reads the stored rooted pass and walks no tree of its own: one bottom-up
+pass gives the codes at both centroids, with parents reversed only on
+the path from vertex 0 to the root. A vertex with one child carries its
+child's code and a count of pending wraps, so a single-child chain is
+written once, and each code is dropped once taken: a form copies O(n)
+bytes on a path and holds O(n) bytes at any moment. Statistics of one
+vertex, and the traversal from one, check its id first (`check_vertex`).
 """
 
 from __future__ import annotations
@@ -80,12 +81,12 @@ class Tree:
         child u swaps only that edge's term: J(u) = J(p) + (2(n-s)-1)^2 -
         (2s-1)^2 = J(p) + 4(n-1)(n-2s) with s = size(u) from the rooted pass.
         """
-        n = self.n
+        n, step = self.n, 4 * (self.n - 1)
         order, parent, size = self.rooted
         j = [0] * n
-        j[0] = sum((2 * s - 1) ** 2 for s in size[1:])
+        j[0] = sum([(2 * s - 1) ** 2 for s in size[1:]])
         for u in order[1:]:
-            j[u] = j[parent[u]] + 4 * (n - 1) * (n - 2 * size[u])
+            j[u] = j[parent[u]] + step * (n - 2 * size[u])
         return tuple(j)
 
     @property
@@ -350,18 +351,26 @@ def _components(t: Tree, v: int) -> list[int]:
 
 
 def centroids(t: Tree) -> list[int]:
-    """Centroid vertex (or two adjacent ones): every component of t - c
-    has at most n/2 vertices."""
-    order, parent, size = t.rooted
-    n = t.n
-    # heavy[v]: the largest component of t - v, the part through the parent
-    # (none at the root) or the largest child subtree
-    heavy = [n - s for s in size]
-    for u in order[1:]:
-        p = parent[u]
-        if size[u] > heavy[p]:
-            heavy[p] = size[u]
-    return [v for v in range(n) if 2 * heavy[v] <= n]
+    """Centroid vertex (or two adjacent ones), sorted: every component of
+    t - c has at most n/2 vertices. From vertex 0, step into the child (its
+    subtree is smaller than its parent's) holding more than n/2 vertices
+    until none does; the part through the parent stays below n/2 on the
+    way, so that vertex is one centroid, and a child w with 2 size[w] = n
+    the other."""
+    size = t.rooted[2]
+    n, adj = t.n, t.adjacency
+    half, c = n // 2, 0
+    while True:
+        for u in adj[c]:
+            if half < size[u] < size[c]:
+                c = u
+                break
+        else:
+            break
+    for u in adj[c]:
+        if 2 * size[u] == n:
+            return sorted((c, u))
+    return [c]
 
 
 def _wrap(kids: list[bytes]) -> bytes:

@@ -97,6 +97,18 @@ def test_analyze_runs_one_rooted_pass_and_one_rerooting(tmp_path, capsys, monkey
     assert sorted(calls) == ["joining", "rooted"]
 
 
+def test_analyze_takes_one_gcd_for_every_meeting_time(tmp_path, capsys, monkeypatch):
+    # every J is congruent mod 2|E|, so one gcd reduces all 300 fractions
+    rng = random.Random(4)
+    f = tmp_path / "t.txt"
+    f.write_text(format_edge_list(prufer_decode([rng.randrange(300) for _ in range(298)], 300)))
+    calls = []
+    real = cli.gcd
+    monkeypatch.setattr(cli, "gcd", lambda *args: calls.append(args) or real(*args))
+    assert main(["--no-timing", "analyze", "--input", str(f)]) == 0
+    assert len(calls) == 1
+
+
 def test_analyze_target_subset(capsys, p3_file):
     code, out = run(capsys, "--no-timing", "analyze", "--input", p3_file, "--targets", "1")
     assert code == 0

@@ -12,7 +12,9 @@ move_leaf are held to their stated postconditions on the same trees.
 `analyze`'s templated per_vertex block is held, on trees with n <= 300, to
 the json.dumps rendering of the per-vertex dict it replaced; the chunk-edge
 test holds it the same way when written in chunks of 1, 2 and 3 entries on
-a 25-vertex tree, so that the separators between chunks are checked. The
+a 25-vertex tree, so that the separators between chunks are checked; the
+one denominator it writes rests on every J being congruent mod 4(n-1),
+held on trees with n <= 300. The
 trusted builders (family generators, broomify, leaf swaps) are held to the
 validating build_tree, and build_tree's error classification to the
 seen-set loop it replaced. On trees with n <= 200, T_bestmeet lies between
@@ -65,6 +67,7 @@ import random
 import tempfile
 from datetime import timedelta
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -166,6 +169,19 @@ def test_joining_all_matches_single_target(t):
     assert js == _reference(t)
     assert least == min(js)
     assert bestmeet == t_bestmeet(t)[0]
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(max_n=300))
+@example(path_tree(2))
+@example(star_tree(9))
+@example(balanced_double_broom(20, 7))
+def test_joining_times_are_congruent_mod_4_n_minus_1(t):
+    # J(u) - J(p) = 4(n-1)(n - 2 size(u)) across every edge, so gcd(J(v), 2|E|)
+    # is one number and analyze writes every meeting time over one denominator
+    js = joining_all(t)
+    assert len({j % (4 * (t.n - 1)) for j in js}) == 1
+    assert len({gcd(j, 2 * (t.n - 1)) for j in js}) == 1
 
 
 def _assert_joining_time_matches_definition(t: Tree) -> None:

@@ -265,6 +265,123 @@ def test_canonical_form_of_a_long_path_stays_in_linear_memory():
     assert peak < 8_000_000
 
 
+def _relabeled(t: trees.Tree, perm: list[int]) -> trees.Tree:
+    return build_tree([(perm[u], perm[v]) for u, v in t.edges()], t.n)
+
+
+def _assert_centroids(t: trees.Tree) -> None:
+    # the definition at every vertex, and the distance-sum oracle
+    n = t.n
+    by_definition = [v for v in range(n) if all(2 * s <= n for s in trees._components(t, v))]
+    assert trees.centroids(t) == by_definition == oracles.distance_argmin(t), format_edge_list(t)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_centroids_match_the_definition_on_every_class_wherever_vertex_0_sits(n):
+    # every vertex of each class takes id 0 in turn, so the descent starts
+    # at a leaf, on the heavy side of an inner vertex, or at a centroid;
+    # three seeded relabelings of each class scatter the other ids too
+    from treewalk.enumeration import enumerate_trees
+
+    rng = random.Random(n)
+    starts = set()
+    for base in [path_tree(1)] if n == 1 else enumerate_trees(n):
+        for x in range(n):
+            perm = list(range(n))
+            perm[0], perm[x] = x, 0
+            t = _relabeled(base, perm)
+            _assert_centroids(t)
+            starts.add("centroid" if 0 in trees.centroids(t) else "leaf" if t.degree(0) == 1 else "inner")
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _assert_centroids(_relabeled(base, perm))
+    if n >= 5:
+        assert starts == {"centroid", "leaf", "inner"}
+
+
+def test_centroids_of_the_one_and_two_vertex_paths():
+    assert trees.centroids(path_tree(1)) == [0]
+    assert trees.centroids(path_tree(2)) == [0, 1]
+    assert trees.centroids(build_tree([(1, 0)], 2)) == [0, 1]
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 10, 101, 1000, 1001])
+def test_centroids_of_a_path_from_an_end_labelled_either_way(n):
+    # vertex 0 at one end, the other ids rising or falling along the path:
+    # the descent walks n/2 steps to the middle vertex or the middle two
+    for ids in (list(range(n)), [0, *range(n - 1, 0, -1)]):
+        t = build_tree(list(zip(ids, ids[1:])), n)
+        assert trees.centroids(t) == sorted({ids[(n - 1) // 2], ids[n // 2]})
+        if n <= 101:
+            _assert_centroids(t)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 30])
+def test_centroid_of_a_star_is_its_hub_wherever_it_sits(n):
+    for hub in range(n):
+        t = build_tree([(hub, v) for v in range(n) if v != hub], n)
+        assert trees.centroids(t) == [hub]
+        _assert_centroids(t)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_an_edge_between_two_halves_joins_two_centroids(seed):
+    # two random trees of k vertices each, joined by one edge and relabeled
+    # at random: that edge's ends are the two centroids
+    rng = random.Random(seed)
+    k = rng.randrange(1, 25)
+    edges = [(rng.randrange(v), v) for v in range(1, k)]
+    edges += [(k + u, k + v) for u, v in edges]
+    a, b = rng.randrange(k), k + rng.randrange(k)
+    perm = list(range(2 * k))
+    rng.shuffle(perm)
+    t = build_tree([(perm[u], perm[v]) for u, v in [*edges, (a, b)]], 2 * k)
+    assert trees.centroids(t) == sorted((perm[a], perm[b]))
+    _assert_centroids(t)
+
+
+class _Recorded(tuple):
+    """A tuple that notes every index read from it."""
+
+    def __getitem__(self, i):
+        self.reads.add(i)
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_centroids_read_only_the_descent_from_vertex_0(seed):
+    rng = random.Random(seed)
+    n = 2000 + seed
+    t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+    expected = trees.centroids(t)
+    order, parent, size = t.rooted
+    adj, sizes = _Recorded(t.adjacency), _Recorded(size)
+    adj.reads, sizes.reads = set(), set()
+    watched = trees.Tree(n, adj)
+    watched.__dict__["rooted"] = (order, parent, sizes)
+    assert trees.centroids(watched) == expected
+    # the descent runs from vertex 0 to the centroid nearer it
+    descent = set(trees._climb(t, min(expected, key=lambda c: len(trees._climb(t, c)))))
+    assert adj.reads == descent
+    assert sizes.reads <= descent.union(*(t.adjacency[v] for v in descent))
+
+
+def test_centroids_allocate_no_array_of_the_tree_s_length():
+    rng = random.Random(3)
+    n = 20000
+    t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+    t.rooted
+    tracemalloc.start()
+    try:
+        trees.centroids(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n-long list alone takes 8n bytes
+    assert peak < n
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 7])
 def test_diameter_consistent_with_distance_table(n):
     from treewalk.enumeration import tree_classes
