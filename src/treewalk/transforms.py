@@ -4,14 +4,12 @@ Single leaf relocation, broomification of a rooted tree, and the two
 three-phase pipelines that push any tree of fixed order and diameter to
 the balanced lever (minimizing the smallest scaled meeting time) or to a
 double broom (maximizing it). Every pipeline emits a TransformTrace, which
-reads the minimum joining time of each tree it records and checks it
-monotone step by step. Each step builds and roots its tree once and reads
-everything else off that pass: the minimum joining time from its subtree
-sizes, by walkstats' one J_min reader; maximize's barycenter check from
-the sizes at the barycenter's neighbors; and the trace's packed parent
-array, whose tree is coded only when read. Minimize lists its moveable leaves once; maximize reads its
-tree's distances from the barycenter once, off the stored rooted pass,
-after its first phase, which leaves two-vertex branches as they are.
+checks the minimum joining time monotone step by step. Leaf moves, most of
+the steps, run in place on one rooting at the barycenter c, which no move
+displaces: a move costs its leaf's two climbs to c, which carry its change
+in J_min, and is recorded as the move. The few whole-tree rewrites are
+recorded packed, J_min read off their rooted pass. The trace's replay
+rebuilds each step's tree from the packed start.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ import heapq
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import (
     DiameterOutOfRange,
@@ -31,6 +30,7 @@ from .errors import (
 from .families import _delta_plus, _rooted_broom, is_double_broom
 from .trees import (
     Tree,
+    _climb,
     _components,
     _distances,
     _spine_tree,
@@ -69,78 +69,79 @@ def _tree_from_parents(packed: bytes) -> Tree:
 
 @dataclass(frozen=True, slots=True)
 class TraceStep:
-    """One rewrite: its description, the minimum joining time after it,
-    and the tree it produced as `_pack_parents` packs it (n bytes up to
-    n = 256, where the canonical code takes 2n). `canonical` rebuilds that
-    tree and codes it on each read."""
+    """One rewrite: its description, the minimum joining time after it, and
+    the rewrite, a leaf move as (leaf, old neighbor, new neighbor) and a
+    whole-tree rewrite as the tree it produced, packed by `_pack_parents`."""
 
     description: str
-    parents: bytes
+    rewrite: tuple[int, int, int] | bytes
     value: int
     allow_equal: bool = False
-
-    @property
-    def canonical(self) -> bytes:
-        return canonical_form(_tree_from_parents(self.parents))
 
 
 @dataclass
 class TransformTrace:
     """Ordered record of rewrites with the minimum joining time after each one.
 
-    direction is "decreasing" or "increasing"; append() reads it off the new
-    tree and enforces strict monotonicity except on steps flagged allow_equal
-    (used where the underlying argument only guarantees a non-strict change).
-    """
+    direction is "decreasing" or "increasing"; every step must move the value
+    that way, strictly except on steps flagged allow_equal (used where the
+    argument only guarantees a non-strict change). append() reads it off the
+    new tree and packs the tree; move() records a leaf move as itself."""
 
     direction: str
     initial_value: int
     initial_canonical: bytes
     steps: list[TraceStep] = field(default_factory=list)
+    initial_parents: bytes = b""
 
     @classmethod
     def start(cls, direction: str, tree: Tree) -> "TransformTrace":
         """An empty trace starting from `tree`."""
-        return cls(direction, _least_joining(tree), canonical_form(tree))
+        return cls(direction, _least_joining(tree), canonical_form(tree), initial_parents=_pack_parents(tree))
 
     @property
     def last_value(self) -> int:
         return self.steps[-1].value if self.steps else self.initial_value
 
     def append(self, description: str, tree: Tree, allow_equal: bool = False) -> None:
-        value = _least_joining(tree)
-        prev = self.last_value
+        self._record(TraceStep(description, _pack_parents(tree), _least_joining(tree), allow_equal))
+
+    def move(self, description: str, zyx: tuple[int, int, int], delta: int, allow_equal: bool = False) -> None:
+        self._record(TraceStep(description, zyx, self.last_value + delta, allow_equal))
+
+    def _record(self, step: TraceStep) -> None:
+        prev, value = self.last_value, step.value
         if self.direction == "decreasing":
-            ok = value <= prev if allow_equal else value < prev
+            ok = value <= prev if step.allow_equal else value < prev
         else:
-            ok = value >= prev if allow_equal else value > prev
+            ok = value >= prev if step.allow_equal else value > prev
         if not ok:
             raise TreewalkError(
                 f"trace not {self.direction} at step {len(self.steps)}: "
-                f"{prev} -> {value} ({description})"
+                f"{prev} -> {value} ({step.description})"
             )
-        self.steps.append(
-            TraceStep(
-                description=description,
-                parents=_pack_parents(tree),
-                value=value,
-                allow_equal=allow_equal,
-            )
-        )
+        self.steps.append(step)
+
+    def replay(self) -> Iterator[Tree]:
+        """The tree after each step, rebuilt from the packed start tree."""
+        tree = _tree_from_parents(self.initial_parents) if self.initial_parents else None
+        for s in self.steps:
+            tree = _tree_from_parents(s.rewrite) if isinstance(s.rewrite, bytes) else _swap_edge(tree, *s.rewrite)
+            yield tree
 
     def to_json_lines(self) -> str:
         return "\n".join(
             json.dumps(
                 {
                     "allow_equal": s.allow_equal,
-                    "canonical": s.canonical.decode("ascii"),
+                    "canonical": canonical_form(tree).decode("ascii"),
                     "description": s.description,
                     "step": i,
                     "value": s.value,
                 },
                 sort_keys=True,
             )
-            for i, s in enumerate(self.steps)
+            for i, (s, tree) in enumerate(zip(self.steps, self.replay()))
         )
 
 
@@ -212,23 +213,24 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     # stays the least centroid. Moving z off y changes only z, y and c, and
     # of those only y can turn into a moveable leaf.
     c = min(centroids(cur))
+    adj, parent, size = _live_rooting(cur, c)
 
     def moveable(v: int) -> bool:
-        adj = cur.adjacency[v]
-        return len(adj) == 1 and v not in ends and v != c and adj[0] != c
+        return len(adj[v]) == 1 and v not in ends and v != c and adj[v][0] != c
 
     leaves = [v for v in range(n) if moveable(v)]
     guard = 0
     while leaves:
         z = heapq.heappop(leaves)
-        y = cur.adjacency[z][0]
-        cur = _swap_edge(cur, z, y, c)
+        y = adj[z][0]
+        delta, _ = _shift_leaf(adj, parent, size, z, y, c)
         if moveable(y):
             heapq.heappush(leaves, y)
-        trace.append(f"move leaf {z} from {y} beside barycenter {c}", cur)
+        trace.move(f"move leaf {z} from {y} beside barycenter {c}", (z, y, c), delta)
         guard += 1
         if guard > 4 * n:
             raise TreewalkError("leaf relocation failed to converge")
+    cur = _tree_from_adjacency(adj) if trace.steps else cur
 
     if c not in geo_set:
         # phase two: collapse the off-geodesic branch onto its attachment
@@ -297,11 +299,12 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     # holder, in a branch off c. A path from c into a branch stays in it:
     # depths from c are its own.
     depth = _distances(cur, c)
+    adj, parent, size = _live_rooting(cur, c)
 
     def geometry(part: set[int]) -> tuple[int, int, int]:
         r = max(depth[v] for v in part)
         deepest = min(v for v in part if depth[v] == r)
-        return r, deepest, cur.adjacency[deepest][0]
+        return r, deepest, adj[deepest][0]
 
     ranked = sorted(
         range(len(parts)), key=lambda i: (-_delta_plus(len(parts[i]) + 1, geometry(parts[i])[0]), i)
@@ -333,16 +336,53 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
         else:
             attach = t_holder
             description = f"add leaf {w} to the cluster of branch {target}"
-        cur = _swap_edge(cur, w, holder, attach)
+        delta, grown = _shift_leaf(adj, parent, size, w, holder, attach)
         depth[w] = depth[attach] + 1
         parts[donor].discard(w)
         parts[target].add(w)
         if not parts[donor]:
             donors.pop(0)
-        trace.append(description, cur, allow_equal=True)
-        _assert_barycenter(cur, c)
+        trace.move(description, (w, holder, attach), delta, allow_equal=True)
+        if 2 * grown > n:  # of the components of t - c, only the one w joined grew
+            _assert_barycenter(_tree_from_adjacency(adj), c)
 
-    return _finish(cur, d, trace)
+    return _finish(_tree_from_adjacency(adj), d, trace)
+
+
+def _live_rooting(t: Tree, c: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Mutable adjacency lists of t, and the parent and size arrays of its
+    rooting at c read off the stored pass from vertex 0: on the climb c =
+    u0, ..., uk = 0, u_{i+1} turns child of u_i, holding n - size0[u_i]."""
+    _, parent, size0 = t.rooted
+    parent, size, up = list(parent), list(size0), _climb(t, c)
+    for u, w in zip(up, up[1:]):
+        parent[w], size[w] = u, t.n - size0[u]
+    parent[c], size[c] = -1, t.n
+    return [list(a) for a in t.adjacency], parent, size
+
+
+def _shift_leaf(adj: list[list[int]], parent: list[int], size: list[int], z: int, y: int, x: int) -> tuple[int, int]:
+    """Move leaf z (never the root c) from y to x on `_live_rooting`'s
+    arrays. Only the edges on y's climb to c lose z from their lower side,
+    and only those on x's gain it, so the change in J_min, returned with
+    the size of the component of t - c that z joined, is read off them."""
+    n = len(size)
+    adj[y].remove(z)
+    adj[x].append(z)
+    adj[z][0] = parent[z] = x
+    delta = 0
+    for u, step in ((y, -1), (x, 1)):
+        top = z
+        while parent[u] >= 0:
+            delta += _edge_term(size[u] + step, n) - _edge_term(size[u], n)
+            size[u] += step
+            top, u = u, parent[u]
+    return delta, size[top]
+
+
+def _edge_term(s: int, n: int) -> int:
+    """The term (2 min(s, n-s) - 1)^2 `walkstats._least_joining` sums per edge of split s."""
+    return (2 * s - 1 if 2 * s <= n else 2 * (n - s) - 1) ** 2
 
 
 def _swap_edge(t: Tree, w: int, old: int, new: int) -> Tree:

@@ -46,16 +46,22 @@ replaced, on random spines and hubs with n <= 80 and on every formula
 witness with n <= 20. The single-target joining_time, the ground truth of
 the ledger's broom rows, is held at every vertex to joining_all and to the
 definition oracle, on trees with n <= 60 and on every class up to order 9.
-Every rewrite-trace value, read off the recorded tree's subtree sizes, is
-held to the least entry of joining_all on trees with n <= 60 through both
-pipelines, with the rerooting pass shown not to have run before that read;
-the barycenter check the maximize pipeline repeats after each move is held
-to centroids at every vertex of the same trees.
-Every rewrite-trace step's canonical code, built when read, is held to the
-code of the tree the step was appended with, on trees with n <= 80 through
-both pipelines, and the step's packed parent array to at most that code's
-length. On trees with n <= 60 and 3 <= d <= n-2, every leaf minimize moves
-beside the barycenter leaves the least centroid of the input in place.
+Every rewrite-trace value is held to the least entry of joining_all on
+trees with n <= 60 through both pipelines: a whole-tree step's, read off
+its tree's subtree sizes, with the rerooting pass shown not to have run
+before that read, and a leaf move's, a running sum of changes read off two
+climbs in a live rooting, with that rooting held to subtree_sizes at the
+barycenter after every move. The replay of each trace, which rebuilds
+every step's tree from the packed start tree, is held label for label to
+the tree the pipeline held after that step, on trees with n <= 80, and each
+replayed tree's J_min to walkstats' reader, to joining_all and, for a
+seeded sample, to the definition oracle at a centroid, also on runs that
+raise. One in-place leaf move is held to the rebuilt tree, its rooting,
+its change in J_min and the size of the component it grew, at any root;
+the barycenter check maximize makes after each reshape is held to
+centroids at every vertex of the same trees. On trees with n <= 60 and 3 <= d <= n-2, every leaf
+minimize moves beside the barycenter leaves the least centroid of the
+input in place.
 """
 
 import contextlib
@@ -73,7 +79,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from treewalk import cli, families, trees
+from treewalk import cli, families, transforms, trees
 from treewalk.errors import (
     CycleDetected,
     DiameterOutOfRange,
@@ -118,6 +124,7 @@ from treewalk.trees import (
     SplitPart,
     SplitResult,
     Tree,
+    _components,
     _tree_from_adjacency,
     bfs_order,
     build_tree,
@@ -129,6 +136,7 @@ from treewalk.trees import (
     path_between,
     prufer_decode,
     rooted_canonical_form,
+    subtree_sizes,
     v_split,
 )
 from treewalk.walkstats import (
@@ -304,64 +312,163 @@ def test_minimize_pipeline_reaches_the_balanced_lever(t):
     values = [trace.initial_value] + [s.value for s in trace.steps]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert trace.last_value == min(joining_all(out))
-    last = trace.steps[-1].canonical if trace.steps else trace.initial_canonical
-    assert last == canonical_form(out)
+    assert trace.initial_canonical == canonical_form(t)
+    *_, last = [t, *trace.replay()]
+    assert last == out and canonical_form(last) == canonical_form(out)
 
 
-def _appended_steps(pipeline, t: Tree) -> list:
-    """Each step the pipeline appends to its trace, with the tree it
-    appended, also when the pipeline then raises."""
-    appended = []
-    real = TransformTrace.append
+def _run_traced(pipeline, t: Tree):
+    """Run pipeline on t and return the trace it started (None when it
+    raised before starting one), the tree it returned or the TreewalkError
+    it raised, and each tree the pipeline held after a step: a whole-tree
+    step's appended tree, or the live adjacency after a leaf move with
+    copies of its rooting's parent and size arrays (None for the former)."""
+    traces, held = [], []
+    start, append, shift = TransformTrace.start, TransformTrace.append, transforms._shift_leaf
 
-    def spy(self, description, tree, allow_equal=False):
-        real(self, description, tree, allow_equal)
-        appended.append((self.steps[-1], tree))
+    def start_spy(direction, tree):
+        traces.append(start(direction, tree))
+        return traces[-1]
+
+    def append_spy(self, description, tree, allow_equal=False):
+        append(self, description, tree, allow_equal)
+        held.append((tree, None))
+
+    def shift_spy(adj, parent, size, z, y, x):
+        out = shift(adj, parent, size, z, y, x)
+        held.append((_tree_from_adjacency(adj), (list(parent), list(size))))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TransformTrace, "append", spy)
+        mp.setattr(TransformTrace, "start", start_spy)
+        mp.setattr(TransformTrace, "append", append_spy)
+        mp.setattr(transforms, "_shift_leaf", shift_spy)
         try:
-            pipeline(t)
-        except TreewalkError:
-            pass  # a diameter out of range, or maximize's known failure
-    return appended
+            end = pipeline(t)[0]
+        except TreewalkError as e:
+            end = e  # a diameter out of range, or maximize's known failure
+    assert len(held) == (len(traces[0].steps) if traces else 0)
+    return (traces[0] if traces else None), end, held
 
 
 @PROPERTY_SETTINGS
 @given(prufer_trees())
 def test_minimize_phase_one_keeps_the_least_centroid(t):
     # minimize finds its barycenter once; every leaf it moves beside it must
-    # leave the least centroid where it was on the input
+    # leave the least centroid where it was on the input, and the rooting
+    # it moves leaves on stays at that centroid
     d, _ = diameter_and_geodesic(t)
     assume(3 <= d <= t.n - 2)
     c = min(centroids(t))
-    for step, tree in _appended_steps(minimize_pipeline, t):
+    trace, _, held = _run_traced(minimize_pipeline, t)
+    for step, tree, (held_tree, rooting) in zip(trace.steps, trace.replay(), held):
         if step.description.startswith("move leaf"):
-            assert step.description.endswith(f"beside barycenter {c}")
-            assert min(centroids(tree)) == c
+            z, y, x = step.rewrite
+            assert step.description == f"move leaf {z} from {y} beside barycenter {c}" and x == c
+            assert tree == held_tree and min(centroids(tree)) == c
+            assert rooting[0].index(-1) == c
 
 
 @PROPERTY_SETTINGS
 @given(prufer_trees(max_n=80))
 def test_every_trace_step_codes_the_tree_it_was_appended_with(t):
+    # the replay rebuilds, label for label, each tree the pipeline held;
+    # a leaf step is the edge swap of a leaf, and a whole-tree step packs
+    # its tree in no more bytes than its code
     for pipeline in (minimize_pipeline, maximize_pipeline):
-        for step, tree in _appended_steps(pipeline, t):
-            assert step.canonical == canonical_form(tree)
-            assert len(step.parents) <= len(step.canonical)
+        trace, _, held = _run_traced(pipeline, t)
+        if trace is None:
+            continue
+        replayed = list(trace.replay())
+        assert replayed == [tree for tree, _ in held]
+        lines = trace.to_json_lines().splitlines()
+        prev = t
+        for step, tree, line in zip(trace.steps, replayed, lines, strict=True):
+            assert json.loads(line)["canonical"] == canonical_form(tree).decode("ascii")
+            if isinstance(step.rewrite, bytes):
+                assert len(step.rewrite) <= len(canonical_form(tree))
+            else:
+                z, y, x = step.rewrite
+                assert prev.adjacency[z] == (y,)
+                assert tree == build_tree([e for e in prev.edges() if set(e) != {z, y}] + [(z, x)], t.n)
+            prev = tree
 
 
 @PROPERTY_SETTINGS
 @given(prufer_trees())
 def test_trace_values_match_the_rerooting_pass_without_running_it(t):
-    # the trace reads J_min off each tree's subtree sizes; the rerooting
-    # pass must not have run on any recorded tree before it is read here
+    # a whole-tree step reads J_min off its tree's subtree sizes, and the
+    # rerooting pass must not have run on it before it is read here; a leaf
+    # step reads its change off the live rooting, which must be the rooting
+    # at the barycenter of the tree the pipeline holds
     start = TransformTrace.start("increasing", t)
     assert "joining" not in t.__dict__
     assert start.initial_value == min(joining_all(t))
     for pipeline in (minimize_pipeline, maximize_pipeline):
-        for step, tree in _appended_steps(pipeline, t):
-            assert "joining" not in tree.__dict__
+        trace, _, held = _run_traced(pipeline, t)
+        for step, (tree, rooting) in zip(trace.steps if trace else [], held):
+            if rooting is None:
+                assert "joining" not in tree.__dict__
+            else:
+                assert subtree_sizes(tree, rooting[0].index(-1))[1:] == rooting
             assert step.value == min(joining_all(tree))
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees(), st.data())
+def test_shift_leaf_matches_the_rebuilt_tree(t, data):
+    # any root c that is not the moved leaf: the climbs from y and x may
+    # meet below c, where the two updates cancel
+    z = data.draw(st.sampled_from([v for v in range(t.n) if t.degree(v) == 1]))
+    c = data.draw(st.sampled_from([v for v in range(t.n) if v != z]))
+    x = data.draw(st.sampled_from([v for v in range(t.n) if v != z]))
+    y = t.adjacency[z][0]
+    adj, parent, size = transforms._live_rooting(t, c)
+    delta, grown = transforms._shift_leaf(adj, parent, size, z, y, x)
+    new = build_tree([e for e in t.edges() if set(e) != {z, y}] + [(z, x)], t.n)
+    assert _tree_from_adjacency(adj) == new
+    assert (parent, size) == tuple(subtree_sizes(new, c)[1:])
+    assert delta == min(joining_all(new)) - min(joining_all(t))
+    # the component of new - c that holds z
+    w = path_between(new, c, z)[1]
+    assert grown == (1 if w == z else _components(new, c)[new.adjacency[c].index(w)])
+
+
+# maximize moves leaves 2 and 3 from the barycenter 0 onto 0 itself
+_NO_OP_MOVES = build_tree([(0, 1), (0, 2), (0, 3), (0, 6), (4, 6), (4, 7), (5, 6)], 8)
+# maximize raises on it: its handle extension leaves a bristle mid-spine
+_MAXIMIZE_RAISES = build_tree(
+    [(0, 4), (1, 3), (1, 11), (2, 4), (4, 7), (4, 9), (5, 6), (6, 9), (6, 11), (7, 12), (8, 13), (9, 14), (10, 13), (10, 14)],
+    15,
+)
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees())
+@example(_NO_OP_MOVES)
+@example(_MAXIMIZE_RAISES)
+def test_replay_checks_every_step_value_independently(t):
+    # the values leaf steps carry are running sums of changes read off two
+    # climbs; the replayed trees recompute each one from scratch, and the
+    # definition oracle does at a distance argmin for a seeded sample
+    rng = random.Random(t.n)
+    for pipeline in (minimize_pipeline, maximize_pipeline):
+        trace, end, _ = _run_traced(pipeline, t)
+        if trace is None:
+            assert isinstance(end, DiameterOutOfRange)
+            continue
+        replayed = list(trace.replay())
+        assert len(replayed) == len(trace.steps)
+        for step, tree in zip(trace.steps, replayed):
+            assert _least_joining(tree) == step.value == min(joining_all(tree))
+        for i in rng.sample(range(len(replayed)), min(3, len(replayed))):
+            tree = replayed[i]
+            assert joining_time_by_definition(tree, distance_argmin(tree)[0]) == trace.steps[i].value
+        last = replayed[-1] if replayed else t
+        if isinstance(end, Tree):
+            assert last == end
+        elif str(end) == "pipeline did not end on a double broom":
+            assert not is_double_broom(last)
 
 
 @PROPERTY_SETTINGS

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from treewalk import families, transforms
+from treewalk import families, transforms, trees
 from treewalk.enumeration import tree_classes
 from treewalk.errors import (
     DiameterOutOfRange,
@@ -37,6 +37,7 @@ from treewalk.trees import (
     diameter_and_geodesic,
     prufer_decode,
     rooted_canonical_form,
+    subtree_sizes,
 )
 from treewalk.walkstats import hitting_profile, joining_all, joining_time
 
@@ -238,14 +239,16 @@ def test_trace_keeps_its_positional_three_field_constructor():
 
 @pytest.mark.parametrize("n,width", [(1, "B"), (2, "B"), (256, "B"), (257, "H"), (65536, "H"), (65537, "I")])
 def test_a_step_packs_its_tree_in_the_narrowest_width(n, width):
+    # a whole-tree step keeps its tree packed, and the replay unpacks it
     rng = random.Random(n)
     t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n) if n > 1 else path_tree(1)
     trace = TransformTrace("decreasing", min(t.joining) + 1, b"")
     trace.append("record", t)
-    packed = trace.steps[0].parents
+    packed = trace.steps[0].rewrite
     assert packed[:1] == width.encode()
     assert len(packed) == 1 + struct.calcsize(width) * (n - 1)
     assert transforms._tree_from_parents(packed).adjacency == t.adjacency
+    assert [u.adjacency for u in trace.replay()] == [t.adjacency]
 
 
 def test_pipelines_code_only_their_starting_tree(monkeypatch):
@@ -257,15 +260,97 @@ def test_pipelines_code_only_their_starting_tree(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(transforms, "canonical_form", spy)
-    _, down = minimize_pipeline(prufer_decode([3, 3, 7, 0, 9, 1, 1, 4, 4, 12, 2], 13))
+    low, down = minimize_pipeline(prufer_decode([3, 3, 7, 0, 9, 1, 1, 4, 4, 12, 2], 13))
     spider = build_tree([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)], 7)
     high, up = maximize_pipeline(spider)
     assert down.steps and up.steps
     assert callers == ["start"] * 2
     assert not any(hasattr(s, "__dict__") for s in down.steps + up.steps)
-    # a read codes the step's tree then
-    assert up.steps[-1].canonical == canonical_form(high)
-    assert callers[2:] == ["canonical"]
+    # the JSON lines code each replayed tree then, once, the last one the
+    # tree the pipeline returned
+    for out, trace in ((low, down), (high, up)):
+        del callers[:]
+        last = json.loads(trace.to_json_lines().splitlines()[-1])
+        assert last["canonical"] == canonical_form(out).decode("ascii")
+        assert callers == ["<genexpr>"] * len(trace.steps)
+
+
+# maximize's cluster fill moves leaves 2 and 3, each a branch of its own at
+# the barycenter 0, onto 0 itself: two recorded steps that change nothing
+_NO_OP_MOVES = build_tree([(0, 1), (0, 2), (0, 3), (0, 6), (4, 6), (4, 7), (5, 6)], 8)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that lists its calls' arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_maximize_records_a_move_from_the_barycenter_onto_itself(monkeypatch):
+    # a move onto c grows no branch of c, so it needs no barycenter check
+    # and builds no tree: the one built is the tree _finish checks
+    built = _counting(monkeypatch, transforms, "_tree_from_adjacency")
+    out, trace = maximize_pipeline(_NO_OP_MOVES)
+    assert len(built) == 1
+    assert [s.rewrite for s in trace.steps[1:]] == [(2, 0, 0), (3, 0, 0)]
+    assert trace.to_json_lines() == "\n".join(
+        [
+            '{"allow_equal": false, "canonical": "1101010111010000", '
+            '"description": "reshape branch at 0 through 4 into a broom", "step": 0, "value": 79}',
+            '{"allow_equal": true, "canonical": "1101010111010000", '
+            '"description": "add leaf 2 to the cluster of branch 0", "step": 1, "value": 79}',
+            '{"allow_equal": true, "canonical": "1101010111010000", '
+            '"description": "add leaf 3 to the cluster of branch 0", "step": 2, "value": 79}',
+        ]
+    )
+    assert out.adjacency == ((1, 2, 3, 4), (0,), (0,), (0,), (0, 5), (4, 6, 7), (5,), (5,))
+    assert list(trace.replay())[-1] == out
+
+
+def test_leaf_steps_do_no_whole_tree_work(monkeypatch):
+    # 251 steps in each pipeline, all leaf moves but minimize's recenter;
+    # every rooted pass is a bfs_order call, once made for every step. Only
+    # the two starting trees and the recentered one are packed, and a tree
+    # is built only after minimize's leaf moves and for maximize's _finish
+    calls = _counting(monkeypatch, trees, "bfs_order")
+    packed = _counting(monkeypatch, transforms, "_pack_parents")
+    built = _counting(monkeypatch, transforms, "_tree_from_adjacency")
+    rng = random.Random(300)
+    t = prufer_decode([rng.randrange(300) for _ in range(298)], 300)
+    low, down = minimize_pipeline(t)
+    _, up = maximize_pipeline(low)
+    assert [len(down.steps), len(up.steps)] == [251, 251]
+    assert [sum(isinstance(s.rewrite, tuple) for s in tr.steps) for tr in (down, up)] == [250, 251]
+    assert len(calls) <= 8
+    assert (len(packed), len(built)) == (3, 2)
+
+
+def test_a_leaf_step_stores_its_move_in_constant_space():
+    sizes = []
+    for n in (50, 5000):
+        rng = random.Random(n)
+        _, trace = minimize_pipeline(prufer_decode([rng.randrange(n) for _ in range(n - 2)], n))
+        step = next(s for s in trace.steps if s.description.startswith("move leaf"))
+        assert isinstance(step.rewrite, tuple) and len(step.rewrite) == 3
+        sizes.append(sys.getsizeof(step.rewrite))
+    assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_live_rooting_is_the_rooting_at_any_vertex(n):
+    # read off the stored pass from vertex 0 by one climb, no traversal
+    for t in tree_classes(n):
+        for c in range(n):
+            adj, parent, size = transforms._live_rooting(t, c)
+            assert [parent, size] == list(subtree_sizes(t, c)[1:])
+            assert adj == [list(a) for a in t.adjacency]
 
 
 @pytest.mark.parametrize(
