@@ -17,14 +17,15 @@ printed algebra. Most ground truths read
 a `walkstats.QUANTITIES` entry off the generated tree, as `sweep` does.
 The shape tests read their definitions: `is_double_broom` the degrees,
 and `_rooted_broom` the distances from its root, read off the tree's
-stored rooted pass with no traversal of its own.
+stored rooted pass with no traversal of its own, through `_broom_depths`,
+the width test that takes any sequence of depths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch, TreewalkError
 from .trees import Tree, _distances, _spine_tree
@@ -172,10 +173,15 @@ def is_double_broom(t: Tree) -> bool:
 def _rooted_broom(t: Tree, root: int) -> tuple[int, bool]:
     """The eccentricity r of root, and whether (t, root) is a broom of
     depth r with the root at the far handle end, from the distances to
-    root: exactly one vertex at each depth 1..r-1 (depth-1 stars and plain
-    paths included). The depth-r vertices are then leaves on the one
-    depth-(r-1) vertex."""
-    depth = _distances(t, root)
+    root by `_broom_depths`."""
+    return _broom_depths(_distances(t, root))
+
+
+def _broom_depths(depth: Sequence[int]) -> tuple[int, bool]:
+    """The greatest depth r, and whether exactly one vertex lies at each
+    depth 1..r-1 (depth-1 stars and plain paths included): the width test
+    of a broom rooted at its far handle end, whose depth-r vertices are
+    then leaves on the one depth-(r-1) vertex."""
     r = max(depth)
     width = [0] * (r + 1)
     for dv in depth:

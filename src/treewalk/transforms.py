@@ -7,9 +7,11 @@ double broom (maximizing it). Every pipeline emits a TransformTrace, which
 checks the minimum joining time monotone step by step. Leaf moves, most of
 the steps, run in place on one rooting at the barycenter c, which no move
 displaces: a move costs its leaf's two climbs to c, which carry its change
-in J_min, and is recorded as the move. The few whole-tree rewrites are
-recorded packed, J_min read off their rooted pass. The trace's replay
-rebuilds each step's tree from the packed start.
+in J_min, and is recorded as the move. Maximize reads where a move goes off
+one heap of (-depth, id) per branch at c, not off the branch's vertices.
+The few whole-tree rewrites are recorded packed, J_min read off their
+rooted pass. The trace's replay rebuilds each step's tree from the packed
+start.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ from .errors import (
     TreewalkError,
     WrongNeighbor,
 )
-from .families import _delta_plus, _rooted_broom, is_double_broom
+from .families import _broom_depths, _delta_plus, _rooted_broom, is_double_broom
 from .trees import (
     Tree,
+    _branches,
     _climb,
     _components,
     _distances,
     _spine_tree,
+    _split_part,
     _tree_from_adjacency,
     build_tree,
     canonical_form,
@@ -41,7 +45,6 @@ from .trees import (
     check_vertex,
     diameter_and_geodesic,
     path_between,
-    v_split,
 )
 from .walkstats import _hits_into, _least_joining, joining_time
 
@@ -223,7 +226,7 @@ def minimize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     while leaves:
         z = heapq.heappop(leaves)
         y = adj[z][0]
-        delta, _ = _shift_leaf(adj, parent, size, z, y, c)
+        delta = _shift_leaf(adj, parent, size, z, y, c)
         if moveable(y):
             heapq.heappush(leaves, y)
         trace.move(f"move leaf {z} from {y} beside barycenter {c}", (z, y, c), delta)
@@ -258,10 +261,11 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     maximizes the joining time into the barycenter. Phase two grows the
     handles of the two best branches until they span the diameter; phase
     three empties the remaining branches into their bristle clusters.
-    Individual phase two/three moves are only guaranteed non-decreasing,
-    and the barycenter certificate is re-checked after every move. The
-    distances from c are read once, after phase one: each later move
-    relocates a leaf, so the loop rewrites only that leaf's depth.
+    Individual phase two/three moves are only guaranteed non-decreasing.
+    Phase one reads every branch's shape off one array of distances from
+    c and builds a tree only for a branch that is not a broom yet. Then
+    each branch is a heap of (-depth, id), its top the branch's depth and
+    deepest leaf: a move pops the donor's top and pushes it on the target.
     """
     n = t.n
     d, _ = diameter_and_geodesic(t)
@@ -271,44 +275,37 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     cur = t
     c = min(centroids(cur))
 
-    # phase one: broomify every branch at c, keeping vertex sets in place;
-    # each branch is tracked as the vertex set of its component (c excluded)
-    owner: dict[int, set[int]] = {}
-    for part in v_split(cur, c).parts:
-        ids = part.to_parent
-        comp = set(ids) - {c}
-        owner.update((v, comp) for v in comp)
-        # a lone leaf is already a broom; rooting it would cost a pass
-        if part.size == 2:
+    # phase one: broomify every branch at c, keeping vertex sets in place. A
+    # path from c into a branch stays in it, so depths from c are its own,
+    # and a branch that passes the broom width test is left as it is
+    branches = _branches(t, c)
+    depth = _distances(t, c)
+    for w, comp in branches.items():
+        if _broom_depths([depth[v] for v in comp])[1]:
             continue
-        broom = broomify(part.tree, part.center)
-        if broom is part.tree:
-            continue
-        keep = [(u, v) for u, v in cur.edges() if u not in comp and v not in comp]
+        part, members = _split_part(t, c, w, comp), set(comp)
+        ids, broom = part.to_parent, broomify(part.tree, part.center)
+        keep = [(u, v) for u, v in cur.edges() if u not in members and v not in members]
         cur = build_tree(keep + [(ids[a], ids[b]) for a, b in broom.edges()], n)
         trace.append(f"reshape branch at {c} through {min(comp)} into a broom", cur)
         _assert_barycenter(cur, c)
+    if cur is not t:
+        depth = _distances(cur, c)
 
     # broomify may change which vertex of a branch touches c, so the parts
-    # are numbered by c's neighbors after phase one
-    parts = [owner[w] for w in cur.adjacency[c]]
+    # are numbered by c's neighbors after phase one; a sorted list is a heap
+    owner = {v: comp for comp in branches.values() for v in comp}
+    parts = [sorted((-depth[v], v) for v in owner[w]) for w in cur.adjacency[c]]
     if len(parts) <= 2:
         return _finish(cur, d, trace)
-
-    # geometry(part): depth r, deepest leaf and that leaf's one neighbor, its
-    # holder, in a branch off c. A path from c into a branch stays in it:
-    # depths from c are its own.
-    depth = _distances(cur, c)
     adj, parent, size = _live_rooting(cur, c)
 
-    def geometry(part: set[int]) -> tuple[int, int, int]:
-        r = max(depth[v] for v in part)
-        deepest = min(v for v in part if depth[v] == r)
-        return r, deepest, adj[deepest][0]
+    def geometry(i: int) -> tuple[int, int, int]:
+        # depth r, deepest leaf and that leaf's one neighbor, its holder
+        r, deepest = parts[i][0]
+        return -r, deepest, adj[deepest][0]
 
-    ranked = sorted(
-        range(len(parts)), key=lambda i: (-_delta_plus(len(parts[i]) + 1, geometry(parts[i])[0]), i)
-    )
+    ranked = sorted(range(len(parts)), key=lambda i: (-_delta_plus(len(parts[i]) + 1, geometry(i)[0]), i))
     g1, g2 = ranked[0], ranked[1]
     donors = sorted(ranked[2:])
 
@@ -321,30 +318,30 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     # phase two extends handles until the two main branches span the
     # diameter; phase three then drains the remaining branches into the
     # bristle clusters. Phase three never shortens g1 or g2, so once the
-    # handles span the diameter they keep spanning it.
+    # handles span the diameter they keep spanning it. c stays a
+    # barycenter with no check: every component of t - c lies in one part,
+    # and the one part that grows is the acceptor's, to at most n/2.
     extending = True
     while donors:
         if extending:
-            extending = geometry(parts[g1])[0] + geometry(parts[g2])[0] < d
+            extending = geometry(g1)[0] + geometry(g2)[0] < d
         target = acceptor()
         donor = donors[0]
-        _, w, holder = geometry(parts[donor])
-        _, deep, t_holder = geometry(parts[target])
+        _, w, holder = geometry(donor)
+        _, deep, t_holder = geometry(target)
         if extending:
             attach = deep
             description = f"extend handle of branch {target} with leaf {w}"
         else:
             attach = t_holder
             description = f"add leaf {w} to the cluster of branch {target}"
-        delta, grown = _shift_leaf(adj, parent, size, w, holder, attach)
+        delta = _shift_leaf(adj, parent, size, w, holder, attach)
+        heapq.heappop(parts[donor])
         depth[w] = depth[attach] + 1
-        parts[donor].discard(w)
-        parts[target].add(w)
+        heapq.heappush(parts[target], (-depth[w], w))
         if not parts[donor]:
             donors.pop(0)
         trace.move(description, (w, holder, attach), delta, allow_equal=True)
-        if 2 * grown > n:  # of the components of t - c, only the one w joined grew
-            _assert_barycenter(_tree_from_adjacency(adj), c)
 
     return _finish(_tree_from_adjacency(adj), d, trace)
 
@@ -361,23 +358,22 @@ def _live_rooting(t: Tree, c: int) -> tuple[list[list[int]], list[int], list[int
     return [list(a) for a in t.adjacency], parent, size
 
 
-def _shift_leaf(adj: list[list[int]], parent: list[int], size: list[int], z: int, y: int, x: int) -> tuple[int, int]:
+def _shift_leaf(adj: list[list[int]], parent: list[int], size: list[int], z: int, y: int, x: int) -> int:
     """Move leaf z (never the root c) from y to x on `_live_rooting`'s
     arrays. Only the edges on y's climb to c lose z from their lower side,
-    and only those on x's gain it, so the change in J_min, returned with
-    the size of the component of t - c that z joined, is read off them."""
+    and only those on x's gain it, so the change in J_min, returned, is
+    read off them."""
     n = len(size)
     adj[y].remove(z)
     adj[x].append(z)
     adj[z][0] = parent[z] = x
     delta = 0
     for u, step in ((y, -1), (x, 1)):
-        top = z
         while parent[u] >= 0:
             delta += _edge_term(size[u] + step, n) - _edge_term(size[u], n)
             size[u] += step
-            top, u = u, parent[u]
-    return delta, size[top]
+            u = parent[u]
+    return delta
 
 
 def _edge_term(s: int, n: int) -> int:

@@ -287,26 +287,34 @@ def v_split(t: Tree, v: int) -> SplitResult:
     check_vertex(t, v)
     if t.degree(v) < 2:
         raise SplitAtLeaf(f"vertex {v} has degree {t.degree(v)}; need >= 2 to split")
+    parts = (_split_part(t, v, w, ids) for w, ids in _branches(t, v).items())
+    return SplitResult(center=v, parts=tuple(parts))
+
+
+def _branches(t: Tree, v: int) -> dict[int, list[int]]:
+    """The vertices of each component of t - v, keyed by v's neighbor in
+    it, in adjacency order. Every vertex is labelled by the neighbor of v
+    it hangs under, off the pass from vertex 0: a child of v heads its own
+    branch, and vertex 0, like the rest outside v's subtree, lies in the
+    branch of v's parent."""
     order, parent, _ = t.rooted
-    # every other vertex joins the part of the neighbor of v it hangs under:
-    # in the pass from vertex 0 a child of v heads its own part, and vertex
-    # 0, like the rest outside v's subtree, lies in the part of v's parent
-    members = {w: [v] for w in t.adjacency[v]}
+    members: dict[int, list[int]] = {w: [] for w in t.adjacency[v]}
     branch = [v] * t.n
     for u in order:
         if u != v:
             p = parent[u]
             branch[u] = u if p == v else branch[p] if u else parent[v]
             members[branch[u]].append(u)
-    parts = []
-    for w in t.adjacency[v]:
-        local_ids = sorted(members[w])
-        index = {p: i for i, p in enumerate(local_ids)}
-        # only w neighbors the split vertex inside this part
-        adj = [[index[x] for x in t.adjacency[u]] if u != v else [index[w]] for u in local_ids]
-        part = _tree_from_adjacency(adj)
-        parts.append(SplitPart(tree=part, to_parent=tuple(local_ids), center=index[v]))
-    return SplitResult(center=v, parts=tuple(parts))
+    return members
+
+
+def _split_part(t: Tree, v: int, w: int, branch: list[int]) -> SplitPart:
+    """v_split's part through v's neighbor w, on v and the branch of t - v at w."""
+    local_ids = sorted([v, *branch])
+    index = {p: i for i, p in enumerate(local_ids)}
+    # only w neighbors the split vertex inside this part
+    adj = [[index[x] for x in t.adjacency[u]] if u != v else [index[w]] for u in local_ids]
+    return SplitPart(tree=_tree_from_adjacency(adj), to_parent=tuple(local_ids), center=index[v])
 
 
 def prufer_decode(code: Sequence[int], n: int) -> Tree:

@@ -1,8 +1,9 @@
 """Golden digests of the behavioural contract.
 
 Each group runs a fixed set of in-process `--no-timing` CLI commands, or
-both rewrite pipelines on seeded random trees, or every ledger formula on
-a grid of (n, d), and hashes every output byte: stdout, stderr and exit
+both rewrite pipelines on seeded random trees, or maximize on the lever
+minimize returns for each of those trees, as the benchmark runs it, or
+every ledger formula on a grid of (n, d), and hashes every output byte: stdout, stderr and exit
 code per command; the JSON-lines trace, the final adjacency and the error
 text per pipeline run; the value or the exception class per formula call.
 A refactor that keeps behaviour keeps every digest; a failing case names
@@ -117,6 +118,11 @@ def _cli_digest(commands) -> str:
     return h.hexdigest()
 
 
+def _maximize_on_lever(t):
+    # the path the benchmark runs: maximize on the lever minimize returns
+    return maximize_pipeline(minimize_pipeline(t)[0])
+
+
 def _pipeline_digest(pipeline) -> str:
     rng = random.Random(2024)
     h = hashlib.sha256()
@@ -158,6 +164,8 @@ def _digest(group: str) -> str:
         return _pipeline_digest(minimize_pipeline)
     if group == "maximize_pipeline":
         return _pipeline_digest(maximize_pipeline)
+    if group == "maximize_on_levers":
+        return _pipeline_digest(_maximize_on_lever)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -176,6 +184,7 @@ DIGESTS = {
     'analyze': '2b62ceae4f3c6e1d73d6d9f6bb1b4c62dedbcea489c57aaf40d5662e943b6214',
     'minimize_pipeline': '09314f3e32b60ebc41eff5cdfab5334865a5c12cf59bed10f2ebc3608f56ca84',
     'maximize_pipeline': 'fae424cd742b6df5924805bf789b035d06e68ab12488e188977c70da6fa14682',
+    'maximize_on_levers': 'bf4eca19ebe12f129ddf9e2b2a37a4a274b30dd4caa92507c9e174845b25350c',
     'closed-form': '8f1e47e30f0e3786094c4a00db00eff23204034eef573caf8f0d49b233a08da9',
 }
 
@@ -262,5 +271,5 @@ def test_benchmark_imports_resolve():
 
 
 if __name__ == "__main__":
-    for group in [*CLI_GROUPS, "minimize_pipeline", "maximize_pipeline", "closed-form"]:
+    for group in [*CLI_GROUPS, "minimize_pipeline", "maximize_pipeline", "maximize_on_levers", "closed-form"]:
         print(f"    {group!r}: {_digest(group)!r},")

@@ -57,9 +57,15 @@ the tree the pipeline held after that step, on trees with n <= 80, and each
 replayed tree's J_min to walkstats' reader, to joining_all and, for a
 seeded sample, to the definition oracle at a centroid, also on runs that
 raise. One in-place leaf move is held to the rebuilt tree, its rooting,
-its change in J_min and the size of the component it grew, at any root;
-the barycenter check maximize makes after each reshape is held to
-centroids at every vertex of the same trees. On trees with n <= 60 and 3 <= d <= n-2, every leaf
+and its change in J_min, at any root; the barycenter check maximize makes
+after each reshape is held to centroids at every vertex of the same trees.
+Each of maximize's leaf moves is held, on the replayed tree before it, to
+the branch geometry it was read off (the moved leaf is its branch's
+deepest, the least id at the greatest depth from c, and it lands on the
+target branch's deepest vertex or that vertex's holder), and c to a
+barycenter after every step. Phase one's width test over one depth array
+is held to `_rooted_broom` of v_split's part at every branch at every
+centroid of every class up to order 10. On trees with n <= 60 and 3 <= d <= n-2, every leaf
 minimize moves beside the barycenter leaves the least centroid of the
 input in place.
 """
@@ -70,6 +76,7 @@ import io
 import json
 import os
 import random
+import re
 import tempfile
 from datetime import timedelta
 from fractions import Fraction
@@ -89,7 +96,7 @@ from treewalk.errors import (
     TreewalkError,
     VertexOutOfRange,
 )
-from treewalk.enumeration import enumerate_trees
+from treewalk.enumeration import enumerate_trees, tree_classes
 from treewalk.families import (
     FORMULAS,
     _rooted_broom,
@@ -424,14 +431,11 @@ def test_shift_leaf_matches_the_rebuilt_tree(t, data):
     x = data.draw(st.sampled_from([v for v in range(t.n) if v != z]))
     y = t.adjacency[z][0]
     adj, parent, size = transforms._live_rooting(t, c)
-    delta, grown = transforms._shift_leaf(adj, parent, size, z, y, x)
+    delta = transforms._shift_leaf(adj, parent, size, z, y, x)
     new = build_tree([e for e in t.edges() if set(e) != {z, y}] + [(z, x)], t.n)
     assert _tree_from_adjacency(adj) == new
     assert (parent, size) == tuple(subtree_sizes(new, c)[1:])
     assert delta == min(joining_all(new)) - min(joining_all(t))
-    # the component of new - c that holds z
-    w = path_between(new, c, z)[1]
-    assert grown == (1 if w == z else _components(new, c)[new.adjacency[c].index(w)])
 
 
 # maximize moves leaves 2 and 3 from the barycenter 0 onto 0 itself
@@ -469,6 +473,61 @@ def test_replay_checks_every_step_value_independently(t):
             assert last == end
         elif str(end) == "pipeline did not end on a double broom":
             assert not is_double_broom(last)
+
+
+def _deepest_in_branch(t: Tree, c: int, v: int) -> int:
+    # the least id at the greatest distance from c in the component of
+    # t - c that holds v, by a BFS of its own
+    dist = bfs_distances(t, c)
+    comp = [v]
+    for u in comp:
+        comp.extend(x for x in t.adjacency[u] if x != c and x not in comp)
+    return min(comp, key=lambda u: (-dist[u], u))
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees())
+@example(_NO_OP_MOVES)
+@example(_MAXIMIZE_RAISES)
+# extends branch 2 with leaf 12, which is then that branch's deepest
+@example(prufer_decode([13, 0, 0, 1, 1, 6, 10, 9, 3, 6, 11, 14, 5], 15))
+def test_maximize_moves_match_the_branch_geometry_by_replay(t):
+    # each leaf step of maximize, read against the replayed tree before it:
+    # the moved leaf is its branch's deepest, and the leaf extends the
+    # target branch's deepest vertex or joins its holder; c stays a
+    # barycenter after every step, which maximize itself no longer checks
+    trace, _, _ = _run_traced(maximize_pipeline, t)
+    c = min(centroids(t))
+    prev, heads = t, t.adjacency[c]
+    for step, tree in zip(trace.steps, trace.replay()):
+        assert 2 * max(_components(tree, c)) <= t.n
+        if isinstance(step.rewrite, bytes):
+            # the branches are numbered by c's neighbors after phase one
+            prev, heads = tree, tree.adjacency[c]
+            continue
+        z, y, x = step.rewrite
+        assert prev.adjacency[z] == (y,) and _deepest_in_branch(prev, c, z) == z
+        extend = re.fullmatch(rf"extend handle of branch (\d+) with leaf {z}", step.description)
+        fill = re.fullmatch(rf"add leaf {z} to the cluster of branch (\d+)", step.description)
+        deep = _deepest_in_branch(prev, c, heads[int((extend or fill).group(1))])
+        assert x == (deep if extend else prev.adjacency[deep][0])
+        prev = tree
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_phase_one_width_test_matches_the_rooted_broom_of_each_part(n):
+    # maximize tests a branch at c by the depths from c of its own vertices;
+    # the rooted test reads v_split's part tree at its center
+    for t in tree_classes(n):
+        for c in centroids(t):
+            if t.degree(c) < 2:
+                continue
+            depth = trees._distances(t, c)
+            branches = trees._branches(t, c)
+            for part, (w, comp) in zip(v_split(t, c).parts, branches.items(), strict=True):
+                assert part.to_parent == tuple(sorted([c, *comp]))
+                assert part.tree.adjacency[part.center] == (part.to_parent.index(w),)
+                assert families._broom_depths([depth[v] for v in comp]) == _rooted_broom(part.tree, part.center)
 
 
 @PROPERTY_SETTINGS

@@ -318,18 +318,27 @@ def test_leaf_steps_do_no_whole_tree_work(monkeypatch):
     # 251 steps in each pipeline, all leaf moves but minimize's recenter;
     # every rooted pass is a bfs_order call, once made for every step. Only
     # the two starting trees and the recentered one are packed, and a tree
-    # is built only after minimize's leaf moves and for maximize's _finish
+    # is built only after minimize's leaf moves and for maximize's _finish.
+    # Every branch of the lever at its barycenter is a broom already, so
+    # maximize builds no part tree, by v_split or on its own
     calls = _counting(monkeypatch, trees, "bfs_order")
     packed = _counting(monkeypatch, transforms, "_pack_parents")
     built = _counting(monkeypatch, transforms, "_tree_from_adjacency")
     rng = random.Random(300)
     t = prufer_decode([rng.randrange(300) for _ in range(298)], 300)
     low, down = minimize_pipeline(t)
+    splits = _counting(monkeypatch, trees, "_split_part")
+    parts = _counting(monkeypatch, transforms, "_split_part")
     _, up = maximize_pipeline(low)
     assert [len(down.steps), len(up.steps)] == [251, 251]
     assert [sum(isinstance(s.rewrite, tuple) for s in tr.steps) for tr in (down, up)] == [250, 251]
     assert len(calls) <= 8
     assert (len(packed), len(built)) == (3, 2)
+    assert len(splits) + len(parts) == 0
+    # the one branch of _NO_OP_MOVES that is no broom gets the one part tree
+    _, trace = maximize_pipeline(_NO_OP_MOVES)
+    assert isinstance(trace.steps[0].rewrite, bytes)
+    assert len(splits) + len(parts) == 1
 
 
 def test_a_leaf_step_stores_its_move_in_constant_space():
@@ -418,8 +427,7 @@ def test_minimize_finds_its_barycenter_once(monkeypatch):
 
 
 def test_maximize_finds_its_barycenter_once(monkeypatch):
-    # the check after each move reads the sizes at the barycenter's
-    # neighbors instead of running centroids again
+    # no leaf move can unseat the barycenter, so none runs centroids again
     calls = []
     real = transforms.centroids
 
