@@ -7,11 +7,13 @@ double broom (maximizing it). Every pipeline emits a TransformTrace, which
 checks the minimum joining time monotone step by step. Leaf moves, most of
 the steps, run in place on one rooting at the barycenter c, which no move
 displaces: a move costs its leaf's two climbs to c, which carry its change
-in J_min, and is recorded as the move. Maximize reads where a move goes off
-one heap of (-depth, id) per branch at c, not off the branch's vertices.
-The few whole-tree rewrites are recorded packed, J_min read off their
-rooted pass. The trace's replay rebuilds each step's tree from the packed
-start.
+in J_min, and is recorded as the move. Below c no edge's lower side holds
+more than n/2 vertices, so an edge of split s adds (2s - 1)^2 to J_min and
+a move changes it by 8 - 8s or 8s, one integer add per climb vertex.
+Maximize reads where a move goes off one heap of (-depth, id) per branch
+at c, not off the branch's vertices. The few whole-tree rewrites are
+recorded packed, J_min read off their rooted pass. The trace's replay
+rebuilds each step's tree from the packed start.
 """
 
 from __future__ import annotations
@@ -305,7 +307,8 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
         r, deepest = parts[i][0]
         return -r, deepest, adj[deepest][0]
 
-    ranked = sorted(range(len(parts)), key=lambda i: (-_delta_plus(len(parts[i]) + 1, geometry(i)[0]), i))
+    # _delta_plus is an integer form, so its numerator ranks the branches exactly
+    ranked = sorted(range(len(parts)), key=lambda i: (-_delta_plus(len(parts[i]) + 1, geometry(i)[0]).numerator, i))
     g1, g2 = ranked[0], ranked[1]
     donors = sorted(ranked[2:])
 
@@ -320,9 +323,14 @@ def maximize_pipeline(t: Tree) -> tuple[Tree, TransformTrace]:
     # bristle clusters. Phase three never shortens g1 or g2, so once the
     # handles span the diameter they keep spanning it. c stays a
     # barycenter with no check: every component of t - c lies in one part,
-    # and the one part that grows is the acceptor's, to at most n/2.
+    # and the one part that grows is the acceptor's, to at most n/2. Each
+    # move empties one donor slot, so there are fewer than n moves.
     extending = True
+    moves = 0
     while donors:
+        moves += 1
+        if moves > n:
+            raise TreewalkError("donor branches failed to drain")
         if extending:
             extending = geometry(g1)[0] + geometry(g2)[0] < d
         target = acceptor()
@@ -362,17 +370,30 @@ def _shift_leaf(adj: list[list[int]], parent: list[int], size: list[int], z: int
     """Move leaf z (never the root c) from y to x on `_live_rooting`'s
     arrays. Only the edges on y's climb to c lose z from their lower side,
     and only those on x's gain it, so the change in J_min, returned, is
-    read off them."""
+    read off them.
+
+    An edge whose lower side holds s vertices, 2s <= n, has the term
+    (2s - 1)^2, so losing z changes it by 8 - 8s and gaining z, while
+    2(s + 1) <= n, by 8s. Below a barycenter every lower side is that
+    small, before and after the move. Off that rising side the two terms
+    are computed, so the step is exact for any root c."""
     n = len(size)
     adj[y].remove(z)
     adj[x].append(z)
     adj[z][0] = parent[z] = x
     delta = 0
-    for u, step in ((y, -1), (x, 1)):
-        while parent[u] >= 0:
-            delta += _edge_term(size[u] + step, n) - _edge_term(size[u], n)
-            size[u] += step
-            u = parent[u]
+    u = y
+    while parent[u] >= 0:
+        s = size[u]
+        delta += 8 - 8 * s if 2 * s <= n else _edge_term(s - 1, n) - _edge_term(s, n)
+        size[u] = s - 1
+        u = parent[u]
+    u = x
+    while parent[u] >= 0:
+        s = size[u]
+        delta += 8 * s if 2 * s + 2 <= n else _edge_term(s + 1, n) - _edge_term(s, n)
+        size[u] = s + 1
+        u = parent[u]
     return delta
 
 

@@ -57,7 +57,9 @@ the tree the pipeline held after that step, on trees with n <= 80, and each
 replayed tree's J_min to walkstats' reader, to joining_all and, for a
 seeded sample, to the definition oracle at a centroid, also on runs that
 raise. One in-place leaf move is held to the rebuilt tree, its rooting,
-and its change in J_min, at any root; the barycenter check maximize makes
+and its change in J_min, at any root; on the pipelines' own moves, at
+the barycenter, that change is the closed form on every climb edge, the
+per-edge term never computed. The barycenter check maximize makes
 after each reshape is held to centroids at every vertex of the same trees.
 Each of maximize's leaf moves is held, on the replayed tree before it, to
 the branch geometry it was read off (the moved leaf is its branch's
@@ -436,6 +438,28 @@ def test_shift_leaf_matches_the_rebuilt_tree(t, data):
     assert _tree_from_adjacency(adj) == new
     assert (parent, size) == tuple(subtree_sizes(new, c)[1:])
     assert delta == min(joining_all(new)) - min(joining_all(t))
+
+
+@PROPERTY_SETTINGS
+@given(prufer_trees())
+def test_pipeline_leaf_moves_stay_on_the_rising_side(t):
+    # below the barycenter no split a move touches exceeds n/2, before or
+    # after the move, so _shift_leaf's closed form covers every climb edge:
+    # maximize on t, minimize, and maximize on minimize's lever
+    calls = []
+    real = transforms._edge_term
+
+    def counted(s, n):
+        calls.append((s, n))
+        return real(s, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_edge_term", counted)
+        with contextlib.suppress(TreewalkError):
+            maximize_pipeline(t)
+        with contextlib.suppress(TreewalkError):
+            maximize_pipeline(minimize_pipeline(t)[0])
+    assert calls == []
 
 
 # maximize moves leaves 2 and 3 from the barycenter 0 onto 0 itself

@@ -2,6 +2,8 @@ import json
 import random
 import struct
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from treewalk.errors import (
     DiameterOutOfRange,
     NotALeaf,
     SelfAttach,
+    TreewalkError,
     VertexOutOfRange,
     WrongNeighbor,
 )
@@ -465,3 +468,49 @@ def test_minimize_moves_leaves_without_the_validating_entry_point(monkeypatch):
     assert any(s.description.startswith("move leaf") for s in trace.steps)
     d, _ = diameter_and_geodesic(t)
     assert canonical_form(out) == canonical_form(balanced_lever(t.n, d))
+
+
+def test_maximize_bounds_its_leaf_moves(monkeypatch):
+    # a fault that never empties a donor, with moves that change nothing:
+    # no branch grows, so acceptor() never refuses, and the trace takes
+    # every step, so only the move count can end the loop
+    monkeypatch.setattr(transforms, "_shift_leaf", lambda adj, parent, size, z, y, x: 0)
+    monkeypatch.setattr(transforms, "heapq", SimpleNamespace(heappop=lambda h: h[0], heappush=lambda h, item: None))
+    with pytest.raises(TreewalkError, match="donor branches failed to drain"):
+        maximize_pipeline(balanced_lever(20, 6))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("toward", [True, False])
+def test_shift_leaf_past_half_the_tree(monkeypatch, n, toward):
+    # rooted at leaf 0, the climbs pass splits above n/2, where the closed
+    # form does not hold and _edge_term runs. On the path 0..n-2 with leaf
+    # n-1 on 1, leaf n-2 moves onto 1, toward the root, or leaf n-1 onto
+    # n-2, away from it
+    calls = _counting(monkeypatch, transforms, "_edge_term")
+    t = build_tree([(v, v + 1) for v in range(n - 2)] + [(1, n - 1)], n)
+    z, y, x = (n - 2, n - 3, 1) if toward else (n - 1, 1, n - 2)
+    adj, parent, size = transforms._live_rooting(t, 0)
+    delta = transforms._shift_leaf(adj, parent, size, z, y, x)
+    new = build_tree([e for e in t.edges() if set(e) != {z, y}] + [(z, x)], n)
+    assert (parent, size) == tuple(subtree_sizes(new, 0)[1:])
+    assert delta == min(joining_all(new)) - min(joining_all(t))
+    assert calls
+
+
+def test_pipelines_scale_to_ten_thousand_vertices(monkeypatch):
+    # a leaf move costs its two climbs to the barycenter, all on the rising
+    # side of the edge term; the pipelines were quadratic in n once
+    calls = _counting(monkeypatch, transforms, "_edge_term")
+    n = 10**4
+    rng = random.Random(n)
+    t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+    started = time.time()
+    low, down = minimize_pipeline(t)
+    high, up = maximize_pipeline(low)
+    elapsed = time.time() - started
+    assert elapsed < 30
+    assert down.last_value == min(joining_all(low))
+    assert up.last_value == min(joining_all(high))
+    assert calls == []
+    print(f"\nboth pipelines at n = {n}: {len(down.steps)} + {len(up.steps)} steps in {elapsed:.1f}s")
