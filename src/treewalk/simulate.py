@@ -9,11 +9,16 @@ anything a z-test at these sample sizes can see.
 The walks run in numpy lockstep. A bulk Philox4x64-10 computes a batch of
 draws for every live walk at once, bit for bit the stream
 np.random.Philox(key=[seed, i]).random_raw() would give walk i. Step k of
-every live walk then reads draw k of its own stream. The target is made
-absorbing (its only neighbor is itself), so a walk that has arrived stays
-put, and its length is the number of steps it took from outside the
-target. Walks that arrived are dropped after each batch, and walk indices
-are run in fixed slabs, so memory does not grow with the walk count.
+every live walk then reads draw k of its own stream. A walk's state is its
+vertex's start offset in one flat neighbor array, and a table built once
+per call gives each slot's next state and each state's degree, so a step
+is one modulus and two gathers. The target is made absorbing (its one
+slot leads back to it), so a walk that has arrived stays put, and its
+length is the number of steps it took from outside the target: each batch
+records per step which walks are still away and adds up those rows once,
+at its end. Walks that arrived are dropped after each batch, and walk
+indices are run in fixed slabs, so memory does not grow with the walk
+count.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class WalkSample:
             "mean_float": float(self.mean),
             "stderr": self.stderr,
             "exact": {"num": self.exact.numerator, "den": self.exact.denominator},
-            "z_score": self.z_score,
+            "z_score": self.z_score if math.isfinite(self.z_score) else None,  # JSON has no inf
         }
 
 
@@ -114,39 +119,42 @@ def _philox_raw(seed: int, walk_ids: np.ndarray, first_block: int, blocks: int) 
     return np.stack((x0, x1, x2, x3), axis=1).reshape(4 * blocks, walk_ids.size)
 
 
-# per-vertex start offset into the flat neighbor array, degree, flat neighbors
+# per vertex, its state (its start offset in the flat neighbor array); per
+# slot, the state the slot leads to and the degree of the slot's vertex
 _WalkTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _walk_table(t: Tree, w: int) -> _WalkTable:
-    """Neighbor lists as one array with per-vertex start and degree; w absorbs."""
+    """States and slot transitions of one flat neighbor array; w's one slot absorbs."""
     lists = [(w,) if v == w else nbrs for v, nbrs in enumerate(t.adjacency)]
     degs = [len(nbrs) for nbrs in lists]
     start = np.array(list(itertools.accumulate(degs, initial=0))[:-1], dtype=np.intp)
     flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=sum(degs))
-    return start, np.array(degs, dtype=np.uint64), flat
+    return start, start[flat], np.repeat(np.array(degs, dtype=np.uint64), degs)
 
 
 def _walk_lengths(table: _WalkTable, u: int, w: int, seed: int, walk_ids: range) -> list[int]:
     """Steps until each walk in walk_ids, started at u, first reaches w."""
-    start, deg, flat = table
+    start, nxt, deg_at = table
+    w_state = start[w]
     keys = np.arange(walk_ids.start, walk_ids.stop, dtype=np.uint64)
     lengths = np.zeros(len(walk_ids), dtype=np.int64)
     live = np.arange(len(walk_ids) if u != w else 0)
-    cur = np.full(live.size, u, dtype=np.intp)
+    cur = np.full(live.size, start[u], dtype=np.intp)
     block = 0
     while live.size:
         blocks = max(1, min(_MAX_BLOCKS, _BATCH_BLOCKS // live.size))
-        steps = np.zeros(live.size, dtype=np.int64)
-        for draws in _philox_raw(seed, keys[live], block, blocks):
-            steps += cur != w
+        rows = _philox_raw(seed, keys[live], block, blocks)
+        away = np.empty(rows.shape, dtype=bool)  # row k: the walks step k moves
+        for draws, moves in zip(rows, away):
+            np.not_equal(cur, w_state, out=moves)
             # the modulus is taken in uint64; its result is below the degree,
             # so the int64 view is exact, and intp + int64 stays an integer
             # index where intp + uint64 would be float64
-            cur = flat[start[cur] + (draws % deg[cur]).view(np.int64)]
+            cur = nxt[cur + (draws % deg_at[cur]).view(np.int64)]
         block += blocks
-        lengths[live] += steps
-        moving = cur != w
+        lengths[live] += away.sum(axis=0)
+        moving = cur != w_state
         live, cur = live[moving], cur[moving]
     return lengths.tolist()
 

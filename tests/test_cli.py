@@ -595,6 +595,26 @@ def test_simulate_byte_identical(capsys, p3_file):
     assert first == second
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "walks, z_score",
+    [("1", None), ("50", 1.1389190853059405)],
+    ids=["one-walk", "fifty-walks"],
+)
+def test_simulate_output_is_strict_json(capsys, p3_file, walks, z_score):
+    # one walk has no spread, and its 2 steps are not H(0, 2) = 4, so its
+    # z-score is infinite; JSON has no infinity, so the CLI writes null
+    code, out = run(
+        capsys, "--no-timing", "simulate", "--input", p3_file,
+        "--u", "0", "--w", "2", "--walks", walks, "--seed", "1",
+    )
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["results"]["z_score"] == z_score
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,6 +7,11 @@ reference oracle.
 """
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -153,14 +158,54 @@ def test_edge_cases_match_the_single_walk_loop(t, u, w):
     assert set(lengths) == ({0} if u == w else {1})
 
 
-@pytest.mark.parametrize("slab, batch", [(7, 1 << 14), (7, 5), (64, 16)])
-def test_lengths_are_unchanged_across_slab_and_batch_boundaries(monkeypatch, slab, batch):
+@pytest.mark.parametrize(
+    "slab, batch, max_blocks",
+    [(7, 1 << 14, 64), (7, 5, 64), (64, 16, 64), (7, 1 << 14, 1), (7, 1 << 14, 3)],
+    ids=["7-16384", "7-5", "64-16", "max-blocks-1", "max-blocks-3"],
+)
+def test_lengths_are_unchanged_across_slab_and_batch_boundaries(monkeypatch, slab, batch, max_blocks):
     # a small slab puts walk indices 7, 14, ... at slab starts; a small batch
-    # budget makes blocks per batch shrink and grow as walks finish
+    # budget makes blocks per batch shrink and grow as walks finish; a small
+    # block cap gives every batch 4 or 12 rows
     monkeypatch.setattr(simulate_mod, "_SLAB_WALKS", slab)
     monkeypatch.setattr(simulate_mod, "_BATCH_BLOCKS", batch)
+    monkeypatch.setattr(simulate_mod, "_MAX_BLOCKS", max_blocks)
     t = broom_tree(11, 5)
     lengths = _engine_lengths(t, 0, 5, 150, 42)
     assert lengths == _oracle_lengths(t, 0, 5, 150, 42)
+    if max_blocks < 64:
+        # some walk reaches the target in the first row of a batch
+        assert any(steps % (4 * max_blocks) == 1 for steps in lengths)
     monkeypatch.undo()
     assert simulate_hitting(t, 0, 5, 150, 42).total_steps == sum(lengths)
+
+
+@pytest.mark.parametrize(
+    "t, u, w, walks, total_steps, mean",
+    [
+        # the monte-carlo benchmark's long request: ~4,100-step walks
+        (path_tree(64), 0, 63, 1000, 4105396, Fraction(1026349, 250)),
+        # its short request: one full 16,384-walk slab and wide batches
+        (broom_tree(11, 5), 0, 5, 20000, 1286182, Fraction(643091, 10000)),
+    ],
+    ids=["path64", "broom11-5"],
+)
+def test_benchmark_scale_runs_keep_their_totals(t, u, w, walks, total_steps, mean):
+    sample = simulate_hitting(t, u, w, walks, 1)
+    assert (sample.total_steps, sample.mean) == (total_steps, mean)
+
+
+def test_simulate_does_not_import_numpy_random():
+    # numpy's own Philox would be faster on narrow batches, but importing
+    # numpy.random costs about 6 MB of peak RSS; the bulk Philox avoids it
+    src = str(Path(simulate_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys\n"
+        "from treewalk.families import path_tree\n"
+        "from treewalk.simulate import simulate_hitting\n"
+        "simulate_hitting(path_tree(5), 0, 4, 50, 1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
