@@ -2,9 +2,11 @@
 
 Generators produce the canonical labeled realization: geodesic vertices
 v0..vd take ids 0..d and every extra leaf takes the next free id, grouped
-by attachment point. Every lever and double broom is built by `generate`,
-one `_spine_tree` call after `FamilySpec.validate`, the one statement of
-their ranges; `balanced_spec` names each family's balanced instance. The
+by attachment point. Each generator is one `trees._caterpillar` call, so
+every family tree comes back holding its rooted pass, and no statistic of
+it runs a BFS. Every lever and double broom is built by `generate`, after
+`FamilySpec.validate`, the one statement of their ranges; `balanced_spec`
+names each family's balanced instance. The
 ledger evaluates each printed closed form verbatim; forms known to be
 misprinted keep a `_printed` variant alongside a corrected one so audits
 can separate what the source states from what the mathematics gives.
@@ -28,8 +30,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch, TreewalkError
-from .trees import Tree, _distances, _spine_tree
-from .walkstats import QUANTITIES, joining_time
+from .trees import Tree, _caterpillar, _distances
+from .walkstats import QUANTITIES
 
 FAMILY_NAMES = ("path", "star", "lever", "broom", "double_broom")
 
@@ -80,14 +82,14 @@ class FamilySpec:
 def path_tree(n: int) -> Tree:
     if n < 1:
         raise InvalidFamilyParameters(f"path needs n >= 1, got {n}")
-    return _spine_tree(n, range(n), [])
+    return _caterpillar(n, n - 1, [])
 
 
 def star_tree(n: int) -> Tree:
     """Star on n >= 3 vertices, hub at id 1 (geodesic 0-1-2)."""
     if n < 3:
         raise InvalidFamilyParameters(f"star needs n >= 3, got {n}")
-    return _spine_tree(n, [0, 1, 2], [1] * (n - 3))
+    return _caterpillar(n, 2, [1] * (n - 3))
 
 
 def lever_tree(n: int, d: int, k: int) -> Tree:
@@ -123,7 +125,7 @@ def broom_tree(n: int, d: int) -> Tree:
     """
     if not 1 <= d <= n - 1:
         raise InvalidFamilyParameters(f"broom needs 1 <= d <= n-1, got n={n}, d={d}")
-    return _spine_tree(n, range(d + 1), [1] * (n - d - 1))
+    return _caterpillar(n, d, [1] * (n - d - 1))
 
 
 def double_broom_tree(n: int, d: int, left_leaves: int, right_leaves: int) -> Tree:
@@ -151,9 +153,9 @@ def generate(spec: FamilySpec) -> Tree:
     if f == "broom":
         return broom_tree(n, d)
     if f == "lever":
-        return _spine_tree(n, range(d + 1), [spec.k] * (n - d - 1))  # type: ignore[list-item]
+        return _caterpillar(n, d, [spec.k] * (n - d - 1))  # type: ignore[list-item]
     left, right = spec.left_leaves, spec.right_leaves
-    return _spine_tree(n, range(d + 1), [1] * (left - 1) + [d - 1] * (right - 1))  # type: ignore[operator]
+    return _caterpillar(n, d, [1] * (left - 1) + [d - 1] * (right - 1))  # type: ignore[operator]
 
 
 def is_double_broom(t: Tree) -> bool:
@@ -345,14 +347,17 @@ def _delta_minus_path(n: int) -> Fraction:
 
 
 def _broom_j(n: int, d: int, known: dict) -> Fraction:
-    """Joining time at the handle end of the broom, its maximum.
+    """Joining time at the handle end of the broom, its maximum, read off
+    the broom's rerooting pass (`Tree.joining`), which reads the rooted
+    pass the broom is built with; the single-target `joining_time` stays
+    its reference in the tests.
 
     known is one formula audit's memo, keyed by (n, d). The difference rows
     read each broom twice (row n's (n+1, .) term is row n+1's (n, .) term),
     so the memo builds each broom once per audit.
     """
     if (n, d) not in known:
-        known[n, d] = Fraction(joining_time(broom_tree(n, d), d))
+        known[n, d] = Fraction(broom_tree(n, d).joining[d])
     return known[n, d]
 
 

@@ -11,6 +11,10 @@ the line or edge at fault.
 A `Tree` keeps what is derived from it on itself: the rooted pass from
 vertex 0 (`Tree.rooted`) and the joining time of every vertex
 (`Tree.joining`), each computed on first use and freed with the tree.
+The family shapes, a path 0..d with the other vertices as leaves on
+non-decreasing hubs, are built by `_caterpillar`, which lays the rooted
+pass out with the tree, with no traversal; `_spine_tree` builds a spine
+in any id order, and its tree runs the pass on first use.
 
 Then the one traversal, BFS order, with subtree sizes built on it; only
 the rooted pass and `walkstats._hits_into` run them (the oracles'
@@ -35,6 +39,7 @@ vertex, and the traversal from one, check its id first (`check_vertex`).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, filterfalse
@@ -58,7 +63,8 @@ class Tree:
 
     Equality and hashing read only n and the adjacency. The two cached
     properties are stored on the instance the first time they are read,
-    so they live exactly as long as the tree: O(n) ints each.
+    or, for `rooted`, by `_caterpillar` as it builds the tree, so they
+    live exactly as long as the tree: O(n) ints each.
     """
 
     n: int
@@ -177,6 +183,53 @@ def _spine_tree(n: int, spine: Sequence[int], hubs: Sequence[int]) -> Tree:
         nbrs.sort()
         adj[v] = tuple(nbrs)
     return Tree(n, tuple(adj))
+
+
+def _caterpillar(n: int, d: int, hubs: Sequence[int]) -> Tree:
+    """The path 0..d with every vertex d+1..n-1, in id order, pendant at
+    the matching entry of `hubs`, a non-decreasing sequence of spine
+    vertices, so each hub's leaves are one run of ids. A tree by
+    construction, so nothing but the hub count is checked; internal use.
+
+    The tree comes back holding its rooted pass from vertex 0, laid out
+    with no traversal. The BFS from 0 visits 0, then, for each spine vertex
+    i in turn, i+1 and then i's leaves; the parent array is
+    (-1, 0..d-1, *hubs); and a spine vertex i, with b leaves on hubs below
+    it, has n - i - b vertices in its subtree, a leaf 1. The work is one
+    step per run of leaves, the rest slices: every id in the adjacency
+    and the BFS order, every spine vertex's parent and every size below n
+    is an entry of one list(range(n)) (a leaf's parent is its entry of
+    `hubs`), so a long path holds one int object per vertex, not one per
+    reference.
+    """
+    m = n - d - 1
+    if len(hubs) != m:
+        raise ValueError(f"{len(hubs)} hubs for the {m} leaves {d + 1}..{n - 1}")
+    ids = list(range(n))
+    spine = ids[: d + 1]
+    adj = [(ids[1],), *zip(spine, spine[2:]), (ids[d - 1],)] if d else [()]
+    order: list[int] = []
+    size = [n]
+    lo, done = d + 1, 0  # the run's first leaf; spine vertices done in order
+    while lo < n:
+        h = hubs[lo - d - 1]
+        hi = d + 1 + bisect_right(hubs, h, lo - d - 1)
+        run = ids[lo:hi]
+        adj[h] += tuple(run)
+        adj += [(spine[h],)] * (hi - lo)
+        order += spine[done : h + 2]
+        order += run
+        # sizes of the spine vertices up to h, each above the lo - d - 1
+        # leaves already placed: n - i - (lo - d - 1), read off ids
+        top = n - lo + d + 1
+        size += ids[top - len(size) : top - h - 1 : -1]
+        lo, done = hi, h + 2
+    order += spine[done:]
+    size += ids[d + 1 - len(size) : 0 : -1]
+    size += [1] * m
+    t = Tree(n, tuple(adj))
+    t.__dict__["rooted"] = (tuple(order), (-1, *spine[:d], *hubs), tuple(size))
+    return t
 
 
 def bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:

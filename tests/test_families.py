@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from treewalk import trees, walkstats
+from treewalk.audit import audit_formula
 from treewalk.errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch
 from treewalk.families import (
     FAMILY_NAMES,
     FORMULA_IDS,
     FORMULAS,
     FamilySpec,
+    _broom_j,
     _rooted_broom,
     balanced_double_broom,
     balanced_lever,
@@ -177,6 +180,31 @@ def test_generator_formula_agreement_spot():
             br = broom_tree(n, d)
             js = joining_all(br)
             assert js[d] == max(js) == closed_form("jmax_broom", n, d)
+
+
+def test_broom_truth_matches_the_definition_route():
+    # the broom rows read J at the handle end off the rerooting pass; the
+    # single-target joining_time stays the reference for them
+    for n in range(2, 62):
+        for d in range(1, n):
+            assert _broom_j(n, d, {}) == joining_time(broom_tree(n, d), d)
+
+
+def test_formula_audits_run_no_bfs(monkeypatch):
+    # every ledger tree is built holding its rooted pass, and every truth
+    # reads that pass, so no audit searches a tree
+    calls = []
+    real = trees.subtree_sizes
+
+    def counted(t, root):
+        calls.append((t.n, root))
+        return real(t, root)
+
+    for module in (trees, walkstats):
+        monkeypatch.setattr(module, "subtree_sizes", counted)
+    statuses = {audit_formula(fid, 3, 20).status for fid in FORMULA_IDS}
+    assert statuses == {"verified", "discrepancy-in-paper"}
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, d", [(7, 1), (7, 7)])

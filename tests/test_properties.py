@@ -42,10 +42,14 @@ _rooted_broom, read off their definitions, are held to the spine and
 by-depth bookkeeping they replaced, on trees with n <= 120 and on every
 class up to order 12, each also relabeled at random, at every root.
 The one-pass _spine_tree is held to the list-per-vertex builder it
-replaced, on random spines and hubs with n <= 80 and on every formula
-witness with n <= 20. The single-target joining_time, the ground truth of
-the ledger's broom rows, is held at every vertex to joining_all and to the
-definition oracle, on trees with n <= 60 and on every class up to order 9.
+replaced, on random spines and hubs with n <= 80. `_caterpillar`, which
+builds the family shapes holding their rooted pass, is held to that
+builder, and its pass to subtree_sizes from vertex 0, on non-decreasing
+hubs with n <= 80 and on every family instance with n <= 40; every
+formula witness with n <= 20 is held to the list builder's. The
+single-target joining_time, the reference for the ledger's broom rows, is
+held at every vertex to joining_all and to the definition oracle, on
+trees with n <= 60 and on every class up to order 9.
 Every rewrite-trace value is held to the least entry of joining_all on
 trees with n <= 60 through both pipelines: a whole-tree step's, read off
 its tree's subtree sizes, with the rerooting pass shown not to have run
@@ -667,6 +671,64 @@ def test_spine_tree_matches_the_replaced_builder(case):
             _spine_tree_by_lists(n, spine, wrong)
 
 
+def _caterpillar_by_lists(n: int, d: int, hubs) -> Tree:
+    """trees._caterpillar's tree, built by the list-per-vertex reference on
+    the spine 0..d, with no stored pass."""
+    return _spine_tree_by_lists(n, range(d + 1), hubs)
+
+
+def _check_caterpillar(t: Tree, n: int, d: int, hubs) -> None:
+    """t, built by trees._caterpillar(n, d, hubs), is the reference's tree,
+    and came back holding the rooted pass a BFS from vertex 0 gives."""
+    assert "rooted" in vars(t)
+    assert t == _caterpillar_by_lists(n, d, hubs)
+    assert t.rooted == tuple(map(tuple, subtree_sizes(t, 0)))
+
+
+def test_every_family_instance_holds_the_pass_its_builder_laid_out(monkeypatch):
+    # every generator's instances with n <= 40, which hold every FamilySpec
+    # instance (every lever fulcrum, every double-broom split), each through
+    # the builder call it makes
+    calls = []
+
+    def recorded(n, d, hubs):
+        calls.append((n, d, hubs))
+        return trees._caterpillar(n, d, hubs)
+
+    monkeypatch.setattr(families, "_caterpillar", recorded)
+    count = 0
+    for t, _ in _family_instances(40):
+        (n, d, hubs), = calls
+        calls.clear()
+        _check_caterpillar(t, n, d, hubs)
+        count += 1
+    assert count == 20618
+
+
+@st.composite
+def caterpillar_shapes(draw) -> tuple[int, int, list[int]]:
+    """n <= 80, a spine 0..d and non-decreasing hubs drawn from it."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    d = draw(st.integers(min_value=0, max_value=n - 1))
+    hubs = draw(st.lists(st.integers(0, d), min_size=n - d - 1, max_size=n - d - 1))
+    return n, d, sorted(hubs)
+
+
+@PROPERTY_SETTINGS
+@given(caterpillar_shapes())
+@example((1, 0, []))
+@example((2, 1, []))
+@example((2, 0, [0]))
+def test_caterpillar_matches_the_list_builder_and_the_bfs(case):
+    n, d, hubs = case
+    _check_caterpillar(trees._caterpillar(n, d, hubs), n, d, hubs)
+    for wrong in (hubs + [d], hubs[:-1]) if hubs else ([d],):
+        with pytest.raises(ValueError):
+            trees._caterpillar(n, d, wrong)
+        with pytest.raises(ValueError):
+            trees._spine_tree(n, range(d + 1), wrong)
+
+
 def test_formula_witnesses_match_the_replaced_builder(monkeypatch):
     cases = [
         (row.witness, n, d)
@@ -675,7 +737,7 @@ def test_formula_witnesses_match_the_replaced_builder(monkeypatch):
         for d in (range(n + 1) if row.needs_d else [None])
     ]
     built = [_outcome(witness, n, d) for witness, n, d in cases]
-    monkeypatch.setattr(families, "_spine_tree", _spine_tree_by_lists)
+    monkeypatch.setattr(families, "_caterpillar", _caterpillar_by_lists)
     assert [_outcome(witness, n, d) for witness, n, d in cases] == built
     assert sum(isinstance(t, Tree) for t in built) == 3051
 
