@@ -18,7 +18,8 @@ length is the number of steps it took from outside the target: each batch
 records per step which walks are still away and adds up those rows once,
 at its end. Walks that arrived are dropped after each batch, and walk
 indices are run in fixed slabs, so memory does not grow with the walk
-count.
+count. The exact hitting time is known before any walk starts, so a
+request whose expected work passes a fixed budget is refused up front.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SLAB_WALKS = 1 << 14
 _BATCH_BLOCKS = 1 << 14
 _MAX_BLOCKS = 64
+
+# A request is refused when its expected work, walks * (H(u, w) + _WALK_COST),
+# passes _WORK_BUDGET steps: about 3.5 s at 70 ns a step. A walk's own
+# set-up (its Philox key, its slab and batch slots) costs about as much as
+# _WALK_COST steps.
+_WORK_BUDGET = 50_000_000
+_WALK_COST = 65
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +176,12 @@ def simulate_hitting(t: Tree, u: int, w: int, walks: int, seed: int) -> WalkSamp
         raise InvalidWalkParameters(f"walk count must be >= 1, got {walks}")
     if not 0 <= seed < 2**64:
         raise InvalidWalkParameters(f"seed {seed} outside 0..2**64-1")
+    exact = _hits_into(t, w)[u]
+    if walks * (exact + _WALK_COST) > _WORK_BUDGET:
+        raise InvalidWalkParameters(
+            f"expected work walks * (H(u, w) + {_WALK_COST}) = {walks} * ({exact} + {_WALK_COST}) "
+            f"steps passes the budget of {_WORK_BUDGET}"
+        )
     table = _walk_table(t, w)
     total = 0
     total_sq = 0
@@ -182,7 +196,7 @@ def simulate_hitting(t: Tree, u: int, w: int, walks: int, seed: int) -> WalkSamp
         stderr = math.sqrt(var / walks)
     else:
         stderr = 0.0
-    exact = Fraction(_hits_into(t, w)[u])
+    exact = Fraction(exact)
     if stderr > 0:
         z = (float(mean) - float(exact)) / stderr
     else:

@@ -6,15 +6,24 @@ two ASCII-digit ids, then blank lines) is read in one numpy pass that
 checks the id range, and the tree's rooted pass from vertex 0 proves its
 n-1 edges reach all n vertices; any other text, and any strict text that
 fails a check, goes to the line parser and `build_tree`, whose errors name
-the line or edge at fault.
+the line or edge at fault. From 2^15 vertices, while every J fits an
+int64, that numpy pass runs the rooted pass by BFS levels on its sorted
+neighbor array (`_bfs_levels`), and over the same levels lays out the J
+vector and the diameter's ends (`_level_passes`), so the tree holds all
+three. The level route declines once 256 levels in a row hold fewer than
+32 vertices each, or once the levels outnumber 256 plus 1/32 of the
+vertices reached: a numpy level costs about what 30 vertices cost in
+Python. A declined tree runs the Python passes below, which stay the
+reference.
 
 A `Tree` keeps what is derived from it on itself: the rooted pass from
-vertex 0 (`Tree.rooted`) and the joining time of every vertex
-(`Tree.joining`), each computed on first use and freed with the tree.
-The family shapes, a path 0..d with the other vertices as leaves on
-non-decreasing hubs, are built by `_caterpillar`, which lays the rooted
-pass out with the tree, with no traversal; `_spine_tree` builds a spine
-in any id order, and its tree runs the pass on first use.
+vertex 0 (`Tree.rooted`), the joining time of every vertex
+(`Tree.joining`) and the diameter's ends (`Tree.diameter_ends`), each
+computed on first use, or laid out by the level route, and freed with
+the tree. The family shapes, a path 0..d with the other vertices as
+leaves on non-decreasing hubs, are built by `_caterpillar`, which lays the
+rooted pass out with the tree, with no traversal; `_spine_tree` builds a
+spine in any id order, and its tree runs the pass on first use.
 
 Then the one traversal, BFS order, with subtree sizes built on it; only
 the rooted pass and `walkstats._hits_into` run them (the oracles'
@@ -42,7 +51,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import accumulate, chain, filterfalse
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -61,10 +70,11 @@ from .errors import (
 class Tree:
     """Connected acyclic graph on vertices 0..n-1 with sorted adjacency.
 
-    Equality and hashing read only n and the adjacency. The two cached
+    Equality and hashing read only n and the adjacency. The cached
     properties are stored on the instance the first time they are read,
-    or, for `rooted`, by `_caterpillar` as it builds the tree, so they
-    live exactly as long as the tree: O(n) ints each.
+    or as the tree is built: `rooted` by `_caterpillar`, and all three by
+    the parse's level route. So they live exactly as long as the tree:
+    O(n) ints for `rooted` and `joining`, three for `diameter_ends`.
     """
 
     n: int
@@ -94,6 +104,19 @@ class Tree:
         for u in order[1:]:
             j[u] = j[parent[u]] + step * (n - 2 * size[u])
         return tuple(j)
+
+    @cached_property
+    def diameter_ends(self) -> tuple[int, int, int]:
+        """The diameter d and its ends (d, a, b), read off the rooted pass.
+
+        a is the smallest id at the greatest distance from vertex 0, and b
+        the smallest id at the greatest distance from a.
+        """
+        depth = _distances(self, 0)
+        a = depth.index(max(depth))
+        dist = _distances(self, a)
+        d = max(dist)
+        return d, a, dist.index(d)
 
     @property
     def edge_count(self) -> int:
@@ -301,15 +324,11 @@ def diameter_and_geodesic(t: Tree) -> tuple[int, list[int]]:
     vertex 0 with no traversal of its own.
 
     One end a is the smallest id at the greatest distance from vertex 0;
-    the other end b is the smallest id at the greatest distance from a.
-    Ties break toward the smallest vertex id; the returned path runs from
-    its smaller endpoint to its larger one.
+    the other end b is the smallest id at the greatest distance from a
+    (`Tree.diameter_ends`). Ties break toward the smallest vertex id; the
+    returned path runs from its smaller endpoint to its larger one.
     """
-    depth = _distances(t, 0)
-    a = depth.index(max(depth))
-    dist = _distances(t, a)
-    d = max(dist)
-    b = dist.index(d)
+    d, a, b = t.diameter_ends
     return d, path_between(t, min(a, b), max(a, b))
 
 
@@ -575,6 +594,9 @@ def _parse_well_formed(text: str) -> Optional[Tree]:
     self-loop, a repeat or close a cycle. So it checks the id range, builds
     the adjacency, and keeps it only if the rooted pass from vertex 0
     reaches all n vertices; the tree keeps that pass for the statistics.
+    From _LEVEL_MIN_N vertices up to the int64 bound on J, the pass is run
+    by levels (`_bfs_levels`, `_level_passes`), which lay out J and the
+    diameter's ends too; where they decline, the tree runs its Python pass.
     """
     if not _well_formed(text):
         return None
@@ -591,17 +613,161 @@ def _parse_well_formed(text: str) -> Optional[Tree]:
     ends = ids[1:]  # u0 v0 u1 v1 ..., none negative: digits only
     if (ends >= n).any():
         return None
+    nbrs, stops = _csr(n, ends)
+    del ids, ends
+    levels = _bfs_levels(nbrs, stops) if n >= _LEVEL_MIN_N and _joining_fits_int64(n) else None
+    # on the level route every id is one int object, which the adjacency
+    # and the pass share, as the Python pass shares the adjacency's
+    table = None if levels is None else np.arange(n).astype(object)
+    flat = tuple((nbrs if table is None else table[nbrs]).tolist())
+    bounds = stops.tolist()
+    t = Tree(n, tuple(flat[a:b] for a, b in zip([0, *bounds], bounds)))
+    # freed before the pass, which would otherwise hold them at its peak
+    del nbrs, flat, bounds
+    if levels is None:
+        del stops
+        return t if len(t.rooted[0]) == n else None
+    order, parent, size, j, far = _level_passes(levels, np.diff(stops, prepend=0))
+    del levels, stops
+    parent = table[parent]
+    parent[0] = -1
+    rooted = tuple(table[order].tolist()), tuple(parent.tolist()), tuple(size.tolist())
+    t.__dict__.update(rooted=rooted, joining=tuple(j.tolist()), diameter_ends=far)
+    return t
+
+
+def _csr(n: int, ends):
+    """The neighbor array and end offsets of the graph on 0..n-1 whose edges
+    are the id pairs of the int64 array `ends`: vertex v's neighbors, in
+    increasing order, are nbrs[stops[v] - deg(v) : stops[v]]."""
+    import numpy as np
+
     u, v = ends[0::2], ends[1::2]
     # one key per directed edge; a tree repeats none, so sorting the keys
     # groups each vertex's neighbors in increasing order
-    keys = np.sort(np.concatenate((u * n + v, v * n + u)))
-    flat = tuple((keys % n).tolist())
-    del keys
-    stops = np.bincount(ends, minlength=n).cumsum().tolist()
-    t = Tree(n, tuple(flat[a:b] for a, b in zip([0, *stops], stops)))
-    # freed before the pass, which would otherwise hold them at its peak
-    del ids, ends, u, v, flat, stops
-    return t if len(t.rooted[0]) == n else None
+    nbrs = np.sort(np.concatenate((u * n + v, v * n + u)))
+    nbrs %= n
+    return nbrs, np.bincount(ends, minlength=n).cumsum()
+
+
+# A numpy level costs about 14 us, as much as the Python passes spend on 25
+# to 30 vertices, so the level route pays where the levels hold more than
+# _NARROW vertices on average. It declines once _NARROW_RUN levels in a row
+# hold fewer than _NARROW vertices each, or once the levels so far outnumber
+# _NARROW_RUN plus 1/_NARROW of the vertices reached. A random tree's first
+# and last levels are narrow for up to about 160 levels in a row, which the
+# run of _NARROW_RUN allows for. The parse does not try the route below
+# _LEVEL_MIN_N vertices, where a path's declined levels would cost more
+# than a tenth of its pass.
+_NARROW = 32
+_NARROW_RUN = 256
+_LEVEL_MIN_N = 1 << 15
+
+
+def _joining_fits_int64(n: int) -> bool:
+    """Whether every J of an n-vertex tree fits an int64. The greatest is
+    the path end's, sum of (2s-1)^2 over s in 1..n-1: rooted anywhere, the
+    k-th largest subtree size is at most n-k."""
+    return (n - 1) * (2 * n - 1) * (2 * n - 3) // 3 < 2**63
+
+
+def _bfs_levels(nbrs, stops) -> Optional[list]:
+    """The BFS from vertex 0 as one id array per level, or None when the
+    level gate declines or the graph is no tree.
+
+    Each level's neighbor slots come from one repeat of its vertices'
+    offsets, and a seen mask drops the parents. The mask is read once per
+    level, so a vertex two frontier vertices reach goes in twice, and its
+    copies go on doubling down a chain of cycles; so the BFS stops once the
+    expanded slots pass 2(n-1), the count of a tree's. Counting the levels'
+    entries proves nothing, but every vertex seen does: n-1 edges that
+    join n vertices form a tree.
+    """
+    import numpy as np
+
+    n = len(stops)
+    deg = np.diff(stops, prepend=0)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=nbrs.dtype)
+    levels = [frontier]
+    slack, reached, run = 2 * (n - 1), 1, 0
+    while True:
+        cnt = deg[frontier]
+        last = np.cumsum(cnt)
+        total = int(last[-1])
+        slack -= total
+        if slack < 0:
+            return None
+        nb = nbrs[np.arange(total) + np.repeat(stops[frontier] - last, cnt)]
+        frontier = nb[~seen[nb]]
+        if not frontier.size:
+            break
+        seen[frontier] = True
+        levels.append(frontier)
+        reached += frontier.size
+        run = run + 1 if frontier.size < _NARROW else 0
+        if run == _NARROW_RUN or len(levels) > _NARROW_RUN + reached // _NARROW:
+            return None
+    return levels if seen.all() else None
+
+
+def _level_passes(levels: list, deg):
+    """The rooted pass, J and the diameter's ends of the tree whose BFS
+    levels from vertex 0 are `levels` (`_bfs_levels`) and whose degrees are
+    `deg`: the BFS order, then the parent, subtree size and J of each
+    vertex as int64 arrays, and `Tree.diameter_ends`.
+
+    The work runs in BFS order, where the children of each vertex follow
+    one another and the children of a level's vertices make the next
+    level, in order. Sizes go bottom-up a level at a time, J top-down:
+    J[v] = J[parent v] + 4(n-1)(n - 2 size[v]), from J[0], the sum of
+    (2s-1)^2 over the other sizes. The distances from a, the smallest id
+    on the last level, go top-down too: a vertex off a's climb is one
+    further than its parent, and the climb's vertex on level k is L-1-k
+    from a, with L levels. J is in int64, so the caller checks
+    `_joining_fits_int64`.
+    """
+    import numpy as np
+
+    n = len(deg)
+    order = np.concatenate(levels)
+    bounds = list(accumulate(map(len, levels), initial=0))
+    # up[i - 1] is the BFS position of the parent of position i
+    kids = deg[order] - 1
+    kids[0] += 1
+    up = np.repeat(np.arange(n, dtype=order.dtype), kids)
+    del kids
+    size = np.ones(n, dtype=np.int64)
+    # bincount adds its weights in float64, exact for sizes below 2**53
+    for lo, hi, below in zip(bounds[-3::-1], bounds[-2::-1], bounds[:0:-1]):
+        size[lo:hi] += np.bincount(up[hi - 1 : below - 1] - lo, size[hi:below], hi - lo).astype(np.int64)
+    terms = 2 * size[1:] - 1
+    j = 4 * (n - 1) * (n - 2 * size)
+    j[0] = terms @ terms
+    del terms
+    depth = len(bounds) - 2
+    climb = [bounds[-2] + int(np.argmin(order[bounds[-2] :]))]
+    while climb[-1]:
+        climb.append(int(up[climb[-1] - 1]))
+    dist = np.empty(n, dtype=np.int64)
+    dist[0] = depth
+    for k, lo, hi, on_climb in zip(range(1, depth + 1), bounds[1:], bounds[2:], climb[-2::-1]):
+        above = up[lo - 1 : hi - 1]
+        j[lo:hi] += j[above]
+        np.add(dist[above], 1, out=dist[lo:hi])
+        dist[on_climb] = depth - k
+    d = int(dist.max())
+    far = d, int(order[climb[0]]), int(order[dist == d].min())
+    del dist
+    parent = np.empty(n, dtype=order.dtype)
+    parent[order[1:]] = order[up]
+    parent[0] = -1
+    del up
+    # sizes and J move from BFS positions to their vertices' slots
+    size[order] = size.copy()
+    j[order] = j.copy()
+    return order, parent, size, j, far
 
 
 def _parse_lines(text: str) -> Tree:

@@ -83,18 +83,30 @@ def test_analyze_one_vertex_tree_is_usage_error(tmp_path, capsys):
 
 
 def test_analyze_runs_one_rooted_pass_and_one_rerooting(tmp_path, capsys, monkeypatch):
-    rng = random.Random(4)
-    f = tmp_path / "t.txt"
-    f.write_text(format_edge_list(prufer_decode([rng.randrange(300) for _ in range(298)], 300)))
     calls = []
-    for name in ("rooted", "joining"):
+    for name in ("bfs_order", "_level_passes", "_distances"):
+        real = getattr(trees, name)
+        monkeypatch.setattr(trees, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    for name in ("rooted", "joining", "diameter_ends"):
         prop = vars(trees.Tree)[name]
         real = prop.func
         monkeypatch.setattr(prop, "func", lambda t, name=name, real=real: calls.append(name) or real(t))
-    assert main(["--no-timing", "analyze", "--input", str(f)]) == 0
+    rng = random.Random(4)
+    f = tmp_path / "t.txt"
     # the parse, diameter, barycenter, joining_all, t_meet, t_bestmeet and
-    # kemeny all read the one pass and the one J vector stored on the tree
-    assert sorted(calls) == ["joining", "rooted"]
+    # kemeny all read the one pass and the one J vector stored on the tree:
+    # below 2**15 vertices each is computed once through its property, the
+    # pass by one BFS; from there one level pass of the parse lays them out
+    # with the diameter's ends
+    for n, expected in (
+        (300, ["_distances", "_distances", "bfs_order", "diameter_ends", "joining", "rooted"]),
+        (40_000, ["_level_passes"]),
+    ):
+        f.write_text(format_edge_list(prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)))
+        calls.clear()
+        assert main(["--no-timing", "analyze", "--input", str(f)]) == 0
+        assert sorted(calls) == expected, n
+    capsys.readouterr()
 
 
 def test_analyze_takes_one_gcd_for_every_meeting_time(tmp_path, capsys, monkeypatch):
@@ -652,6 +664,8 @@ def test_timed_envelope_is_the_untimed_one_plus_timing_ms(capsys, p3_file, argv)
         (["--u", "0", "--w", "2", "--walks", "1", "--seed", str(2**64)],
          f"seed {2**64} outside 0..2**64-1"),
         (["--u", "0", "--w", "2", "--walks", "0", "--seed", "1"], "walk count must be >= 1, got 0"),
+        (["--u", "0", "--w", "2", "--walks", str(10**14), "--seed", "1"],
+         f"expected work walks * (H(u, w) + 65) = {10**14} * (4 + 65) steps passes the budget of 50000000"),
     ],
 )
 def test_simulate_bad_input_is_usage_error(p3_file, flags, message):
@@ -665,6 +679,22 @@ def test_simulate_bad_input_is_usage_error(p3_file, flags, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_simulate_refuses_one_walk_past_its_work_budget(tmp_path):
+    # one walk end to end on the 10^4-vertex path expects (n-1)^2 steps,
+    # refused before it starts instead of running for minutes
+    f = tmp_path / "path.txt"
+    f.write_text(format_edge_list(path_tree(10_000)), encoding="utf-8")
+    src = str(Path(treewalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treewalk.cli", "--no-timing", "simulate", "--input", str(f),
+         "--u", "0", "--w", "9999", "--walks", "1", "--seed", "1"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: expected work walks * (H(u, w) + 65) = 1 * (99980001 + 65) steps passes the budget of 50000000\n"
 
 
 def test_order_too_large_to_build_is_an_error_line():

@@ -84,10 +84,12 @@ import os
 import random
 import re
 import tempfile
+import tracemalloc
 from datetime import timedelta
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -1352,3 +1354,149 @@ def test_numpy_parse_matches_the_line_parser(case):
     assert _outcome(parse_edge_list, text) == _outcome(trees._parse_lines, text)
     if damage == "none":
         assert trees._parse_well_formed(text) == t
+
+
+LEVEL_SHAPES = ["random", "path", "broom-handle", "broom-bristle", "caterpillar"]
+
+
+@st.composite
+def level_route_trees(draw) -> Tree:
+    """A tree with n <= 300: a Prufer tree, a path with its ids permuted, a
+    broom with vertex 0 at its handle end or at a bristle, or a caterpillar
+    on the spine 0..d with its ids permuted."""
+    shape = draw(st.sampled_from(LEVEL_SHAPES))
+    n = draw(st.integers(2, 300))
+    if shape == "random":
+        return draw(prufer_trees(max_n=300))
+    if shape.startswith("broom"):
+        d = draw(st.integers(1, n - 1))
+        t = broom_tree(n, d)
+        if shape == "broom-handle" or d == n - 1:
+            return t
+        # vertex 0 trades ids with the bristle n-1
+        swap = {0: n - 1, n - 1: 0}
+        return build_tree([(swap.get(u, u), swap.get(v, v)) for u, v in t.edges()], n)
+    if shape == "path":
+        t = path_tree(n)
+    else:
+        d = draw(st.integers(0, n - 1))
+        t = trees._caterpillar(n, d, sorted(draw(st.lists(st.integers(0, d), min_size=n - d - 1, max_size=n - d - 1))))
+    perm = draw(st.permutations(range(n)))
+    return build_tree([(perm[u], perm[v]) for u, v in t.edges()], n)
+
+
+def _csr_of(n: int, edges) -> tuple:
+    return trees._csr(n, np.array([x for e in edges for x in e], dtype=np.int64))
+
+
+# an 800-vertex spine from vertex 0 with 32 leaves on every 255th spine
+# vertex: no run of 256 narrow levels, but too few vertices for its levels
+_COMB = build_tree(
+    [(i, i + 1) for i in range(799)] + [(h, 800 + 32 * (h // 255) + x) for h in (0, 255, 510, 765) for x in range(32)],
+    928,
+)
+
+
+def _gate_declines(widths: list[int]) -> bool:
+    """The level gate as stated: a run of _NARROW_RUN levels each narrower
+    than _NARROW, or more levels than _NARROW_RUN plus 1/_NARROW of the
+    vertices reached, at any level."""
+    run, reached = 0, 1
+    for count, width in enumerate(widths[1:], start=2):
+        reached += width
+        run = run + 1 if width < trees._NARROW else 0
+        if run == trees._NARROW_RUN or count > trees._NARROW_RUN + reached // trees._NARROW:
+            return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_route_trees())
+@example(path_tree(1))
+@example(path_tree(2))
+@example(path_tree(trees._NARROW_RUN))  # the longest path the gate lets through
+@example(path_tree(trees._NARROW_RUN + 1))
+@example(star_tree(40))
+@example(_COMB)
+@example(_EQUAL_SPIDER)
+@example(_FORK_AT_0)
+@example(_FORK_BELOW_0)
+def test_level_route_matches_the_python_passes(t):
+    # the level BFS gives subtree_sizes' levels unless its gate declines,
+    # and the passes over those levels give what the Python loops give:
+    # the rooted pass, the rerooting loop's J and the diameter's ends
+    n = t.n
+    order, parent, size = subtree_sizes(t, 0)
+    depth = [0] * n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    levels = [[] for _ in range(max(depth) + 1)]
+    for v in order:
+        levels[depth[v]].append(v)
+    nbrs, stops = _csr_of(n, t.edges())
+    got = trees._bfs_levels(nbrs, stops)
+    if got is None:
+        assert _gate_declines(list(map(len, levels)))
+    else:
+        assert [lv.tolist() for lv in got] == levels
+        assert not _gate_declines(list(map(len, levels)))
+    at = trees._level_passes([np.array(lv, dtype=np.int64) for lv in levels], np.diff(stops, prepend=0))
+    assert [a.tolist() for a in at[:3]] == [order, parent, size]
+    fresh = build_tree(list(t.edges()), n)
+    assert at[3].tolist() == list(vars(Tree)["joining"].func(fresh))
+    d, a, b = at[4]
+    assert (d, a, b) == vars(Tree)["diameter_ends"].func(fresh)
+    assert (d, path_between(t, min(a, b), max(a, b))) == diameter_and_geodesic(fresh)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prufer_trees(max_n=200), st.data())
+def test_level_bfs_refuses_every_edge_set_that_is_no_tree(t, data):
+    # n - 1 edges with one replaced by another pair: a repeat, a self-loop
+    # or a cycle, whose vertices the level BFS may reach twice in a level
+    edges = list(t.edges())
+    edges[data.draw(st.integers(0, len(edges) - 1))] = data.draw(st.tuples(*[st.integers(0, t.n - 1)] * 2))
+    try:
+        build_tree(edges, t.n)
+    except TreewalkError:
+        assert trees._bfs_levels(*_csr_of(t.n, edges)) is None
+    else:
+        assume(False)
+
+
+def test_level_bfs_refuses_the_cycles_inside_one_level():
+    # 3 reached from 1 and 2 in one level, 4 from nowhere; and the repeated
+    # edge, whose end goes in twice from the same parent
+    assert trees._bfs_levels(*_csr_of(5, [(0, 1), (0, 2), (1, 3), (2, 3)])) is None
+    assert trees._bfs_levels(*_csr_of(3, [(0, 1), (1, 0)])) is None
+    # a chain of 18 such cycles, x_i to x_i+1 through a_i and b_i, and 18
+    # vertices reached from nowhere: unbounded, the copies of x_18 would
+    # number 2**18, but the slot count stops the BFS within a few levels
+    k = 18
+    edges = [(3 * i, 3 * i + s) for i in range(k) for s in (1, 2)]
+    edges += [(3 * i + s, 3 * i + 3) for i in range(k) for s in (1, 2)]
+    nbrs, stops = _csr_of(4 * k + 1, edges)
+    tracemalloc.start()
+    try:
+        assert trees._bfs_levels(nbrs, stops) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def _path_end_joining(n: int) -> int:
+    return (n - 1) * (2 * n - 1) * (2 * n - 3) // 3
+
+
+def test_int64_guard_is_the_path_end_bound_at_its_boundary():
+    # the path end's J, sum of (2s-1)^2 over s < n, is the greatest J of any
+    # tree of its order
+    for n in range(2, 10):
+        assert _path_end_joining(n) == sum((2 * s - 1) ** 2 for s in range(1, n)) == path_tree(n).joining[0]
+        assert max(max(c.joining) for c in tree_classes(n)) == _path_end_joining(n)
+    # the last order whose greatest J fits an int64, found without a tree
+    n = 1_905_390
+    assert _path_end_joining(n) <= 2**63 - 1 < _path_end_joining(n + 1)
+    assert trees._joining_fits_int64(n)
+    assert not trees._joining_fits_int64(n + 1)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import treewalk.simulate as simulate_mod
 from treewalk.families import balanced_double_broom, broom_tree, path_tree, star_tree
+from treewalk.errors import InvalidWalkParameters
 from treewalk.simulate import _philox_raw, simulate_hitting
 from treewalk.trees import prufer_decode
 
@@ -193,6 +194,16 @@ def test_lengths_are_unchanged_across_slab_and_batch_boundaries(monkeypatch, sla
 def test_benchmark_scale_runs_keep_their_totals(t, u, w, walks, total_steps, mean):
     sample = simulate_hitting(t, u, w, walks, 1)
     assert (sample.total_steps, sample.mean) == (total_steps, mean)
+
+
+def test_work_budget_refuses_past_its_bound_before_any_walk(monkeypatch):
+    # broom(11, 5), 0 -> 5: H = 65, so each walk counts 65 + 65 steps
+    t = broom_tree(11, 5)
+    monkeypatch.setattr(simulate_mod, "_WORK_BUDGET", 130 * 7)
+    assert simulate_hitting(t, 0, 5, 7, 1).walks == 7
+    monkeypatch.setattr(simulate_mod, "_walk_table", lambda *a: pytest.fail("a walk started"))
+    with pytest.raises(InvalidWalkParameters, match=r"= 8 \* \(65 \+ 65\) steps passes the budget of 910$"):
+        simulate_hitting(t, 0, 5, 8, 1)
 
 
 def test_simulate_does_not_import_numpy_random():

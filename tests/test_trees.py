@@ -449,6 +449,9 @@ PARSE_CORPUS = {
     "self-loop": ("3\n0 1\n2 2\n", False),
     "repeated-edge": ("3\n0 1\n1 0\n", False),
     "cycle": ("4\n0 1\n1 2\n2 0\n", False),
+    # 3 is reached from 1 and from 2 in one level while 4 is reached from
+    # nowhere, so a count of the vertices the levels hold comes to n
+    "cycle-inside-one-level": ("5\n0 1\n0 2\n1 3\n2 3\n", False),
 }
 
 
@@ -465,6 +468,33 @@ def test_parse_routes_agree_on_the_corpus(text, fast):
     assert peak < 1_000_000
     assert got == _outcome(trees._parse_lines, text)
     assert (trees._parse_well_formed(text) is not None) == fast
+
+
+def test_a_cycle_inside_one_level_is_refused_on_the_level_route(monkeypatch):
+    # the corpus's cycle-inside-one-level at a size the parse runs by
+    # levels: a random tree with a leaf cut off and one edge added from a
+    # grandchild y of x to x's other child c, so y is reached twice in one
+    # level and the cut leaf never
+    rng = random.Random(36)
+    n = 100_000
+    t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+    order, parent, _ = t.rooted
+    kids = {}
+    for v in order[1:]:
+        kids.setdefault(parent[v], []).append(v)
+    y = next(y for y in order if parent[y] > 0 and len(kids[parent[parent[y]]]) > 1)
+    b = parent[y]
+    c = next(c for c in kids[parent[b]] if c != b)
+    leaf = next(z for z in reversed(order) if z not in (y, c) and t.degree(z) == 1)
+    edges = [e for e in t.edges() if leaf not in e] + [(y, c)]
+    text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    levels = []
+    real = trees._bfs_levels
+    monkeypatch.setattr(trees, "_bfs_levels", lambda *a: levels.append(real(*a)) or levels[-1])
+    assert _outcome(parse_edge_list, text) == (CycleDetected, f"edge ({y}, {c}) closes a cycle")
+    assert _outcome(trees._parse_lines, text) == (CycleDetected, f"edge ({y}, {c}) closes a cycle")
+    # the level route ran and refused the edges
+    assert levels == [None]
 
 
 def test_numpy_pass_reads_well_formed_lists():
