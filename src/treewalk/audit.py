@@ -12,9 +12,12 @@ This is the one module that sets a fast route beside an oracle: the
 proposition's four-way barycenter check lives here, above its audit,
 and no fast module imports `oracles`.
 
-A formula audit skips each cell its row's `Domain.fault` refuses, the
-cells `closed_form` would raise on, without raising, and evaluates the
-printed form at the others. Its J_min and T_bestmeet ground truths read
+A formula audit visits only the cells its row's `Domain.cells` lists,
+the ones `Domain.fault` accepts, so it skips the cells `closed_form` would
+raise on without raising, and evaluates the printed form at the others.
+Before it builds any tree it counts, n by n, the vertices its truths
+would build, and refuses the audit once they pass
+`families.BUILD_BUDGET`. Its J_min and T_bestmeet ground truths read
 J_min off each witness's rooted pass; the theorem audits'
 `_cross_checked_jmin` still reads the rerooting pass, whose argmin the
 linear solve checks.
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .enumeration import DEFAULT_CAP, ENUMERATION_CEILING, extremal_table, tree_classes
 from .errors import CapExceeded, OutOfStatedRange, TreewalkError, UnknownClaim
-from .families import FORMULAS, bestmeet_dbroom_case, closed_form
+from .families import FORMULAS, bestmeet_dbroom_case, closed_form, refuse_past_budget
 from .oracles import distance_argmin, joining_time_by_linear_solve
 from .trees import Tree, canonical_form
 from . import walkstats
@@ -48,7 +51,7 @@ class Witness:
     note: str = ""
 
     @staticmethod
-    def of(t: Optional[Tree], value: Fraction, note: str = "") -> "Witness":
+    def of(t: Optional[Tree], value: Fraction | int, note: str = "") -> "Witness":
         return Witness(
             canonical=canonical_form(t).decode("ascii") if t is not None else "",
             value_num=value.numerator,
@@ -217,7 +220,11 @@ def audit_formula(
     d_hi: Optional[int] = None,
 ) -> AuditReport:
     """Sweep one ledger formula over a parameter range and compare against
-    generator-plus-oracle ground truth; reports the first failing instance."""
+    generator-plus-oracle ground truth; reports the first failing instance.
+
+    Refused with CapExceeded, before any tree is built, when the cells'
+    trees would hold more than `families.BUILD_BUDGET` vertices: the count
+    stops once past it, so it visits O(sqrt(budget)) orders."""
     if fid not in FORMULAS:
         raise UnknownClaim(f"unknown formula id {fid!r}")
     row = FORMULAS[fid]
@@ -225,19 +232,26 @@ def audit_formula(
     params: dict = {"formula": fid, "n": f"{n_lo}..{n_hi}"}
     if needs_d:
         params["d"] = "..".join("auto" if b is None else str(b) for b in (d_lo, d_hi))
+    lo = d_lo if d_lo is not None else 1
+
+    def cells(n: int) -> Sequence[Optional[int]]:
+        return row.domain.cells(n, lo, n - 1 if d_hi is None else min(d_hi, n - 1))
+
+    # no order below n_min holds a cell, nor one below lo + 1 for a d row
+    first, vertices = max(n_lo, row.domain.n_min, lo + 1 if needs_d else 0), 0
+    request = f"formula audit {fid} --n {n_lo}..{n_hi}"
+    for n in range(first, n_hi + 1):
+        vertices += len(cells(n)) * row.vertices(n)
+        refuse_past_budget(vertices, request)
+        # from d_hi + gap on, the cells repeat by the parity of n: two empty
+        # orders there mean that no later order holds a cell either
+        if needs_d and d_hi is not None and not vertices and n > max(first, d_hi + row.domain.span[1]):  # type: ignore[index]
+            n_hi = n
+            break
     checked = 0
     known: dict = {}  # the rows' shared terms, for this sweep only
-    for n in range(n_lo, n_hi + 1):
-        if needs_d:
-            lo = d_lo if d_lo is not None else 1
-            hi = d_hi if d_hi is not None else n - 1
-            dees = list(range(lo, min(hi, n - 1) + 1))
-        else:
-            dees = [None]
-        for d in dees:
-            # the cells closed_form would refuse, skipped without raising
-            if row.domain.fault(n, d) is not None:
-                continue
+    for n in range(first, n_hi + 1):
+        for d in cells(n):
             stated = row.form(n, d) if needs_d else row.form(n)
             truth = row.truth(n, d, known)
             checked += 1

@@ -38,6 +38,7 @@ from .families import (
     balanced_spec,
     closed_form,
     generate,
+    refuse_past_budget,
 )
 from .simulate import simulate_hitting
 from .trees import Tree, canonical_form, diameter_and_geodesic, format_edge_list, parse_edge_list
@@ -399,7 +400,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise TreewalkError(
                 f"sweep family {args.family!r} has no instance of order {n}; it needs n >= {d_min + 1}"
             )
-        for d in _sweep_diameters(args, d_min, f"family {args.family!r}"):
+        dees = _sweep_diameters(args, d_min, f"family {args.family!r}")
+        refuse_past_budget(n * len(dees), f"sweep --family {args.family} --n {n}")
+        for d in dees:
             t = build(n, d)
             q = quantity(t)
             rows.append((n, d, args.family, q.numerator, q.denominator))

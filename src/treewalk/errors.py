@@ -44,7 +44,8 @@ class EntryOutOfRange(TreewalkError):
 
 
 class CapExceeded(TreewalkError):
-    """Enumeration request above the configured order cap."""
+    """Enumeration request above the configured order cap, or a formula
+    audit or family sweep whose trees pass the build budget."""
 
 
 class ParseError(TreewalkError):

@@ -13,10 +13,15 @@ can separate what the source states from what the mathematics gives.
 `FORMULAS` is the one table of ledger entries: each row holds the form,
 the range and parity it is stated for, the tree it describes, its ground
 truth and the `gen` family that reports it. `Domain.fault` is the one
-statement of a row's range: `closed_form` raises what it names, and the
-formula audit skips the cells it refuses, so each form is just the
-printed algebra. Most ground truths read
-a `walkstats.QUANTITIES` entry off the generated tree, as `sweep` does.
+statement of a row's range: `closed_form` raises what it names, and
+`Domain.cells` lists the cells it accepts at one n, as a range whose
+length costs O(1), the only cells the formula audit visits; so each form
+is just the printed algebra. Most ground truths read
+a `walkstats.QUANTITIES` entry off the generated tree, as `sweep` does;
+the broom rows read J at the handle end as one int sum over the broom's
+stored sizes and climb, so their truths are ints, not Fractions.
+`BUILD_BUDGET` bounds the vertices a formula audit or a family sweep may
+build, counted before it builds any tree.
 The shape tests read their definitions: `is_double_broom` the degrees,
 and `_rooted_broom` the distances from its root, read off the tree's
 stored rooted pass with no traversal of its own, through `_broom_depths`,
@@ -27,13 +32,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch, TreewalkError
+from .errors import CapExceeded, InvalidFamilyParameters, OutOfStatedRange, ParityMismatch, TreewalkError
 from .trees import Tree, _caterpillar, _distances
 from .walkstats import QUANTITIES
 
 FAMILY_NAMES = ("path", "star", "lever", "broom", "double_broom")
+
+# A formula audit or a family sweep is refused, before it builds any tree,
+# when the trees it would build hold more than BUILD_BUDGET vertices in all:
+# about 5 s at the slowest measured rate, 2 million vertices a second (a
+# kemeny sweep of double brooms; the ledger rows build 2.5-5 million).
+BUILD_BUDGET = 10_000_000
+
+
+def refuse_past_budget(vertices: int, request: str) -> None:
+    """Raise CapExceeded, naming request, when vertices pass BUILD_BUDGET."""
+    if vertices > BUILD_BUDGET:
+        raise CapExceeded(f"{request} would build more than the budget of {BUILD_BUDGET} tree vertices")
 
 
 @dataclass(frozen=True)
@@ -346,18 +364,28 @@ def _delta_minus_path(n: int) -> Fraction:
 # Ground truths are statistics of generated trees, never of the forms above.
 
 
-def _broom_j(n: int, d: int, known: dict) -> Fraction:
-    """Joining time at the handle end of the broom, its maximum, read off
-    the broom's rerooting pass (`Tree.joining`), which reads the rooted
-    pass the broom is built with; the single-target `joining_time` stays
-    its reference in the tests.
+def _broom_j(n: int, d: int, known: dict) -> int:
+    """Joining time at the handle end d of the broom, its maximum, as one
+    int sum over the sizes s of the rooted pass the broom is built with:
+    J(0), the sum of (2s-1)^2 = 4s(s-1) + 1 over the vertices other than 0,
+    plus 4(n-1)(n-2s) for each vertex on d's climb to 0, the change as the
+    target crosses that vertex's parent edge. No rerooting pass and no
+    Fraction; the single-target `joining_time` stays its reference in the
+    tests.
 
     known is one formula audit's memo, keyed by (n, d). The difference rows
     read each broom twice (row n's (n+1, .) term is row n+1's (n, .) term),
     so the memo builds each broom once per audit.
     """
     if (n, d) not in known:
-        known[n, d] = Fraction(broom_tree(n, d).joining[d])
+        _, parent, size = broom_tree(n, d).rooted
+        # size[0] = n adds n(n-1) to the sum of s(s-1), taken back here
+        j = 4 * (sum(map(mul, size, size)) - sum(size) - n * (n - 1)) + n - 1
+        v = d
+        while v:
+            j += 4 * (n - 1) * (n - 2 * size[v])
+            v = parent[v]
+        known[n, d] = j
     return known[n, d]
 
 
@@ -369,7 +397,7 @@ def _path_jmax(n: int, known: dict) -> Fraction:
     return known["path", n]
 
 
-def _broom_step(dn: int, dd: int) -> Callable[[int, Optional[int], dict], Fraction]:
+def _broom_step(dn: int, dd: int) -> Callable[[int, Optional[int], dict], int]:
     """Truth of a broom difference row: J(broom(n+dn, d+dd)) - J(broom(n, d))."""
     return lambda n, d, known: _broom_j(n + dn, d + dd, known) - _broom_j(n, d, known)
 
@@ -434,6 +462,19 @@ class Domain:
             return ParityMismatch, "formula {fid!r} needs " + ("odd" if self.d_odd else "even") + " d, got d={d}"
         return None
 
+    def cells(self, n: int, lo: int, hi: int) -> Sequence[Optional[int]]:
+        """The cells at order n that fault accepts, in order: the d in lo..hi
+        inside the span and parity case, as one range, (None,) for an n-only
+        form, and () when n itself is refused; so its length costs O(1)."""
+        if n < self.n_min or (self.n_odd is not None and n % 2 != self.n_odd):
+            return ()
+        if self.span is None:
+            return (None,)
+        lo, hi = max(lo, self.span[0]), min(hi, n - self.span[1])
+        if self.d_odd is None:
+            return range(lo, hi + 1)
+        return range(lo + (lo % 2 != self.d_odd), hi + 1, 2)
+
 
 # the balanced double broom's four n/d parity cases, each for 2 <= d <= n-1
 _OO, _OE, _EO, _EE = (Domain(span=(2, 1), n_odd=a, d_odd=b) for a in (True, False) for b in (True, False))
@@ -446,20 +487,28 @@ class Formula:
     form: the printed closed form, called as form(n) or form(n, d).
     domain: the range and parity case it is stated for, checked by Domain.fault.
     witness(n, d): the tree the form describes, or None.
-    truth(n, d, known): the exact value the form is audited against; known
-    is the calling audit's memo, read by the broom and delta_minus_path rows.
+    truth(n, d, known): the exact value the form is audited against, an int
+    for the J-valued broom rows and a Fraction otherwise; known is the
+    calling audit's memo, read by the broom and delta_minus_path rows.
     predicts: the FamilySpec family whose balanced `gen` instances report it.
+    vertices(n): the vertices truth builds for one cell of order n.
     """
 
     form: Callable[..., Fraction]
     domain: Domain
     witness: Callable[[int, Optional[int]], Optional[Tree]]
-    truth: Callable[[int, Optional[int], dict], Fraction]
+    truth: Callable[[int, Optional[int], dict], Fraction | int]
     predicts: Optional[str] = None
+    vertices: Callable[[int], int] = lambda n: n
 
     @property
     def needs_d(self) -> bool:
         return self.domain.span is not None
+
+
+def _two_trees(n: int) -> int:
+    """The vertices of a difference row's cell: two trees, each counted as n."""
+    return 2 * n
 
 
 def _measured(
@@ -487,12 +536,14 @@ FORMULAS: dict[str, Formula] = {
         Domain(n_min=3),
         lambda n, d: None,
         lambda n, d, known: max(QUANTITIES["j_min"](balanced_double_broom(n, dd)) for dd in range(2, n)),
+        vertices=lambda n: n * (n - 2),
     ),
     "bestmeet_pn": _measured(_bestmeet_pn, Domain(), _path, "t_bestmeet", "path"),
     "bestmeet_bn_printed": _measured(_bestmeet_bn_printed, Domain(n_min=5, n_odd=True), _short_broom, "t_bestmeet"),
     "bestmeet_bn_corrected": _measured(_bestmeet_bn_corrected, Domain(n_min=5, n_odd=True), _short_broom, "t_bestmeet"),
     "delta_minus_path": Formula(
-        _delta_minus_path, Domain(), _path, lambda n, d, known: _path_jmax(n - 1, known) - _path_jmax(n, known)
+        _delta_minus_path, Domain(), _path, lambda n, d, known: _path_jmax(n - 1, known) - _path_jmax(n, known),
+        vertices=_two_trees,
     ),
     "jmin_lever_odd": _measured(_jmin_lever_odd, Domain(span=(2, 1), d_odd=True), _lever, "j_min", "lever"),
     "jmin_lever_even": _measured(_jmin_lever_even, Domain(span=(2, 1), d_odd=False), _lever, "j_min", "lever"),
@@ -507,9 +558,11 @@ FORMULAS: dict[str, Formula] = {
     "bestmeet_dbroom_oe_printed": _measured(_bestmeet_dbroom_oe_printed, _OE, _dbroom, "t_bestmeet"),
     "bestmeet_dbroom_eo": _measured(_bestmeet_dbroom_eo, _EO, _dbroom, "t_bestmeet", "double_broom"),
     "bestmeet_dbroom_ee": _measured(_bestmeet_dbroom_ee, _EE, _dbroom, "t_bestmeet", "double_broom"),
-    "big_delta_plus": Formula(_big_delta_plus, Domain(span=(1, 1)), _broom, _broom_step(1, 1)),
-    "delta_plus": Formula(_delta_plus, Domain(span=(1, 1)), _broom, _broom_step(1, 0)),
-    "delta_minus_broom": Formula(_delta_minus_broom, Domain(span=(2, 2)), _broom, _broom_step(-1, 0)),
+    "big_delta_plus": Formula(_big_delta_plus, Domain(span=(1, 1)), _broom, _broom_step(1, 1), vertices=_two_trees),
+    "delta_plus": Formula(_delta_plus, Domain(span=(1, 1)), _broom, _broom_step(1, 0), vertices=_two_trees),
+    "delta_minus_broom": Formula(
+        _delta_minus_broom, Domain(span=(2, 2)), _broom, _broom_step(-1, 0), vertices=_two_trees
+    ),
 }
 
 # n-only forms first, each group sorted by id

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 import math
 import time
@@ -194,6 +195,93 @@ def test_ledger_audit_outcome(fid):
     assert [w.canonical for w in rep.witnesses] == [canonical, canonical]
     assert [w.note for w in rep.witnesses] == ["printed form", "ground truth"]
     assert _values(rep) == values
+
+
+def test_an_int_truth_reports_what_a_fraction_truth_did(monkeypatch, capsys):
+    # the broom rows' truths are ints; forced to a discrepancy, the report
+    # still carries J as J/1, and the CLI writes the bytes it wrote when the
+    # truth was a Fraction (digests recorded with the Fraction truth)
+    row = FORMULAS["jmax_broom"]
+    monkeypatch.setitem(FORMULAS, "jmax_broom", dataclasses.replace(row, form=lambda n, d: row.form(n, d) + 1))
+    assert type(row.truth(5, 3, {})) is int
+    rep = audit_formula("jmax_broom", 5, 9, 3, 3)
+    assert rep.status == DISCREPANCY and rep.params["first_failure"] == {"n": 5, "d": 3}
+    assert [(w.note, w.value_num, w.value_den) for w in rep.witnesses] == [
+        ("printed form", 77, 1), ("ground truth", 76, 1)
+    ]
+    assert all(type(w.value_num) is int and type(w.value_den) is int for w in rep.witnesses)
+    for flags, digest in [
+        (["--n", "5..9", "--d", "3..3"], "7ccc525c941b8aa2b467fd80de2d9d53220c1ddbcde3ea9fa184cae40ef83fb1"),
+        (["--n", "2..40"], "c618fda455d28d7a5d9ead9db3e9a11ce3b5769673a3d242329f5355f47d7a78"),
+    ]:
+        assert main(["--no-timing", "audit", "formula", "jmax_broom", *flags]) == 2
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fid, n_lo, n_hi, vertices",
+    [
+        ("jmax_path", 3, 10, 52),  # one path of n vertices per order
+        ("jmin_lever_odd", 3, 9, 86),  # one lever per odd d in 3..n-1
+        ("delta_plus", 3, 6, 136),  # two brooms per cell, each counted as n
+        ("delta_minus_path", 2, 7, 54),  # two paths per order
+        ("jmin_dnd_max", 3, 8, 133),  # n - 2 double brooms per order
+    ],
+)
+def test_formula_audit_counts_its_vertices_before_building(monkeypatch, fid, n_lo, n_hi, vertices):
+    # at a budget of exactly the count the audit runs; one below, it is
+    # refused before any tree is built
+    built = []
+    real = families_mod._caterpillar
+    monkeypatch.setattr(families_mod, "_caterpillar", lambda *a: built.append(a) or real(*a))
+    monkeypatch.setattr(families_mod, "BUILD_BUDGET", vertices)
+    assert audit_formula(fid, n_lo, n_hi).status == VERIFIED
+    assert built
+    built.clear()
+    monkeypatch.setattr(families_mod, "BUILD_BUDGET", vertices - 1)
+    with pytest.raises(CapExceeded, match=rf"^formula audit {fid} --n {n_lo}..{n_hi} would build more than the budget of {vertices - 1} tree vertices$"):
+        audit_formula(fid, n_lo, n_hi)
+    assert built == []
+
+
+def test_the_ledger_windows_sit_far_inside_the_build_budget(monkeypatch):
+    # the golden group's 2..40 and the benchmark's 3..60 pass keep their
+    # outcomes at a fiftieth of the budget
+    monkeypatch.setattr(families_mod, "BUILD_BUDGET", families_mod.BUILD_BUDGET // 50)
+    for fid in FORMULA_IDS:
+        for n_lo, n_hi in [(2, 40), (3, 60)]:
+            assert audit_formula(fid, n_lo, n_hi).status == (DISCREPANCY if fid in _MISPRINTS else VERIFIED)
+
+
+@pytest.mark.parametrize(
+    "fid, n_hi, window",
+    [
+        ("jmax_broom", 1000, (None, None)),
+        ("bestmeet_lever", 10**5, (None, None)),
+        ("jmax_path", 10**12, (None, None)),
+        ("jmin_dnd_max", 10**6, (None, None)),
+        ("jmin_dbroom_oe", 10**8, (4, 4)),
+        ("jmax_broom", 10**12, (10**11, 10**11)),  # no order below d_lo + 1 is counted
+    ],
+)
+def test_formula_audit_past_the_budget_is_refused_at_once(monkeypatch, fid, n_hi, window):
+    built = []
+    monkeypatch.setattr(families_mod, "_caterpillar", lambda *a: built.append(a))
+    started = time.perf_counter()
+    with pytest.raises(CapExceeded, match="would build more than the budget of 10000000 tree vertices$"):
+        audit_formula(fid, 3, n_hi, *window)
+    assert time.perf_counter() - started < 1 and built == []
+
+
+def test_formula_audit_ends_a_window_no_order_can_meet():
+    # a --d window below every cell's span holds no cell at any order; past
+    # d_hi + gap the cells repeat, so the audit stops there, not at 10^12;
+    # and no order below n_min is visited
+    started = time.perf_counter()
+    for fid, window in [("jmax_broom", (0, 0)), ("delta_minus_broom", (1, 1)), ("jmin_lever_odd", (2, 2))]:
+        assert audit_formula(fid, 3, 10**12, *window).status == OUT_OF_RANGE
+    assert audit_formula("jmax_path", -(10**12), 5).notes == "4 instances match exactly"
+    assert time.perf_counter() - started < 1
 
 
 def _count_broom_builds(monkeypatch) -> collections.Counter:

@@ -697,6 +697,41 @@ def test_simulate_refuses_one_walk_past_its_work_budget(tmp_path):
     assert proc.stderr == "error: expected work walks * (H(u, w) + 65) = 1 * (99980001 + 65) steps passes the budget of 50000000\n"
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["audit", "formula", "jmax_broom", "--n", "3..1000"], "formula audit jmax_broom --n 3..1000"),
+        (["audit", "formula", "bestmeet_lever", "--n", "3..100000"], "formula audit bestmeet_lever --n 3..100000"),
+        (["audit", "formula", "jmin_dnd_max", "--n", "3..1000"], "formula audit jmin_dnd_max --n 3..1000"),
+        (["sweep", "--family", "broom", "--n", "5000"], "sweep --family broom --n 5000"),
+        (["sweep", "--family", "balanced-lever", "--n", "20000", "--quantity", "kemeny"],
+         "sweep --family balanced-lever --n 20000"),
+    ],
+    ids=["jmax-broom-1000", "bestmeet-lever-1e5", "dnd-max-1000", "sweep-broom-5000", "sweep-lever-20000"],
+)
+def test_ledger_work_past_the_build_budget_is_an_error_line(argv, what):
+    # these ran for a minute and more (jmax_broom to 1000: 94 s) or, from
+    # sweep --n 20000 on, until stopped; each is refused before any tree
+    src = str(Path(treewalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treewalk.cli", "--no-timing", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {what} would build more than the budget of 10000000 tree vertices\n"
+
+
+def test_sweep_counts_the_vertices_of_the_selected_diameters(capsys, monkeypatch):
+    # n vertices for each d that --d keeps: 9 * 4 = 36 for d in 3..6
+    monkeypatch.setattr(families, "BUILD_BUDGET", 36)
+    assert main(["--no-timing", "sweep", "--family", "broom", "--n", "9", "--d", "3..6"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(families, "BUILD_BUDGET", 35)
+    assert main(["--no-timing", "sweep", "--family", "broom", "--n", "9", "--d", "3..6"]) == 1
+    assert capsys.readouterr().err == "error: sweep --family broom --n 9 would build more than the budget of 35 tree vertices\n"
+
+
 def test_order_too_large_to_build_is_an_error_line():
     # the child alone runs under an address-space cap, so the billion-vertex
     # path fails to allocate at once instead of filling the machine's memory

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from treewalk import trees, walkstats
+from treewalk import families, trees, walkstats
 from treewalk.audit import audit_formula
 from treewalk.errors import InvalidFamilyParameters, OutOfStatedRange, ParityMismatch
 from treewalk.families import (
@@ -183,10 +183,15 @@ def test_generator_formula_agreement_spot():
 
 
 def test_broom_truth_matches_the_definition_route():
-    # the broom rows read J at the handle end off the rerooting pass; the
-    # single-target joining_time stays the reference for them
+    # the broom rows read J at the handle end as one int sum over the stored
+    # sizes and d's climb; the single-target joining_time stays the reference
     for n in range(2, 62):
         for d in range(1, n):
+            truth = _broom_j(n, d, {})
+            assert type(truth) is int
+            assert truth == joining_time(broom_tree(n, d), d)
+    for n in (500, 2000):
+        for d in sorted({1, 2, 3, n // 7, n // 3, n // 2, n // 2 + 1, 2 * n // 3, n - 3, n - 2, n - 1}):
             assert _broom_j(n, d, {}) == joining_time(broom_tree(n, d), d)
 
 
@@ -205,6 +210,18 @@ def test_formula_audits_run_no_bfs(monkeypatch):
     statuses = {audit_formula(fid, 3, 20).status for fid in FORMULA_IDS}
     assert statuses == {"verified", "discrepancy-in-paper"}
     assert calls == []
+
+
+@pytest.mark.parametrize("fid", ["jmax_broom", "big_delta_plus", "delta_plus", "delta_minus_broom"])
+def test_broom_rows_build_no_rerooting_pass(monkeypatch, fid):
+    # each broom truth is one sum over the stored sizes: no broom the row
+    # builds ever holds the whole J vector of Tree.joining
+    built = []
+    real = families.broom_tree
+    monkeypatch.setattr(families, "broom_tree", lambda n, d: built.append(real(n, d)) or built[-1])
+    assert audit_formula(fid, 3, 30).status == "verified"
+    assert len(built) > 400
+    assert [t for t in built if "joining" in t.__dict__] == []
 
 
 @pytest.mark.parametrize("n, d", [(7, 1), (7, 7)])
@@ -232,3 +249,14 @@ def test_rooted_broom_depth():
     assert _rooted_broom(path_tree(5), 0) == (4, True)
     assert _rooted_broom(star_tree(5), 1) == (1, True)
     assert _rooted_broom(balanced_lever(9, 4), 0)[1] is False
+
+
+@pytest.mark.parametrize("fid", FORMULA_IDS)
+def test_domain_cells_are_the_cells_fault_accepts(fid):
+    # cells is the audit's list of a row's cells at one order: exactly the d
+    # in the window that fault accepts, in order, or [None] for an n-only form
+    dom = FORMULAS[fid].domain
+    for n in range(-1, 30):
+        for lo, hi in [(1, n - 1), (0, n - 1), (3, 7), (2, 2), (5, n - 1), (-2, n - 3), (9, 4)]:
+            dees = range(lo, hi + 1) if dom.span is not None else [None]
+            assert list(dom.cells(n, lo, hi)) == [d for d in dees if dom.fault(n, d) is None]
